@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .analysis import perturbation_analysis, write_perturbation_series
@@ -49,7 +50,7 @@ from .metrics import (
     word_distribution_similarity,
 )
 from .model import ModelConfig, desk_config, paper_config
-from .training import TrainingConfig, train_lm_teacher, train_student, train_teacher
+from .training import TrainingConfig, train_nll, train_student
 
 PRESETS = ("desk", "paper")
 PRESET_BATCH = {"desk": 16, "paper": 128}
@@ -282,11 +283,11 @@ def _embedding_table(cfg: RunConfig, data_dir: Path) -> WordEmbeddings:
     return table
 
 
-def _generate_token_responses(model, vocab, examples, decode_cfg):
-    """Greedy/beam responses as token-string lists, one per example."""
+def _generate_token_responses(model, vocab, histories, decode_cfg):
+    """Greedy/beam responses as token-string lists, one per history token list."""
     outputs = []
-    for ex in examples:
-        history_ids = vocab.encode(ex.history_tokens)
+    for history in histories:
+        history_ids = vocab.encode(history)
         if not history_ids:
             raise DataError("cannot generate from an empty history")
         result = decode_one(model, history_ids, decode_cfg)
@@ -352,27 +353,16 @@ def _report_training(kind: str, result, out_path: Path) -> None:
     print(f"{kind}: {result.steps} steps, best val loss {best}, checkpoint {out_path}")
 
 
-def cmd_train_teacher(cfg: RunConfig) -> int:
+def cmd_train_nll(cfg: RunConfig, variant: str, kind: str) -> int:
+    """train-teacher and train-lm: fit ``variant`` on response NLL alone."""
     _, vocab, train, val = _training_inputs(cfg)
     out_path = cfg.require_path("out")
     tcfg = cfg.training_config()
-    config = cfg.model_config(len(vocab), "scenario-based")
+    config = cfg.model_config(len(vocab), variant)
     log_path = cfg.path("log", default=f"{out_path}.log.jsonl")
-    result = train_teacher(train, val, config, tcfg, log_path=log_path)
+    result = train_nll(train, val, config, tcfg, log_path=log_path)
     _finalize_training(result, out_path, tcfg, vocab)
-    _report_training("teacher", result, out_path)
-    return 0
-
-
-def cmd_train_lm(cfg: RunConfig) -> int:
-    _, vocab, train, val = _training_inputs(cfg)
-    out_path = cfg.require_path("out")
-    tcfg = cfg.training_config()
-    config = cfg.model_config(len(vocab), "language-model")
-    log_path = cfg.path("log", default=f"{out_path}.log.jsonl")
-    result = train_lm_teacher(train, val, config, tcfg, log_path=log_path)
-    _finalize_training(result, out_path, tcfg, vocab)
-    _report_training("language model", result, out_path)
+    _report_training(kind, result, out_path)
     return 0
 
 
@@ -433,16 +423,10 @@ def cmd_generate(cfg: RunConfig) -> int:
     model, vocab, _ = _history_only_model(cfg)
     input_path = _require_file(cfg.require_path("input"))
     out_path = cfg.require_path("out")
-    decode_cfg = cfg.decode_config()
-    histories = read_dialogues(input_path)
-    lines = []
-    for turns in histories:
-        flat = [tok for turn in turns for tok in tokenize(turn)]
-        ids = vocab.encode(flat)
-        if not ids:
-            raise DataError("cannot generate from an empty history line")
-        result = decode_one(model, ids, decode_cfg)
-        lines.append(" ".join(vocab.decode(result.token_ids)))
+    dialogues = read_dialogues(input_path)
+    histories = [[tok for turn in turns for tok in tokenize(turn)] for turns in dialogues]
+    responses = _generate_token_responses(model, vocab, histories, cfg.decode_config())
+    lines = [" ".join(tokens) for tokens in responses]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     print(f"wrote {len(lines)} responses to {out_path}")
@@ -461,7 +445,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     references = [ex.response for ex in examples]
     histories = [ex.history_tokens for ex in examples]
-    generated = _generate_token_responses(model, vocab, examples, decode_cfg)
+    generated = _generate_token_responses(model, vocab, histories, decode_cfg)
     encoded = _encode_all(examples, vocab)
 
     flags = {}
@@ -545,7 +529,8 @@ def cmd_analyze_wordfreq(cfg: RunConfig) -> int:
     examples = load_prepared_examples(data_dir, split)
     if not examples:
         raise DataError(f"split {split!r} in {data_dir} is empty")
-    generated = _generate_token_responses(model, vocab, examples, cfg.decode_config())
+    histories = [ex.history_tokens for ex in examples]
+    generated = _generate_token_responses(model, vocab, histories, cfg.decode_config())
     references = [ex.response for ex in examples]
     similarity = word_distribution_similarity(generated, references, top_k=top_k)
     payload = {
@@ -663,9 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", dest="run.test_fraction", type=float, default=None)
     p.set_defaults(func=cmd_prepare_data)
 
-    for name, func, help_text in (
-        ("train-teacher", cmd_train_teacher, "fit the future-aware teacher"),
-        ("train-lm", cmd_train_lm, "fit the response language model"),
+    for name, variant, kind, help_text in (
+        ("train-teacher", "scenario-based", "teacher", "fit the future-aware teacher"),
+        ("train-lm", "language-model", "language model", "fit the response language model"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
@@ -674,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_path_flag(p, "log", "training log path (JSONL)")
         _add_flags(p, _MODEL_FLAGS)
         _add_flags(p, _TRAINING_FLAGS)
-        p.set_defaults(func=func)
+        p.set_defaults(func=partial(cmd_train_nll, variant=variant, kind=kind))
 
     p = sub.add_parser("train-student", help="distill a history-only student from the teacher")
     _add_common(p)

@@ -49,30 +49,19 @@ def _note_clamps(probs_data: np.ndarray, mask: np.ndarray) -> None:
         _clamp_events["count"] += n
 
 
-def one_hot(targets: np.ndarray, vocab_size: int, dtype) -> np.ndarray:
-    flat = targets.reshape(-1)
-    if flat.size and (flat.min() < 0 or flat.max() >= vocab_size):
-        raise ContractError(
-            f"target id outside vocabulary of size {vocab_size}: "
-            f"min={flat.min()}, max={flat.max()}"
-        )
-    eye = np.eye(vocab_size, dtype=dtype)
-    return eye[targets]
-
-
 def nll_sum(probabilities: T.Tensor, targets: np.ndarray, mask: np.ndarray) -> T.Tensor:
     """Sum over unmasked positions of -log p(gold token).
 
     ``probabilities`` is (B, T, |V|) on the autodiff graph; ``targets``
-    and ``mask`` are plain integer/float arrays of shape (B, T).
+    and ``mask`` are plain integer/float arrays of shape (B, T). A target
+    id outside ``[0, |V|)`` raises :class:`ContractError`.
     """
-    b, t, v = probabilities.data.shape
+    b, t, _ = probabilities.data.shape
     if targets.shape != (b, t) or mask.shape != (b, t):
         raise ShapeError(
             f"targets/mask shape {targets.shape}/{mask.shape} do not match distributions {(b, t)}"
         )
-    hot = one_hot(targets, v, probabilities.data.dtype)
-    p_gold = T.tsum(T.mul(probabilities, T.Tensor(hot)), axis=-1)  # (B, T)
+    p_gold = T.pick(probabilities, targets)  # (B, T)
     _note_clamps(p_gold.data, mask)
     logp = T.log(p_gold, floor=LOG_FLOOR)
     return T.mul(T.tsum(T.mul(logp, T.Tensor(mask))), -1.0)
@@ -152,21 +141,6 @@ class LossBreakdown:
         if self.lm_prediction is not None:
             rec["lm_prediction"] = self.lm_prediction
         return rec
-
-
-def combine_components(
-    nll: float,
-    il_prediction: float,
-    il_representation: float,
-    lambda1: float,
-    lm_prediction: float = None,
-    lambda_lm: float = 0.5,
-) -> float:
-    """Scalar form of the combined objective (for reporting and checks)."""
-    total = nll + lambda1 * (il_prediction + il_representation)
-    if lm_prediction is not None:
-        total += lambda_lm * lm_prediction
-    return total
 
 
 def total_loss(

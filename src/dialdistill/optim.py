@@ -1,8 +1,9 @@
 """Adam with global gradient-norm clipping.
 
-Clipping happens first: if the L2 norm over all update targets exceeds
-``clip_norm``, every gradient is scaled by ``clip_norm / norm``. The
-Adam update then runs with bias correction (β₁=0.9, β₂=0.999, ε=1e-8).
+Clipping happens first, through :func:`clip_gradients`: if the L2 norm
+over all update targets exceeds ``clip_norm``, every gradient is scaled
+in place by ``clip_norm / norm``. The Adam update then runs with bias
+correction (β₁=0.9, β₂=0.999, ε=1e-8).
 """
 
 from __future__ import annotations
@@ -40,23 +41,14 @@ class Adam:
         self._m = {}
         self._v = {}
 
-    def _grad_norm(self) -> float:
-        total = 0.0
-        for _, t in self.targets:
-            if t.grad is not None:
-                total += float((t.grad.astype(np.float64) ** 2).sum())
-        return math.sqrt(total)
-
     def step(self) -> float:
-        """Apply one update; returns the pre-clip global gradient norm."""
+        """Apply one update; returns the pre-clip global gradient norm. The
+        targets' ``grad`` arrays are left clipped."""
         for name, t in self.targets:
             if t.grad is not None and not np.all(np.isfinite(t.grad)):
                 raise NumericError(f"non-finite gradient for {name!r}; step aborted")
 
-        norm = self._grad_norm()
-        scale = 1.0
-        if self.clip_norm > 0 and norm > self.clip_norm:
-            scale = self.clip_norm / norm
+        norm = clip_gradients([t for _, t in self.targets], self.clip_norm)
 
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
@@ -65,7 +57,7 @@ class Adam:
         for name, t in self.targets:
             if t.grad is None:
                 continue
-            g = t.grad * scale
+            g = t.grad
             m = self._m.get(name)
             if m is None:
                 m = np.zeros_like(t.data)
@@ -83,7 +75,7 @@ class Adam:
 
 
 def clip_gradients(tensors, clip_norm: float) -> float:
-    """Standalone global-norm clip (in place); returns the pre-clip norm."""
+    """Global-norm clip (in place); returns the pre-clip norm."""
     total = 0.0
     for t in tensors:
         if t.grad is not None:

@@ -14,7 +14,6 @@ tensors are created; a computation should stay in one mode throughout.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -361,6 +360,29 @@ def embedding(table, ids) -> Tensor:
     return _make(data, (table,), bw, "embedding")
 
 
+def pick(x, ids) -> Tensor:
+    """One entry per slice of the last axis: ``out[i] = x[i, ids[i]]`` over
+    all leading indices ``i``. ``ids`` must have ``x``'s shape minus its
+    last axis."""
+    x = as_tensor(x)
+    ids = np.asarray(ids)
+    n = x.data.shape[-1]
+    if ids.shape != x.data.shape[:-1]:
+        raise ShapeError(f"pick ids shape {ids.shape} does not match {x.data.shape[:-1]}")
+    # take_along_axis would wrap negative ids silently
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ContractError(f"pick id outside [0, {n}): min={ids.min()}, max={ids.max()}")
+    index = ids[..., None]
+    data = np.take_along_axis(x.data, index, axis=-1)[..., 0]
+
+    def bw(g):
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, index, g[..., None], axis=-1)
+        return (gx,)
+
+    return _make(data, (x,), bw, "pick")
+
+
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -485,6 +507,7 @@ PRIMITIVES = (
     "log",
     "layer_norm",
     "embedding",
+    "pick",
     "concat",
     "narrow",
     "swap_last_axes",
@@ -493,11 +516,3 @@ PRIMITIVES = (
     "mean_square",
     "dropout",
 )
-
-
-def global_grad_norm(tensors) -> float:
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
-    return math.sqrt(total)

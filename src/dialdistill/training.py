@@ -1,14 +1,20 @@
 """Trainers for the teacher, the student, the plain baseline, and the
 language-model teacher.
 
-All four share one loop: deterministically shuffled mini-batches, the
-combined loss from :mod:`dialdistill.losses`, global gradient clipping,
-Adam, per-step loss logging, and periodic validation with
-best-checkpoint tracking. Randomness is namespaced off a single seed —
-parameter init uses the seed itself, epoch shuffles use (seed, 7,
-epoch), and per-step dropout uses (seed, 11, step) — so a student run
-with ``lambda1 == 0`` consumes exactly the same random draws as a plain
-baseline run and reproduces it step for step.
+The teacher, the baseline and the language model are fitted by one
+trainer, :func:`train_nll`, on response NLL alone; the variant of the
+model config picks its inputs. ``train_teacher``, ``train_conventional``
+and ``train_lm_teacher`` are that trainer with the variant checked. The
+student adds the imitation terms to the same NLL. Both run one loop:
+deterministically shuffled mini-batches, the combined loss from
+:mod:`dialdistill.losses`, global gradient clipping, Adam, per-step loss
+logging, and periodic validation with best-checkpoint tracking.
+
+Randomness is namespaced off a single seed — parameter init uses the
+seed itself, epoch shuffles use (seed, 7, epoch), and per-step dropout
+uses (seed, 11, step) — so a student run with ``lambda1 == 0`` consumes
+exactly the same random draws as a plain baseline run and reproduces it
+step for step.
 """
 
 from __future__ import annotations
@@ -55,6 +61,10 @@ class TrainingConfig:
             )
         if self.batch_size < 1 or self.val_every < 1 or self.log_every < 1:
             raise ContractError("batch_size, val_every, and log_every must be >= 1")
+        if self.epochs < 1:
+            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ContractError(f"max_steps must be >= 1 when set, got {self.max_steps}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -183,58 +193,45 @@ def _train_loop(
 # --------------------------------------------------------------------------
 
 
-def train_teacher(
+def train_nll(
     train_examples, val_examples, config: ModelConfig, tcfg: TrainingConfig, log_path=None
 ) -> TrainResult:
+    """Fit a model of any variant on response NLL alone; the variant picks
+    the inputs (see :func:`forward_batch`)."""
+    model = TransformerModel.build(config, tcfg.seed)
+
+    def batch_loss(m, batch, rng):
+        out = forward_batch(m, batch, train=True, rng=rng)
+        return total_loss(
+            out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
+            lambda1=0.0,
+        )
+
+    include_future = config.variant == "scenario-based"
+    return _train_loop(model, train_examples, val_examples, tcfg, batch_loss, include_future, log_path)
+
+
+def _require_variant(config: ModelConfig, variant: str, role: str) -> None:
+    if config.variant != variant:
+        raise ContractError(f"{role} training requires the {variant} variant, got {config.variant!r}")
+
+
+def train_teacher(train_examples, val_examples, config, tcfg, log_path=None) -> TrainResult:
     """Fit the scenario-based model on (history, future) -> response NLL."""
-    if config.variant != "scenario-based":
-        raise ContractError(f"teacher training requires the scenario-based variant, got {config.variant!r}")
-    model = TransformerModel.build(config, tcfg.seed)
-
-    def batch_loss(m, batch, rng):
-        out = forward_batch(m, batch, train=True, rng=rng)
-        return total_loss(
-            out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
-            lambda1=0.0,
-        )
-
-    return _train_loop(model, train_examples, val_examples, tcfg, batch_loss, True, log_path)
+    _require_variant(config, "scenario-based", "teacher")
+    return train_nll(train_examples, val_examples, config, tcfg, log_path)
 
 
-def train_conventional(
-    train_examples, val_examples, config: ModelConfig, tcfg: TrainingConfig, log_path=None
-) -> TrainResult:
+def train_conventional(train_examples, val_examples, config, tcfg, log_path=None) -> TrainResult:
     """Plain history-only NLL baseline (also the lambda1=0 reference)."""
-    if config.variant != "conventional":
-        raise ContractError(f"baseline training requires the conventional variant, got {config.variant!r}")
-    model = TransformerModel.build(config, tcfg.seed)
-
-    def batch_loss(m, batch, rng):
-        out = forward_batch(m, batch, train=True, rng=rng)
-        return total_loss(
-            out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
-            lambda1=0.0,
-        )
-
-    return _train_loop(model, train_examples, val_examples, tcfg, batch_loss, False, log_path)
+    _require_variant(config, "conventional", "baseline")
+    return train_nll(train_examples, val_examples, config, tcfg, log_path)
 
 
-def train_lm_teacher(
-    train_examples, val_examples, config: ModelConfig, tcfg: TrainingConfig, log_path=None
-) -> TrainResult:
+def train_lm_teacher(train_examples, val_examples, config, tcfg, log_path=None) -> TrainResult:
     """Next-token language model over response sequences alone."""
-    if config.variant != "language-model":
-        raise ContractError(f"LM training requires the language-model variant, got {config.variant!r}")
-    model = TransformerModel.build(config, tcfg.seed)
-
-    def batch_loss(m, batch, rng):
-        out = forward_batch(m, batch, train=True, rng=rng)
-        return total_loss(
-            out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
-            lambda1=0.0,
-        )
-
-    return _train_loop(model, train_examples, val_examples, tcfg, batch_loss, False, log_path)
+    _require_variant(config, "language-model", "LM")
+    return train_nll(train_examples, val_examples, config, tcfg, log_path)
 
 
 def _configs_compatible(a: ModelConfig, b: ModelConfig) -> bool:

@@ -214,6 +214,17 @@ class TestTrainingCommands:
         assert rc == 1
         assert "model_dim" in capsys.readouterr().err
 
+    def test_nonpositive_step_counts_rejected(self, pipeline, tmp_path, capsys):
+        for flag, value in (("--epochs", "0"), ("--max-steps", "0"), ("--max-steps", "-3")):
+            out = tmp_path / "teacher.ckpt"
+            rc = main(
+                ["train-teacher", "--data", str(pipeline["data"]), "--out", str(out), flag, value]
+                + MODEL_FLAGS
+            )
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error:")
+            assert not out.exists()
+
     def test_student_rejects_conventional_teacher(self, pipeline, tmp_path, capsys):
         rc = main(
             [

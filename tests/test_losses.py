@@ -1,6 +1,7 @@
 """Closed-form oracle checks for every loss component and the optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,8 +73,31 @@ class TestNll:
             out = losses.nll_sum(probs, targets, mask)
             T.backward(out)
             # d/dz of -log softmax(z)[gold] is p - onehot
-            expected = probs.data - losses.one_hot(targets, 5, np.float64)
+            expected = probs.data - np.eye(5)[targets]
             assert np.allclose(logits.grad, expected, atol=1e-10)
+
+    def test_target_outside_vocabulary_rejected(self):
+        probs = np.full((1, 2, 4), 0.25)
+        for bad in (-1, 4):
+            with pytest.raises(ContractError):
+                losses.nll_sum(dist(probs), np.array([[0, bad]]), np.ones((1, 2)))
+
+    def test_paper_vocabulary_without_dense_buffers(self):
+        # reading one probability per position must not build a V x V identity
+        # or (B, T, V) temporaries beyond the gradient itself
+        rng = np.random.default_rng(6)
+        with T.precision("single"):
+            probs = T.Tensor(rng.random((2, 3, 20000)), requires_grad=True)
+            targets = rng.integers(0, 20000, size=(2, 3))
+            mask = np.ones((2, 3))
+            tracemalloc.start()
+            try:
+                T.backward(losses.nll_sum(probs, targets, mask))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert probs.grad.shape == probs.data.shape
+        assert peak < 10 * probs.data.nbytes
 
 
 class TestPredictionImitation:
@@ -188,12 +212,28 @@ class TestRepresentationImitation:
 
 class TestCombined:
     def test_scalar_arithmetic(self):
-        assert losses.combine_components(1.0, 0.5, 0.25, lambda1=2.0) == 2.5
-        assert (
-            losses.combine_components(1.0, 0.5, 0.25, 2.0, lm_prediction=0.4, lambda_lm=0.5)
-            == 2.7
+        rng = np.random.default_rng(2)
+        v, b, t, d = 5, 2, 3, 4
+        sp = rng.random((b, t, v)) + 0.01
+        sp /= sp.sum(axis=-1, keepdims=True)
+        tp = rng.random((b, t, v)) + 0.01
+        tp /= tp.sum(axis=-1, keepdims=True)
+        # hidden states far apart so the gate keeps every pair
+        sh = [T.Tensor(np.zeros((b, t, d))), T.Tensor(np.zeros((b, t, d)))]
+        th = [np.full((b, t, d), 0.5), np.full((b, t, d), 1.5)]
+        targets = rng.integers(0, v, size=(b, t))
+        mask = np.ones((b, t))
+        nll = -np.log(np.take_along_axis(sp, targets[..., None], axis=-1)).mean()
+        il_prediction = -(tp * np.log(sp)).sum(axis=-1).mean()
+        il_representation = 0.25 + 2.25
+        _, bd = losses.total_loss(
+            dist(sp), sh, targets, mask,
+            teacher_probs=tp, teacher_hiddens=th, lambda1=2.0, alpha=0.01,
         )
-        assert losses.combine_components(3.25, 9.0, 9.0, lambda1=0.0) == 3.25
+        assert abs(bd.nll - nll) < 1e-12
+        assert abs(bd.il_prediction - il_prediction) < 1e-12
+        assert abs(bd.il_representation - il_representation) < 1e-12
+        assert abs(bd.total - (nll + 2.0 * (il_prediction + il_representation))) < 1e-12
 
     def test_lambda1_zero_total_equals_nll(self):
         rng = np.random.default_rng(3)
@@ -220,9 +260,7 @@ class TestCombined:
             dist(sp), sh, targets, mask,
             teacher_probs=tp, teacher_hiddens=th, lambda1=2.0, alpha=0.01,
         )
-        recombined = losses.combine_components(
-            bd.nll, bd.il_prediction, bd.il_representation, 2.0
-        )
+        recombined = bd.nll + 2.0 * (bd.il_prediction + bd.il_representation)
         assert abs(bd.total - recombined) < 1e-6
         assert abs(float(loss.data) - bd.total) < 1e-12
         assert bd.token_count == b * t

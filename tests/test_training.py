@@ -59,6 +59,12 @@ class TestTrainingConfig:
         with pytest.raises(ContractError):
             TrainingConfig(hard_transfer_scope="decoder")
 
+    def test_step_and_epoch_counts_must_be_positive(self):
+        for bad in (dict(epochs=0), dict(max_steps=0), dict(max_steps=-3)):
+            with pytest.raises(ContractError):
+                TrainingConfig(**bad)
+        assert TrainingConfig(epochs=1, max_steps=1).max_steps == 1
+
     def test_roundtrip(self):
         c = TrainingConfig(lambda1=3.0, seed=9)
         assert TrainingConfig.from_dict(c.to_dict()) == c
