@@ -7,6 +7,11 @@ penalty (score / length**penalty) is applied only when picking the
 final hypothesis. Pad and begin-of-sequence ids are never emitted. With
 ``beam_width == 1`` and no penalty, beam search reproduces greedy
 decoding token for token, tie-breaks included.
+
+Decoding is incremental: each step feeds the decoder only every row's
+newest token, against a :class:`~dialdistill.model.DecodeState` caching
+the keys and values of earlier positions and of the encoded history.
+Beam search reorders the cached rows by each kept hypothesis's parent.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID
 from .errors import ContractError
-from .model import TransformerModel, key_padding_mask
+from .model import DecodeState, TransformerModel, key_padding_mask
 
 _LOG_FLOOR = 1e-12
 
@@ -63,12 +68,17 @@ class DecodeResult:
         return [i for i in self.token_ids if i != EOS_ID]
 
 
-def _require_conventional(model: TransformerModel) -> None:
+def _history(model: TransformerModel, history_ids) -> np.ndarray:
+    """``history_ids`` as a (1, T) array, once both it and the model can decode."""
     if model.config.variant != "conventional":
         raise ContractError(
             "generation needs a history-only (conventional) checkpoint; "
             f"got variant {model.config.variant!r}"
         )
+    history = np.atleast_2d(np.asarray(history_ids))
+    if history.size == 0:
+        raise ContractError("cannot decode from an empty history")
+    return history
 
 
 def _normalize(score: float, length: int, penalty: float) -> float:
@@ -77,10 +87,10 @@ def _normalize(score: float, length: int, penalty: float) -> float:
     return score / (length ** penalty)
 
 
-def _step_logprobs(model, prefix_rows: np.ndarray, memory, memory_mask) -> np.ndarray:
-    """Log-probabilities at the last position for each prefix row, with
-    pad and bos excluded from selection."""
-    out = model.decode(prefix_rows, history_memory=memory, history_mask=memory_mask)
+def _step_logprobs(model, last_ids: np.ndarray, memory, memory_mask, state: DecodeState) -> np.ndarray:
+    """Next-token log-probabilities for each row's newest token (A, 1),
+    with pad and bos excluded from selection."""
+    out = model.decode(last_ids, history_memory=memory, history_mask=memory_mask, state=state)
     logp = np.log(np.maximum(out.probabilities.data[:, -1, :], _LOG_FLOOR))
     logp[:, PAD_ID] = -np.inf
     logp[:, BOS_ID] = -np.inf
@@ -91,20 +101,19 @@ def greedy_decode(
     model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig(), pad_id: int = PAD_ID
 ) -> DecodeResult:
     """Argmax token per step until end-of-sequence or the length cap."""
-    _require_conventional(model)
-    history = np.atleast_2d(np.asarray(history_ids))
+    history = _history(model, history_ids)
     with model.params.inference():
         memory = model.encode(history, pad_id)
         mask = key_padding_mask(history, pad_id)
-        prefix = [BOS_ID]
+        state = DecodeState()
+        k = BOS_ID
         tokens = []
         score = 0.0
         while len(tokens) < config.max_length:
-            logp = _step_logprobs(model, np.array([prefix]), memory, mask)[0]
+            logp = _step_logprobs(model, np.array([[k]]), memory, mask, state)[0]
             k = int(np.argmax(logp))
             tokens.append(k)
             score += float(logp[k])
-            prefix.append(k)
             if k == EOS_ID:
                 break
     truncated = not tokens or tokens[-1] != EOS_ID
@@ -129,22 +138,23 @@ def beam_decode(
     beaten by any active hypothesis (log-probabilities never raise a
     score) or at ``max_length``.
     """
-    _require_conventional(model)
-    history = np.atleast_2d(np.asarray(history_ids))
+    history = _history(model, history_ids)
     with model.params.inference():
         memory = model.encode(history, pad_id)
         mask = key_padding_mask(history, pad_id)
+        state = DecodeState()
         active = [((), 0.0)]  # (token tuple, raw score)
         completed = []
         for _ in range(config.max_length):
-            prefix_rows = np.array([(BOS_ID,) + ids for ids, _ in active], dtype=np.int64)
-            logp = _step_logprobs(model, prefix_rows, memory, mask)  # (A, V)
+            last_ids = np.array([[ids[-1] if ids else BOS_ID] for ids, _ in active], dtype=np.int64)
+            logp = _step_logprobs(model, last_ids, memory, mask, state)  # (A, V)
             scores = np.array([s for _, s in active])[:, None] + logp
             flat = scores.reshape(-1)
             # stable sort on -score keeps (hypothesis index, token id) order
             # for ties, matching greedy's lowest-id argmax at width 1
             order = np.argsort(-flat, kind="stable")[: config.beam_width]
             next_active = []
+            parents = []
             vocab = logp.shape[1]
             for f in order:
                 a, k = divmod(int(f), vocab)
@@ -155,7 +165,9 @@ def beam_decode(
                     completed.append(hyp)
                 else:
                     next_active.append(hyp)
+                    parents.append(a)
             active = next_active
+            state.select_rows(parents)
             if not active:
                 break
             if completed:

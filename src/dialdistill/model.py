@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -262,6 +262,29 @@ class DecodeOutput:
     hidden_states: list      # num_blocks tensors of shape (B, T', d)
 
 
+@dataclass
+class DecodeState:
+    """What an incremental :meth:`TransformerModel.decode` carries between
+    calls: the number of response positions processed and, per decoder
+    block, their self-attention keys and values (rows, length, d) and the
+    history memory's cross-attention keys and values."""
+
+    length: int = 0
+    self_kv: dict = field(default_factory=dict)
+    cross_kv: list = field(default_factory=list)
+
+    def extend(self, block: int, kv) -> tuple:
+        """Append new positions' keys and values to ``block``'s; returns all."""
+        if block in self.self_kv:
+            kv = tuple(T.concat(pair, axis=1) for pair in zip(self.self_kv[block], kv))
+        self.self_kv[block] = kv
+        return kv
+
+    def select_rows(self, rows) -> None:
+        """Keep the self-attention rows ``rows``, in order: a beam step's parents."""
+        self.self_kv = {b: tuple(T.Tensor(t.data[rows]) for t in kv) for b, kv in self.self_kv.items()}
+
+
 def key_padding_mask(token_ids: np.ndarray, pad_id: int) -> np.ndarray:
     """Additive mask (B, 1, T) that removes pad positions as attention keys."""
     mask = np.where(token_ids == pad_id, MASKED, 0.0).astype(T.active_dtype())
@@ -274,25 +297,33 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(m, k=1)
 
 
-def _attend(params: ParameterSet, prefix: str, query_in, memory_in, additive_mask, num_heads: int):
+def _project_kv(params: ParameterSet, prefix: str, memory_in):
+    """Attention keys and values of ``memory_in``."""
+    k = T.affine(memory_in, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
+    v = T.affine(memory_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    return k, v
+
+
+def _attend(params: ParameterSet, prefix: str, query_in, memory_in, additive_mask, num_heads: int, kv=None):
     """Multi-head scaled dot-product attention WITHOUT the output
     projection: returns the per-head attended values concatenated back to
     width d. Callers apply ``wo`` (and, for dual-context, the merge
-    projection first)."""
+    projection first). ``kv``, when given, is the already-projected
+    (keys, values) pair and ``memory_in`` is not read."""
     q = T.affine(query_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k = T.affine(memory_in, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v = T.affine(memory_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    k, v = kv if kv is not None else _project_kv(params, prefix, memory_in)
     d = q.data.shape[-1]
     dh = d // num_heads
     scale = 1.0 / math.sqrt(dh)
+    mask = None if additive_mask is None else T.Tensor(additive_mask)
     heads = []
     for h in range(num_heads):
         qh = T.narrow(q, -1, h * dh, dh)
         kh = T.narrow(k, -1, h * dh, dh)
         vh = T.narrow(v, -1, h * dh, dh)
         scores = T.mul(T.matmul(qh, T.swap_last_axes(kh)), scale)
-        if additive_mask is not None:
-            scores = T.add(scores, T.Tensor(additive_mask))
+        if mask is not None:
+            scores = T.add(scores, mask)
         heads.append(T.matmul(T.softmax(scores, axis=-1), vh))
     return T.concat(heads, axis=-1) if len(heads) > 1 else heads[0]
 
@@ -368,8 +399,8 @@ class TransformerModel:
         h = T.relu(T.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
         return T.affine(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
-    def _project_out(self, x, additive_mask, prefix: str, num_heads: int):
-        ctx = _attend(self.params, prefix, x, x, additive_mask, num_heads)
+    def _project_out(self, x, additive_mask, prefix: str, num_heads: int, kv=None):
+        ctx = _attend(self.params, prefix, x, x, additive_mask, num_heads, kv)
         return T.affine(ctx, self.params[f"{prefix}.wo"], self.params[f"{prefix}.bo"])
 
     # ---- encoder -------------------------------------------------------
@@ -401,6 +432,7 @@ class TransformerModel:
         future_mask=None,
         train: bool = False,
         rng=None,
+        state: DecodeState = None,
     ) -> DecodeOutput:
         """Teacher-forced decode over a right-shifted target prefix.
 
@@ -408,6 +440,11 @@ class TransformerModel:
         Memory arguments must match the variant: the conventional model
         takes only the history memory, the scenario-based model both, and
         the language-model none.
+
+        With a ``state`` (conventional variant, inference only) the call is
+        incremental: ``response_in`` and the outputs hold only the positions
+        from ``state.length`` on, which attend to the cached keys and values
+        and extend them. The memory's projections are cached on the first call.
         """
         cfg = self.config
         p = self.params
@@ -423,13 +460,21 @@ class TransformerModel:
         else:
             if history_memory is not None or future_memory is not None:
                 raise ContractError("language-model variant accepts no memories")
+        if state is not None and (train or cfg.variant != "conventional"):
+            raise ContractError("a decode state serves inference with the conventional variant only")
 
+        offset = 0 if state is None else state.length
         t = response_in.shape[-1]
-        self_mask = causal_mask(t)
-        x = self._embed("decoder_embedding", response_in, train, rng)
+        self_mask = causal_mask(offset + t)[offset:]
+        x = self._embed("decoder_embedding", response_in, train, rng, position_offset=offset)
+        if state is not None and not state.cross_kv:
+            state.cross_kv = [_project_kv(p, f"dec.{i}.cross_attn", history_memory)
+                              for i in range(cfg.num_blocks)]
         hidden = []
         for i in range(cfg.num_blocks):
-            a = self._project_out(x, self_mask, f"dec.{i}.self_attn", cfg.num_heads)
+            prefix = f"dec.{i}.self_attn"
+            kv = None if state is None else state.extend(i, _project_kv(p, prefix, x))
+            a = self._project_out(x, self_mask, prefix, cfg.num_heads, kv)
             x = self._residual(x, a, f"dec.{i}.ln_self", train, rng)
             if cfg.variant != "language-model":
                 prefix = f"dec.{i}.cross_attn"
@@ -439,12 +484,15 @@ class TransformerModel:
                         history_mask, future_mask, cfg.num_heads,
                     )
                 else:
-                    ctx = _attend(p, prefix, x, history_memory, history_mask, cfg.num_heads)
+                    kv = None if state is None else state.cross_kv[i]
+                    ctx = _attend(p, prefix, x, history_memory, history_mask, cfg.num_heads, kv)
                 c = T.affine(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
                 x = self._residual(x, c, f"dec.{i}.ln_cross", train, rng)
             f = self._ffn(x, f"dec.{i}.ffn")
             x = self._residual(x, f, f"dec.{i}.ln_ffn", train, rng)
             hidden.append(x)
+        if state is not None:
+            state.length += t
         logits = T.affine(x, p["out_proj.w"], p["out_proj.b"])
         return DecodeOutput(probabilities=T.softmax(logits, axis=-1), hidden_states=hidden)
 

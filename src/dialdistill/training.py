@@ -159,7 +159,7 @@ def _train_loop(
             loss, breakdown = batch_loss(model, batch, rng)
             model.params.zero_grads()
             T.backward(loss)
-            opt.step()
+            grad_norm = opt.step()
 
             record = None
             if step % tcfg.log_every == 0:
@@ -173,6 +173,8 @@ def _train_loop(
                     best_val = val
                     result.best_state = _snapshot(model.params)
             if record is not None:
+                record["grad_norm"] = grad_norm
+                record["clipped"] = 0 < tcfg.grad_clip_norm < grad_norm
                 result.log.append(record)
 
             if tcfg.max_steps is not None and step >= tcfg.max_steps:

@@ -13,6 +13,7 @@ import dialdistill.tensor as T
 from dialdistill.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from dialdistill.decoding import (
     DecodeConfig,
+    STRATEGIES,
     DecodeResult,
     beam_decode,
     decode,
@@ -20,7 +21,14 @@ from dialdistill.decoding import (
     greedy_decode,
 )
 from dialdistill.errors import ContractError
-from dialdistill.model import DecodeOutput, ModelConfig, ParameterSet, TransformerModel
+from dialdistill.model import (
+    DecodeOutput,
+    DecodeState,
+    ModelConfig,
+    ParameterSet,
+    TransformerModel,
+    key_padding_mask,
+)
 
 A_ID, B_ID = 4, 5  # content tokens of the scripted vocabulary
 
@@ -38,7 +46,12 @@ class _ScriptedConfig:
 
 class ScriptedModel:
     """Duck-typed model whose step distribution depends only on the
-    generated prefix so far. Unlisted prefixes fall back to uniform."""
+    generated prefix so far. Unlisted prefixes fall back to uniform.
+
+    Decoding is incremental, so each call sees only every row's newest
+    token. The rows' whole prefixes ride in the decode state as its one
+    self-attention pair, so beam search's row reordering applies to them
+    exactly as it does to a real model's cached keys and values."""
 
     def __init__(self, table, vocab_size=6):
         self.table = {tuple(k): np.asarray(v, dtype=np.float64) for k, v in table.items()}
@@ -49,11 +62,14 @@ class ScriptedModel:
     def encode(self, history, pad_id=PAD_ID):
         return None
 
-    def decode(self, response_in, history_memory=None, history_mask=None, rng=None):
+    def decode(self, response_in, history_memory=None, history_mask=None, state=None):
+        new = T.Tensor(response_in)
+        prefixes = state.extend(0, (new, new))[0].data.astype(np.int64)
+        state.length += response_in.shape[1]
         rows, length = response_in.shape
         probs = np.full((rows, length, self.vocab_size), 1.0 / self.vocab_size)
         for r in range(rows):
-            prefix = tuple(int(t) for t in response_in[r, 1:])  # strip bos
+            prefix = tuple(int(t) for t in prefixes[r, 1:])  # strip bos
             if prefix in self.table:
                 probs[r, -1, :] = self.table[prefix]
         return DecodeOutput(probabilities=T.Tensor(probs), hidden_states=[])
@@ -204,6 +220,142 @@ class TestLengthPenalty:
         assert abs(result.normalized_score - result.score / 4.0) < 1e-12
 
 
+class TestBeamRowGather:
+    """The cached rows must follow their hypotheses: the scripted model
+    reads each row's prefix from the decode state, so a row gathered from
+    the wrong parent looks up the wrong distribution."""
+
+    def test_hypotheses_swap_rows(self):
+        # step 2 keeps (b b) from row 1 ahead of (a b) from row 0
+        model = ScriptedModel(
+            {
+                (): dist(a=0.6, b=0.4),
+                (A_ID,): dist(b=0.5, a=0.3, eos=0.2),
+                (B_ID,): dist(b=0.9, eos=0.1),
+                (B_ID, B_ID): dist(eos=0.5, a=0.5),
+                (A_ID, B_ID): dist(eos=0.9, a=0.1),
+            }
+        )
+        result = beam_decode(model, [[A_ID]], DecodeConfig(strategy="beam", beam_width=2))
+        assert result.token_ids == [A_ID, B_ID, EOS_ID]
+        assert abs(result.score - np.log(0.6 * 0.5 * 0.9)) < 1e-9
+
+    def test_completion_drops_a_row(self):
+        # step 2 completes (b eos) and keeps only (a b), the second row
+        model = ScriptedModel(
+            {
+                (): dist(b=0.6, a=0.4),
+                (B_ID,): dist(eos=0.55, a=0.45),
+                (A_ID,): dist(b=0.9),
+                (A_ID, B_ID): dist(eos=0.95),
+            }
+        )
+        result = beam_decode(model, [[A_ID]], DecodeConfig(strategy="beam", beam_width=2))
+        assert result.token_ids == [A_ID, B_ID, EOS_ID]
+        assert abs(result.score - np.log(0.4 * 0.9 * 0.95)) < 1e-9
+
+
+def _full_prefix_logp(model, history, prefixes, memory=None):
+    """Uncached oracle: every prefix row through the whole decoder, last
+    position kept, pad and bos excluded as in decoding."""
+    with model.params.inference():
+        out = model.decode(
+            np.array(prefixes), history_memory=model.encode(history) if memory is None else memory,
+            history_mask=key_padding_mask(history, PAD_ID),
+        )
+    logp = np.log(out.probabilities.data[:, -1, :])
+    logp[:, [PAD_ID, BOS_ID]] = -np.inf
+    return logp
+
+
+def reference_greedy(model, history, max_length):
+    prefix = [BOS_ID]
+    while len(prefix) <= max_length and prefix[-1] != EOS_ID:
+        prefix.append(int(np.argmax(_full_prefix_logp(model, history, [prefix])[0])))
+    return prefix[1:]
+
+
+def reference_beam(model, history, width, max_length):
+    active, completed = [((), 0.0)], []
+    for _ in range(max_length):
+        logp = _full_prefix_logp(model, history, [(BOS_ID,) + ids for ids, _ in active])
+        flat = (np.array([s for _, s in active])[:, None] + logp).reshape(-1)
+        kept = []
+        for f in np.argsort(-flat, kind="stable")[:width]:
+            a, k = divmod(int(f), logp.shape[1])
+            if np.isfinite(flat[f]):
+                (completed if k == EOS_ID else kept).append((active[a][0] + (k,), float(flat[f])))
+        active = kept
+        if not active or (completed and max(s for _, s in completed) >= max(s for _, s in active)):
+            break
+    return list(min(completed or active, key=lambda h: (-h[1], len(h[0]), h[0]))[0])
+
+
+class TestIncrementalAgainstFullPrefix:
+    """Cached decoding against full-prefix decoding, in float64 on a
+    model whose weights are scaled up so its distributions are peaked."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        config = ModelConfig(
+            vocab_size=16, model_dim=8, num_blocks=2, num_heads=2, ffn_dim=16,
+            dropout_rate=0.0, max_sequence_length=32, variant="conventional",
+        )
+        with T.precision("double"):
+            model = TransformerModel.build(config, seed=31)
+        for _, t in model.params.items():
+            if t.requires_grad and t.data.ndim == 2:
+                t.data = t.data * 20.0
+        model.params["out_proj.b"].data[EOS_ID] = 1.0  # responses end at several lengths
+        return model
+
+    def contexts(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            yield rng.integers(4, 16, size=(1, int(rng.integers(3, 10)))), rng
+
+    def test_step_logprobs_match_full_prefix(self, model):
+        worst = 0.0
+        for history, rng in self.contexts():
+            prefix = [BOS_ID] + [int(t) for t in rng.integers(3, 16, size=8)]
+            state = DecodeState()
+            with model.params.inference():
+                memory = model.encode(history)
+                mask = key_padding_mask(history, PAD_ID)
+                for n in range(1, len(prefix) + 1):
+                    out = model.decode(np.array([prefix[n - 1 : n]]), history_memory=memory,
+                                       history_mask=mask, state=state)
+                    cached = np.log(out.probabilities.data[0, -1])
+                    full = _full_prefix_logp(model, history, [prefix[:n]], memory)[0]
+                    gap = np.delete(cached - full, [PAD_ID, BOS_ID])
+                    worst = max(worst, float(np.max(np.abs(gap))))
+        assert worst <= 1e-10
+
+    def test_greedy_and_beam_match_uncached_oracle(self, model):
+        lengths = set()
+        for history, _ in self.contexts():
+            g = greedy_decode(model, history, DecodeConfig(max_length=10))
+            assert g.token_ids == reference_greedy(model, history, 10)
+            b = beam_decode(model, history, DecodeConfig(strategy="beam", beam_width=4, max_length=10))
+            assert b.token_ids == reference_beam(model, history, 4, 10)
+            lengths.update([len(g.token_ids), len(b.token_ids)])
+        assert len(lengths) >= 4  # searches ended at several different steps
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_length_cap_still_enforced(self, strategy):
+        config = ModelConfig(
+            vocab_size=16, model_dim=8, num_blocks=1, num_heads=2, ffn_dim=16,
+            dropout_rate=0.0, max_sequence_length=6, variant="conventional",
+        )
+        model = TransformerModel.build(config, seed=5)
+        model.params["out_proj.b"].data[EOS_ID] = -30.0  # no search ends early
+        width = 4 if strategy == "beam" else 1
+        fits = decode(model, [[4, 5, 6]], DecodeConfig(strategy, width, max_length=6))
+        assert len(fits.token_ids) == 6
+        with pytest.raises(ContractError):
+            decode(model, [[4, 5, 6]], DecodeConfig(strategy, width, max_length=7))
+
+
 class TestAgainstRealModel:
     def test_beam_width_one_reproduces_greedy(self, real_model):
         rng = np.random.default_rng(5)
@@ -276,6 +428,13 @@ class TestContracts:
         model = TransformerModel.build(config, seed=1)
         with pytest.raises(ContractError):
             greedy_decode(model, [[4, 5]])
+
+    def test_empty_history_rejected(self, real_model):
+        for strategy in STRATEGIES:
+            with pytest.raises(ContractError):
+                decode(real_model, [], DecodeConfig(strategy=strategy))
+        with pytest.raises(ContractError):
+            generate_responses(real_model, [[[4, 5]], []])
 
     def test_config_round_trips_through_dict(self):
         cfg = DecodeConfig(strategy="beam", beam_width=4, max_length=12, length_penalty=0.5)

@@ -6,6 +6,7 @@ import pytest
 from dialdistill import tensor as T
 from dialdistill.errors import ContractError
 from dialdistill.model import (
+    DecodeState,
     ModelConfig,
     TransformerModel,
     _attend,
@@ -240,6 +241,68 @@ class TestDecoder:
         m = TransformerModel.build(tiny(dropout_rate=0.2), seed=8)
         with pytest.raises(ContractError):
             m.forward(self.hist, self.resp_in, train=True)
+
+
+class TestDecodeState:
+    """Incremental decode calls against the full-prefix pass they replace."""
+
+    @pytest.fixture(autouse=True)
+    def model(self):
+        with T.precision("double"):
+            self.m = TransformerModel.build(tiny(num_blocks=2, max_sequence_length=8), seed=6)
+            self.hist = np.array([[4, 5, 6, 7, PAD]])
+            self.mem = self.m.encode(self.hist, PAD)
+            self.mask = key_padding_mask(self.hist, PAD)
+            yield
+
+    def _decode(self, rows, state=None):
+        return self.m.decode(rows, history_memory=self.mem, history_mask=self.mask, state=state)
+
+    def test_chunked_calls_match_full_prefix(self):
+        resp_in = np.array([[2, 8, 9, 10, 4, 11, 5]])
+        full = self._decode(resp_in)
+        state = DecodeState()
+        parts = [self._decode(resp_in[:, a:b], state) for a, b in ((0, 1), (1, 3), (3, 4), (4, 7))]
+        assert state.length == 7
+        assert [kv[0].data.shape for kv in state.self_kv.values()] == [(1, 7, 8)] * 2
+        probs = np.concatenate([o.probabilities.data for o in parts], axis=1)
+        assert np.max(np.abs(probs - full.probabilities.data)) < 1e-12
+        for block in range(2):
+            hidden = np.concatenate([o.hidden_states[block].data for o in parts], axis=1)
+            assert np.max(np.abs(hidden - full.hidden_states[block].data)) < 1e-12
+
+    def test_select_rows_reorders_cache(self):
+        prefixes = np.array([[2, 4, 5], [2, 6, 7], [2, 8, 9]])
+        state = DecodeState()
+        self._decode(prefixes, state)
+        rows = [2, 0, 0]
+        state.select_rows(rows)
+        new = np.array([[10], [11], [4]])
+        step = self._decode(new, state).probabilities.data[:, -1]
+        full = self._decode(np.concatenate([prefixes[rows], new], axis=1)).probabilities.data[:, -1]
+        assert np.max(np.abs(step - full)) < 1e-12
+
+    def test_length_cap_counts_cached_positions(self):
+        state = DecodeState()
+        self._decode(np.array([[2, 4, 5, 6, 7, 8]]), state)
+        with pytest.raises(ContractError):
+            self._decode(np.array([[9, 10, 11]]), state)
+        assert state.length == 6
+        self._decode(np.array([[9, 10]]), state)
+        assert state.length == 8
+
+    def test_state_only_for_conventional_inference(self):
+        with pytest.raises(ContractError):
+            self.m.decode(np.array([[2]]), history_memory=self.mem, history_mask=self.mask,
+                          train=True, rng=np.random.default_rng(0), state=DecodeState())
+        teacher = TransformerModel.build(tiny("scenario-based"), seed=7)
+        mem = teacher.encode(self.hist, PAD)
+        with pytest.raises(ContractError):
+            teacher.decode(np.array([[2]]), history_memory=mem, future_memory=mem,
+                           history_mask=self.mask, future_mask=self.mask, state=DecodeState())
+        lm = TransformerModel.build(tiny("language-model"), seed=8)
+        with pytest.raises(ContractError):
+            lm.decode(np.array([[2]]), state=DecodeState())
 
 
 class TestLanguageModelVariant:

@@ -133,7 +133,9 @@ class TestStudentTraining:
             train, val, teacher, small_config("conventional"), tcfg(max_steps=10)
         )
         rec = res.log[0]
-        assert set(rec) >= {"step", "nll", "il_prediction", "il_representation", "total"}
+        assert set(rec) >= {
+            "step", "nll", "il_prediction", "il_representation", "total", "grad_norm", "clipped",
+        }
         assert rec["il_prediction"] > 0.0
         # logged total decomposes as nll + lambda1 * (fpi + iri)
         assert abs(
@@ -267,6 +269,20 @@ class TestLogOutput:
         recs = [json.loads(l) for l in lines]
         assert recs[0]["step"] == 1
         assert any("val_loss" in r for r in recs)
+        assert all(isinstance(r["grad_norm"], float) and isinstance(r["clipped"], bool) for r in recs)
+
+    def test_grad_norm_is_pre_clip(self, data):
+        train, val, _ = data
+        runs = {
+            clip: train_teacher(
+                train, val, small_config("scenario-based"), tcfg(max_steps=6, grad_clip_norm=clip)
+            )
+            for clip in (1e6, 1e-3)
+        }
+        # same first step either way: the norm is read before clipping
+        assert runs[1e6].log[0]["grad_norm"] == runs[1e-3].log[0]["grad_norm"] > 0.0
+        assert not any(r["clipped"] for r in runs[1e6].log)
+        assert all(r["clipped"] for r in runs[1e-3].log)
 
     def test_log_every_thins_records(self, data):
         train, val, _ = data
