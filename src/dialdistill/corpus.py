@@ -198,12 +198,6 @@ class Vocabulary:
     def __len__(self):
         return len(self._id_to_token)
 
-    def id_of(self, token: str) -> int:
-        return self._token_to_id.get(token, UNK_ID)
-
-    def token_of(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 

@@ -197,10 +197,3 @@ def decode(
     if config.strategy == "beam":
         return beam_decode(model, history_ids, config, pad_id)
     return greedy_decode(model, history_ids, config, pad_id)
-
-
-def generate_responses(
-    model: TransformerModel, histories, config: DecodeConfig = DecodeConfig(), pad_id: int = PAD_ID
-) -> list:
-    """Decode one response per history id-sequence."""
-    return [decode(model, h, config, pad_id) for h in histories]

@@ -266,8 +266,9 @@ class DecodeOutput:
 class DecodeState:
     """What an incremental :meth:`TransformerModel.decode` carries between
     calls: the number of response positions processed and, per decoder
-    block, their self-attention keys and values (rows, length, d) and the
-    history memory's cross-attention keys and values."""
+    block, their head-split self-attention keys and values
+    (rows, heads, length, d/heads) and the history memory's cross-attention
+    keys and values (1, heads, history length, d/heads)."""
 
     length: int = 0
     self_kv: dict = field(default_factory=dict)
@@ -276,7 +277,7 @@ class DecodeState:
     def extend(self, block: int, kv) -> tuple:
         """Append new positions' keys and values to ``block``'s; returns all."""
         if block in self.self_kv:
-            kv = tuple(T.concat(pair, axis=1) for pair in zip(self.self_kv[block], kv))
+            kv = tuple(T.concat(pair, axis=2) for pair in zip(self.self_kv[block], kv))
         self.self_kv[block] = kv
         return kv
 
@@ -297,35 +298,34 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(m, k=1)
 
 
-def _project_kv(params: ParameterSet, prefix: str, memory_in):
-    """Attention keys and values of ``memory_in``."""
+def _split_heads(x, num_heads: int):
+    """(B, T, d) -> (B, H, T, d/H): head h holds features [h*d/H, (h+1)*d/H)."""
+    b, t, d = x.data.shape
+    return T.transpose(T.reshape(x, (b, t, num_heads, d // num_heads)), (0, 2, 1, 3))
+
+
+def _project_kv(params: ParameterSet, prefix: str, memory_in, num_heads: int):
+    """Attention keys and values of ``memory_in``, split into heads (B, H, S, dh)."""
     k = T.affine(memory_in, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v = T.affine(memory_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    return k, v
+    return _split_heads(k, num_heads), _split_heads(v, num_heads)
 
 
 def _attend(params: ParameterSet, prefix: str, query_in, memory_in, additive_mask, num_heads: int, kv=None):
     """Multi-head scaled dot-product attention WITHOUT the output
-    projection: returns the per-head attended values concatenated back to
-    width d. Callers apply ``wo`` (and, for dual-context, the merge
+    projection: all heads run as one (B, H, T, dh) product and are joined
+    back to width d. Callers apply ``wo`` (and, for dual-context, the merge
     projection first). ``kv``, when given, is the already-projected
-    (keys, values) pair and ``memory_in`` is not read."""
-    q = T.affine(query_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k, v = kv if kv is not None else _project_kv(params, prefix, memory_in)
-    d = q.data.shape[-1]
-    dh = d // num_heads
-    scale = 1.0 / math.sqrt(dh)
-    mask = None if additive_mask is None else T.Tensor(additive_mask)
-    heads = []
-    for h in range(num_heads):
-        qh = T.narrow(q, -1, h * dh, dh)
-        kh = T.narrow(k, -1, h * dh, dh)
-        vh = T.narrow(v, -1, h * dh, dh)
-        scores = T.mul(T.matmul(qh, T.swap_last_axes(kh)), scale)
-        if mask is not None:
-            scores = T.add(scores, mask)
-        heads.append(T.matmul(T.softmax(scores, axis=-1), vh))
-    return T.concat(heads, axis=-1) if len(heads) > 1 else heads[0]
+    head-split (keys, values) pair and ``memory_in`` is not read. The
+    additive mask, (B, 1, S), (T, S) or (B, T, S), is shared by all heads."""
+    q = _split_heads(T.affine(query_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), num_heads)
+    k, v = kv if kv is not None else _project_kv(params, prefix, memory_in, num_heads)
+    b, h, t, dh = q.data.shape
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    if additive_mask is not None:
+        scores = T.add(scores, T.Tensor(additive_mask[..., None, :, :]))
+    ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, h * dh))
 
 
 def dual_context_attention(
@@ -468,12 +468,12 @@ class TransformerModel:
         self_mask = causal_mask(offset + t)[offset:]
         x = self._embed("decoder_embedding", response_in, train, rng, position_offset=offset)
         if state is not None and not state.cross_kv:
-            state.cross_kv = [_project_kv(p, f"dec.{i}.cross_attn", history_memory)
+            state.cross_kv = [_project_kv(p, f"dec.{i}.cross_attn", history_memory, cfg.num_heads)
                               for i in range(cfg.num_blocks)]
         hidden = []
         for i in range(cfg.num_blocks):
             prefix = f"dec.{i}.self_attn"
-            kv = None if state is None else state.extend(i, _project_kv(p, prefix, x))
+            kv = None if state is None else state.extend(i, _project_kv(p, prefix, x, cfg.num_heads))
             a = self._project_out(x, self_mask, prefix, cfg.num_heads, kv)
             x = self._residual(x, a, f"dec.{i}.ln_self", train, rng)
             if cfg.variant != "language-model":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import DialogueExample, Vocabulary, build_vocabulary, corpus_token_stream
+from .corpus import DialogueExample, Vocabulary
 from .errors import DataError
 
 FILLERS = [f"f{i}" for i in range(10)]
@@ -74,7 +74,3 @@ def marker_vocabulary(num_markers: int = 8) -> Vocabulary:
     tokens = sorted(FILLERS) + sorted(marker_token(k) for k in range(num_markers))
     tokens += sorted(answer_token(k) for k in range(num_markers))
     return Vocabulary(tokens)
-
-
-def vocabulary_for(examples: list) -> Vocabulary:
-    return build_vocabulary(corpus_token_stream(examples), max_size=10_000)

@@ -14,6 +14,7 @@ tensors are created; a computation should stay in one mode throughout.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -97,9 +98,6 @@ class Tensor:
         out._backward = None
         out._op = "leaf"
         return out
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         backward(self)
@@ -418,17 +416,32 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     return _make(data, (x,), bw, "narrow")
 
 
-def swap_last_axes(x) -> Tensor:
-    """Transpose the trailing two axes (for attention key alignment)."""
+def reshape(x, shape) -> Tensor:
+    """The same entries in row-major order under a new shape of equal size."""
     x = as_tensor(x)
-    if x.ndim < 2:
-        raise ShapeError(f"swap_last_axes needs >= 2 dims, got shape {x.data.shape}")
-    data = np.swapaxes(x.data, -1, -2)
+    shape = tuple(shape)
+    if math.prod(shape) != x.data.size or any(n < 0 for n in shape):
+        raise ShapeError(f"cannot reshape {x.data.shape} to {shape}")
+    data = x.data.reshape(shape)
 
     def bw(g):
-        return (np.swapaxes(g, -1, -2),)
+        return (g.reshape(x.data.shape),)
 
-    return _make(data, (x,), bw, "swap_last_axes")
+    return _make(data, (x,), bw, "reshape")
+
+
+def transpose(x, axes) -> Tensor:
+    """Permute the axes: output axis i is input axis ``axes[i]``."""
+    x = as_tensor(x)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"transpose axes {axes} are not a permutation of {x.ndim} axes")
+    data = np.transpose(x.data, axes)
+
+    def bw(g):
+        return (np.transpose(g, np.argsort(axes)),)
+
+    return _make(data, (x,), bw, "transpose")
 
 
 def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -510,7 +523,8 @@ PRIMITIVES = (
     "pick",
     "concat",
     "narrow",
-    "swap_last_axes",
+    "reshape",
+    "transpose",
     "sum",
     "mean",
     "mean_square",

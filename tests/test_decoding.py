@@ -17,7 +17,6 @@ from dialdistill.decoding import (
     DecodeResult,
     beam_decode,
     decode,
-    generate_responses,
     greedy_decode,
 )
 from dialdistill.errors import ContractError
@@ -50,8 +49,9 @@ class ScriptedModel:
 
     Decoding is incremental, so each call sees only every row's newest
     token. The rows' whole prefixes ride in the decode state as its one
-    self-attention pair, so beam search's row reordering applies to them
-    exactly as it does to a real model's cached keys and values."""
+    self-attention pair, laid out (rows, 1 head, length, 1) like a real
+    model's head-split keys and values, so beam search's row reordering
+    applies to them exactly as it does to the cached keys and values."""
 
     def __init__(self, table, vocab_size=6):
         self.table = {tuple(k): np.asarray(v, dtype=np.float64) for k, v in table.items()}
@@ -63,8 +63,8 @@ class ScriptedModel:
         return None
 
     def decode(self, response_in, history_memory=None, history_mask=None, state=None):
-        new = T.Tensor(response_in)
-        prefixes = state.extend(0, (new, new))[0].data.astype(np.int64)
+        new = T.Tensor(response_in[:, None, :, None])
+        prefixes = state.extend(0, (new, new))[0].data[:, 0, :, 0].astype(np.int64)
         state.length += response_in.shape[1]
         rows, length = response_in.shape
         probs = np.full((rows, length, self.vocab_size), 1.0 / self.vocab_size)
@@ -394,13 +394,14 @@ class TestAgainstRealModel:
                 else:
                     assert result.truncated
 
-    def test_generate_responses_batches_histories(self, real_model):
+    def test_each_history_decodes_independently(self, real_model):
+        # no cached state leaks from one history's call into the next
         histories = [[[4, 5, 6]], [[7, 8]], [[9, 10, 11, 4]]]
-        results = generate_responses(real_model, histories, DecodeConfig(max_length=6))
-        assert len(results) == 3
-        assert all(isinstance(r, DecodeResult) for r in results)
-        single = greedy_decode(real_model, histories[1], DecodeConfig(max_length=6))
-        assert results[1].token_ids == single.token_ids
+        for cfg in (DecodeConfig(max_length=6), DecodeConfig(strategy="beam", beam_width=3, max_length=6)):
+            forward = [decode(real_model, h, cfg) for h in histories]
+            backward = [decode(real_model, h, cfg) for h in reversed(histories)][::-1]
+            assert all(isinstance(r, DecodeResult) for r in forward)
+            assert [(r.token_ids, r.score) for r in forward] == [(r.token_ids, r.score) for r in backward]
 
 
 class TestContracts:
@@ -431,10 +432,9 @@ class TestContracts:
 
     def test_empty_history_rejected(self, real_model):
         for strategy in STRATEGIES:
-            with pytest.raises(ContractError):
-                decode(real_model, [], DecodeConfig(strategy=strategy))
-        with pytest.raises(ContractError):
-            generate_responses(real_model, [[[4, 5]], []])
+            for empty in ([], [[]]):
+                with pytest.raises(ContractError):
+                    decode(real_model, empty, DecodeConfig(strategy=strategy))
 
     def test_config_round_trips_through_dict(self):
         cfg = DecodeConfig(strategy="beam", beam_width=4, max_length=12, length_penalty=0.5)

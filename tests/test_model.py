@@ -10,6 +10,8 @@ from dialdistill.model import (
     ModelConfig,
     TransformerModel,
     _attend,
+    _project_kv,
+    causal_mask,
     desk_config,
     dual_context_attention,
     init_params,
@@ -140,6 +142,75 @@ class TestEncoder:
             m.encode(np.array([[4, 5]]))
 
 
+def per_head_attention(ps, prefix, query_in, memory_in, mask, num_heads):
+    """Reference multi-head attention: one head at a time over column
+    slices of the projections, contexts joined along features."""
+    p = {n: ps[f"{prefix}.{n}"].data for n in ("wq", "bq", "wk", "bk", "wv", "bv")}
+    q = query_in @ p["wq"] + p["bq"]
+    k = memory_in @ p["wk"] + p["bk"]
+    v = memory_in @ p["wv"] + p["bv"]
+    dh = q.shape[-1] // num_heads
+    heads = []
+    for h in range(num_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(dh)
+        if mask is not None:
+            scores = scores + mask
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        heads.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
+    return np.concatenate(heads, axis=-1)
+
+
+def graph_size(*outputs):
+    seen, stack = set(), list(outputs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestBatchedHeads:
+    """All heads in one product, against the per-head loop it replaced."""
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    def test_matches_per_head_loop_for_every_mask_shape(self, num_heads):
+        rng = np.random.default_rng(num_heads)
+        b, t, s = 3, 4, 6
+        ids = rng.integers(4, 12, size=(b, s))
+        ids[0, 4:] = PAD
+        ids[2, 5:] = PAD
+        masks = {
+            "padding (B, 1, S)": key_padding_mask(ids, PAD),
+            "offset causal (T, S)": causal_mask(s)[s - t:],
+            "causal plus padding (B, T, S)": causal_mask(s)[s - t:][None] + key_padding_mask(ids, PAD),
+        }
+        with T.precision("double"):
+            ps = init_params(tiny(num_heads=num_heads), seed=11)
+            q_in = rng.standard_normal((b, t, 8))
+            mem = rng.standard_normal((b, s, 8))
+            for name, mask in masks.items():
+                expected = per_head_attention(ps, "dec.0.cross_attn", q_in, mem, mask, num_heads)
+                got = _attend(ps, "dec.0.cross_attn", T.Tensor(q_in), T.Tensor(mem), mask, num_heads)
+                assert got.data.shape == (b, t, 8)
+                assert np.max(np.abs(got.data - expected)) <= 1e-12, name
+                kv = _project_kv(ps, "dec.0.cross_attn", T.Tensor(mem), num_heads)
+                assert kv[0].data.shape == (b, num_heads, s, 8 // num_heads)
+                cached = _attend(ps, "dec.0.cross_attn", T.Tensor(q_in), None, mask, num_heads, kv)
+                assert np.array_equal(cached.data, got.data), name
+
+    def test_graph_size_does_not_grow_with_heads(self):
+        hist = np.array([[4, 5, 6, 7], [8, 9, PAD, PAD]])
+        resp_in = np.array([[2, 8, 9], [2, 10, 11]])
+        sizes = []
+        for num_heads in (1, 2, 4):
+            m = TransformerModel.build(tiny(num_blocks=2, num_heads=num_heads), seed=3)
+            out = m.forward(hist, resp_in)
+            sizes.append(graph_size(out.probabilities, *out.hidden_states))
+        assert sizes[0] == sizes[1] == sizes[2]
+
+
 class TestDualContextAttention:
     def test_single_key_context_is_value_vector(self):
         # softmax over one key is 1, so the pre-merge context equals that
@@ -264,7 +335,9 @@ class TestDecodeState:
         state = DecodeState()
         parts = [self._decode(resp_in[:, a:b], state) for a, b in ((0, 1), (1, 3), (3, 4), (4, 7))]
         assert state.length == 7
-        assert [kv[0].data.shape for kv in state.self_kv.values()] == [(1, 7, 8)] * 2
+        # head-split: (rows, heads, length, d / heads)
+        assert [kv[0].data.shape for kv in state.self_kv.values()] == [(1, 2, 7, 4)] * 2
+        assert [kv[1].data.shape for kv in state.cross_kv] == [(1, 2, 5, 4)] * 2
         probs = np.concatenate([o.probabilities.data for o in parts], axis=1)
         assert np.max(np.abs(probs - full.probabilities.data)) < 1e-12
         for block in range(2):

@@ -1,5 +1,8 @@
 """Gradient checks for every autodiff primitive against finite differences."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -313,13 +316,46 @@ class TestShapeOps:
         with pytest.raises(ShapeError):
             T.narrow(a, 1, 2, 3)
 
-    def test_swap_last_axes(self):
+    def test_transpose(self):
         rng = np.random.default_rng(21)
         with T.precision("double"):
             x = T.Tensor(rng.standard_normal((2, 3, 4)))
-            assert T.swap_last_axes(x).data.shape == (2, 4, 3)
+            assert np.array_equal(T.transpose(x, (0, 2, 1)).data, np.swapaxes(x.data, -1, -2))
+            w = T.Tensor(rng.standard_normal((3, 4, 2)))
         a = leaf(rng, 3, 4)
-        fd_check(lambda ls: T.tsum(T.mul(T.swap_last_axes(ls[0]), T.swap_last_axes(ls[0]))), [a])
+        fd_check(lambda ls: T.tsum(T.mul(T.transpose(ls[0], (1, 0)), T.transpose(ls[0], (1, 0)))), [a])
+        # (1, 2, 0) is not its own inverse, and the weights make every
+        # output position's gradient distinct
+        a = leaf(rng, 2, 3, 4)
+        fd_check(lambda ls: T.tsum(T.mul(T.transpose(ls[0], (1, 2, 0)), w)), [a])
+
+    def test_reshape_gradients(self):
+        rng = np.random.default_rng(24)
+        a = leaf(rng, 2, 3, 4)
+        with T.precision("double"):
+            w = T.Tensor(rng.standard_normal((6, 2, 2)))
+            assert np.array_equal(T.reshape(a, (6, 2, 2)).data, a.data.reshape(6, 2, 2))
+        fd_check(lambda ls: T.tsum(T.mul(T.reshape(ls[0], (6, 2, 2)), w)), [a])
+
+    def test_reshape_rejects_wrong_size(self):
+        a = T.Tensor(np.ones((2, 3)))
+        for shape in ((4, 2), (7,), (-1, 6), (3, -2)):
+            with pytest.raises(ShapeError):
+                T.reshape(a, shape)
+
+    def test_transpose_rejects_bad_axes(self):
+        a = T.Tensor(np.ones((2, 3, 4)))
+        for axes in ((0, 1), (0, 1, 1), (0, 1, 3), (2, 1, 0, 3), (-1, 0, 1)):
+            with pytest.raises(ShapeError):
+                T.transpose(a, axes)
+
+
+def test_primitive_table_matches_the_ops_produced():
+    # every primitive ends in one `_make(..., "<op>")`; the table must name
+    # exactly those ops, so a deleted primitive cannot linger in it
+    produced = set(re.findall(r'_make\(.*"(\w+)"\)', inspect.getsource(T)))
+    assert len(T.PRIMITIVES) == len(set(T.PRIMITIVES))
+    assert set(T.PRIMITIVES) == produced
 
 
 class TestReductions:
