@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -445,8 +446,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     references = [ex.response for ex in examples]
     histories = [ex.history_tokens for ex in examples]
+    marks = [time.perf_counter()]
     generated = _generate_token_responses(model, vocab, histories, decode_cfg)
-    encoded = _encode_all(examples, vocab)
+    marks.append(time.perf_counter())
+    ppl_report = corpus_ppl(model, _encode_all(examples, vocab))
+    marks.append(time.perf_counter())
+    table = _embedding_table(cfg, data_dir)
+    marks.append(time.perf_counter())
 
     flags = {}
     dist = {}
@@ -454,9 +460,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         value, defined = distinct_n(generated, n)
         dist[n] = value
         flags[f"dist{n}_no_ngrams"] = not defined
-    ppl_report = corpus_ppl(model, encoded)
     flags["ppl_excluded_sentences"] = ppl_report.excluded
-    table = _embedding_table(cfg, data_dir)
     emb = embedding_metrics(references, generated, table)
     flags["embedding_skipped_pairs"] = emb.skipped_pairs
     coh, coh_skipped = coherence(histories, generated, table)
@@ -480,11 +484,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         flags=flags,
         run_config=cfg.to_flat(),
     )
+    marks.append(time.perf_counter())
     report.save(out_path)
     print(
         f"evaluated {len(examples)} examples: ppl {report.ppl:.3f}, bleu {report.bleu:.2f}, "
         f"dist1 {report.dist1:.3f} -> {out_path}"
     )
+    # stdout only: the report's scalars must not vary from run to run
+    stages = zip(("generation", "perplexity", "embeddings", "metrics"), marks, marks[1:])
+    print("timing (s): " + ", ".join(f"{name} {end - start:.3f}" for name, start, end in stages))
     return 0
 
 

@@ -63,10 +63,6 @@ class DecodeResult:
     normalized_score: float
     truncated: bool
 
-    @property
-    def content_ids(self) -> list:
-        return [i for i in self.token_ids if i != EOS_ID]
-
 
 def _history(model: TransformerModel, history_ids) -> np.ndarray:
     """``history_ids`` as a (1, T) array, once both it and the model can decode."""

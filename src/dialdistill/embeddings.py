@@ -92,11 +92,34 @@ class WordEmbeddings:
         return cls(vectors)
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
+def _window_pairs(sentence: np.ndarray, window: int):
+    """(center, context) id arrays of every pair at most ``window`` apart,
+    center-major with contexts in sentence order."""
+    n = len(sentence)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    ctx = np.arange(n)[:, None] + offsets
+    keep = (ctx >= 0) & (ctx < n)
+    return np.repeat(sentence, keep.sum(axis=1)), sentence[ctx[keep]]
+
+
+def _sgns_update(w_in, w_out, centers, contexts, noise, learning_rate: float) -> None:
+    """One minibatch step in place. Pair ``i`` is scored against its
+    context (label 1) and the ids in ``noise[i]`` (label 0), all with the
+    weights as they stand; a noise id equal to its pair's context is
+    skipped. Updates to a repeated id add up."""
+    targets = np.concatenate([contexts[:, None], noise], axis=1)
+    v_in = w_in[centers]
+    v_out = w_out[targets]
+    scores = np.einsum("pd,pkd->pk", v_in, v_out)
+    g = -learning_rate * 0.5 * (1.0 + np.tanh(0.5 * scores))  # overflow-free logistic
+    g[:, 0] += learning_rate
+    g[:, 1:] *= noise != contexts[:, None]
+    dim = w_in.shape[1]
+    cols = np.arange(dim)
+    np.add.at(w_in.reshape(-1), (centers[:, None] * dim + cols).ravel(),
+              np.einsum("pk,pkd->pd", g, v_out).ravel())
+    np.add.at(w_out.reshape(-1), (targets[..., None] * dim + cols).ravel(),
+              (g[..., None] * v_in[:, None, :]).ravel())
 
 
 def train_word_embeddings(
@@ -111,8 +134,10 @@ def train_word_embeddings(
     """Skip-gram with negative sampling over a tokenized corpus.
 
     ``corpus`` is an iterable of token lists (one per sentence/turn).
-    Noise words are drawn from the unigram distribution raised to 3/4.
-    Deterministic for a given seed.
+    Each sentence is one minibatch (Mikolov et al. 2013): all its pairs
+    within ``window`` are scored from the same weights, each against
+    ``negatives`` noise words drawn from the unigram distribution raised
+    to 3/4. Deterministic for a given seed.
     """
     sentences = [list(s) for s in corpus if s]
     tokens = [t for s in sentences for t in s]
@@ -122,40 +147,23 @@ def train_word_embeddings(
         )
     if dim < 1:
         raise DataError(f"embedding dimension must be positive, got {dim}")
+    if window < 1 or epochs < 1 or negatives < 0:
+        raise DataError(f"need window, epochs >= 1 and negatives >= 0; got {window}, {epochs}, {negatives}")
 
     vocab = sorted(set(tokens))
     index = {t: i for i, t in enumerate(vocab)}
-    counts = np.zeros(len(vocab))
-    for t in tokens:
-        counts[index[t]] += 1
-    noise = counts ** 0.75
-    noise /= noise.sum()
+    encoded = [np.array([index[t] for t in s]) for s in sentences]
+    # the draw rng.choice(p=...) makes, without rebuilding its CDF per call
+    cdf = np.cumsum(np.bincount(np.concatenate(encoded)) ** 0.75)
+    cdf /= cdf[-1]
 
     rng = np.random.default_rng(seed)
-    vocab_size = len(vocab)
-    w_in = (rng.random((vocab_size, dim)) - 0.5) / dim
-    w_out = np.zeros((vocab_size, dim))
-
-    encoded = [[index[t] for t in s] for s in sentences]
+    w_in = (rng.random((len(vocab), dim)) - 0.5) / dim
+    w_out = np.zeros((len(vocab), dim))
     for _ in range(epochs):
         for sentence in encoded:
-            for pos, center in enumerate(sentence):
-                lo = max(0, pos - window)
-                hi = min(len(sentence), pos + window + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    context = sentence[ctx_pos]
-                    grad_center = np.zeros(dim)
-                    targets = [(context, 1.0)]
-                    for noise_id in rng.choice(vocab_size, size=negatives, p=noise):
-                        if noise_id != context:
-                            targets.append((int(noise_id), 0.0))
-                    for target, label in targets:
-                        p = _sigmoid(float(np.dot(w_in[center], w_out[target])))
-                        g = learning_rate * (label - p)
-                        grad_center += g * w_out[target]
-                        w_out[target] += g * w_in[center]
-                    w_in[center] += grad_center
+            centers, contexts = _window_pairs(sentence, window)
+            noise = cdf.searchsorted(rng.random((len(centers), negatives)), side="right")
+            _sgns_update(w_in, w_out, centers, contexts, noise, learning_rate)
 
     return WordEmbeddings({t: w_in[index[t]] for t in vocab})

@@ -102,7 +102,7 @@ class ParameterSet:
     Order matters twice: parameter initialization draws from one RNG
     stream in this order, and checkpoints serialize tensors in this
     order. ``frozen`` names are excluded from optimizer updates (used by
-    hard transfer) but still saved and counted.
+    hard transfer) but still saved.
     """
 
     def __init__(self):
@@ -148,10 +148,6 @@ class ParameterSet:
             if n not in self._tensors:
                 raise ContractError(f"cannot freeze unknown parameter {n!r}")
             self.frozen.add(n)
-
-    def parameter_count(self) -> int:
-        """Total scalar count over learned tensors (frozen included)."""
-        return sum(t.data.size for n, t in self._tensors.items() if self._trainable[n])
 
     @contextmanager
     def inference(self):

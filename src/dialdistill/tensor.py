@@ -31,10 +31,6 @@ def set_precision(mode: str) -> None:
     _state["mode"] = mode
 
 
-def precision_mode() -> str:
-    return _state["mode"]
-
-
 def active_dtype():
     return _MODES[_state["mode"]]
 
@@ -88,16 +84,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        out._op = "leaf"
-        return out
 
     def backward(self) -> None:
         backward(self)
@@ -199,7 +185,12 @@ def backward(loss: Tensor) -> None:
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"NaN/Inf gradient produced by primitive '{node._op}'")
             if parent.grad is None:
-                parent.grad = g.copy() if g.base is not None or g is node.grad else g
+                # nothing writes a gradient in place, so a view is copied only
+                # for a leaf, whose grad outlives the pass, or when strided: the
+                # copy is C-ordered, and later reductions must sum in that order
+                shared = g.base is not None or g is node.grad
+                copy = shared and (not parent._parents or not g.flags.c_contiguous)
+                parent.grad = g.copy() if copy else g
             else:
                 parent.grad = parent.grad + g
 

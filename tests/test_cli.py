@@ -328,6 +328,23 @@ class TestEvaluate:
         assert report.model_id == str(pipeline["student"])
         assert "ppl_excluded_sentences" in report.flags
 
+    def test_prints_stage_timings_outside_the_report(self, pipeline, report_path, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = main(
+            [
+                "evaluate", "--checkpoint", str(pipeline["student"]),
+                "--data", str(pipeline["data"]), "--out", str(out),
+                "--embeddings", str(pipeline["root"] / "eval_embeddings.txt"), "--max-length", "5",
+            ]
+        )
+        assert rc == 0
+        timing = [line for line in capsys.readouterr().out.splitlines() if line.startswith("timing (s): ")]
+        assert len(timing) == 1
+        stages = dict(item.split(" ") for item in timing[0][len("timing (s): "):].split(", "))
+        assert list(stages) == ["generation", "perplexity", "embeddings", "metrics"]
+        assert all(float(v) >= 0.0 for v in stages.values())
+        assert json.loads(out.read_text()).keys() == json.loads(report_path.read_text()).keys()
+
 
 class TestAnalysisCommands:
     def test_robustness_series(self, pipeline, tmp_path):

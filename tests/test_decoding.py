@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dialdistill.tensor as T
-from dialdistill.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
+from dialdistill.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
 from dialdistill.decoding import (
     DecodeConfig,
     STRATEGIES,
@@ -131,9 +131,10 @@ class TestForcedSequences:
         assert result.truncated
         assert abs(result.score - np.log(0.9)) < 1e-9
 
-    def test_content_ids_strips_terminal_eos(self):
+    def test_vocab_decode_strips_terminal_eos(self):
         result = greedy_decode(self.model, [[A_ID]])
-        assert result.content_ids == [A_ID, B_ID]
+        assert result.token_ids[-1] == EOS_ID
+        assert Vocabulary(["a", "b"]).decode(result.token_ids) == ["a", "b"]
 
 
 class TestTruncation:

@@ -2,12 +2,14 @@
 
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dialdistill import tensor as T
+from dialdistill import losses, tensor as T
 from dialdistill.errors import ContractError, NumericError, ShapeError, VocabularyError
+from dialdistill.model import TransformerModel, desk_config, paper_config
 from dialdistill.optim import clip_gradients
 
 STEP = 1e-5
@@ -444,10 +446,10 @@ class TestGraphMechanics:
             T.backward(out)
             assert c.grad is None
 
-    def test_detach_blocks_gradient(self):
+    def test_fresh_leaf_blocks_gradient(self):
         with T.precision("double"):
             x = T.Tensor([3.0], requires_grad=True)
-            y = T.mul(x, x).detach()
+            y = T.Tensor(T.mul(x, x).data)
             z = T.tsum(T.mul(y, T.Tensor([1.0], requires_grad=True)))
             T.backward(z)
             assert x.grad is None
@@ -474,7 +476,7 @@ class TestGraphMechanics:
             assert T.Tensor([1.0]).data.dtype == np.float32
         with T.precision("double"):
             assert T.Tensor([1.0]).data.dtype == np.float64
-        assert T.precision_mode() == "single"
+        assert T.active_dtype() == np.float32
 
     def test_grad_norm(self):
         with T.precision("double"):
@@ -484,6 +486,65 @@ class TestGraphMechanics:
             T.backward(out)
             # grads are 6 and 8 -> norm 10
             assert np.isclose(clip_gradients([x, y], 0.0), 10.0)
+
+
+def backward_copying_views(loss):
+    """``T.backward`` as it was when every view gradient was copied, leaf
+    or not: the reference for gradients and for peak memory."""
+    order, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in visited and node.requires_grad:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(node.grad)):
+            if g is None or not parent.requires_grad:
+                continue
+            if parent.grad is None:
+                parent.grad = g.copy() if g.base is not None or g is node.grad else g
+            else:
+                parent.grad = parent.grad + g
+
+
+def step_grads_and_peak(run_backward, config, batch, train):
+    """One seeded forward + backward: the parameter gradients and the
+    tracemalloc peak."""
+    rng = np.random.default_rng(0)
+    history = rng.integers(4, config.vocab_size, (batch, 60))
+    response = rng.integers(4, config.vocab_size, (batch, 16))
+    model = TransformerModel.build(config, 0)
+    tracemalloc.start()
+    try:
+        out = model.forward(history, response[:, :-1], train=train, rng=np.random.default_rng(1))
+        run_backward(losses.nll_sum(out.probabilities, response[:, 1:], np.ones((batch, 15))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {n: t.grad for n, t in model.params.items() if t.grad is not None}, peak
+
+
+class TestBackwardMemory:
+    # desk width with dropout is where sharing a strided view would change
+    # the summation order of a later reduction
+    @pytest.mark.parametrize("config, batch", [(desk_config(30), 16), (paper_config(1000), 4)])
+    def test_gradients_bitwise_equal_to_copying_views(self, config, batch):
+        want, _ = step_grads_and_peak(backward_copying_views, config, batch, train=True)
+        got, _ = step_grads_and_peak(T.backward, config, batch, train=True)
+        assert want and want.keys() == got.keys()
+        for name, g in want.items():
+            assert np.array_equal(g, got[name]), name
+
+    def test_paper_width_step_peaks_below_copying_views(self):
+        _, copying = step_grads_and_peak(backward_copying_views, paper_config(1000), 4, train=False)
+        _, sharing = step_grads_and_peak(T.backward, paper_config(1000), 4, train=False)
+        assert sharing < copying
 
 
 class TestRandomizedGradients:
