@@ -79,11 +79,6 @@ def write_perturbation_series(records: list, path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_perturbation_series(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def mean_teacher_student_kl(teacher, student, examples, batch_size: int = 32) -> float:
     """Mean per-position KL (nats) from the student's next-token
     distribution to the teacher's, teacher-forced on gold targets.

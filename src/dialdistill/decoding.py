@@ -93,6 +93,14 @@ def _step_logprobs(model, last_ids: np.ndarray, memory, memory_mask, state: Deco
     return logp
 
 
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` of ``np.argsort(-scores, kind="stable")`` for a 1-D
+    ``scores``: best first, ties by lower index, without sorting them all."""
+    k = min(k, scores.size)
+    candidates = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
+    return candidates[np.argsort(-scores[candidates], kind="stable")][:k]
+
+
 def greedy_decode(
     model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig(), pad_id: int = PAD_ID
 ) -> DecodeResult:
@@ -146,9 +154,9 @@ def beam_decode(
             logp = _step_logprobs(model, last_ids, memory, mask, state)  # (A, V)
             scores = np.array([s for _, s in active])[:, None] + logp
             flat = scores.reshape(-1)
-            # stable sort on -score keeps (hypothesis index, token id) order
-            # for ties, matching greedy's lowest-id argmax at width 1
-            order = np.argsort(-flat, kind="stable")[: config.beam_width]
+            # ties keep (hypothesis index, token id) order, matching greedy's
+            # lowest-id argmax at width 1
+            order = top_k(flat, config.beam_width)
             next_active = []
             parents = []
             vocab = logp.shape[1]

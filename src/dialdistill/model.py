@@ -183,9 +183,6 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return table
 
 
-_ATTN_TENSORS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-
-
 def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     """Draw every weight matrix i.i.d. from N(0, std 0.01); biases start at
     zero and layer-norm gains at one. Deterministic given the seed."""
@@ -511,28 +508,21 @@ class TransformerModel:
             if future is not None:
                 raise ContractError("language-model variant takes no future input")
             return self._lm_forward(history, response_in, pad_id, train, rng)
-        if cfg.variant == "scenario-based":
-            if future is None:
-                raise ContractError("scenario-based variant requires the future input")
-            future = np.atleast_2d(np.asarray(future))
-            h_mem = self.encode(history, pad_id, train, rng)
-            f_mem = self.encode(future, pad_id, train, rng)
-            return self.decode(
-                response_in,
-                history_memory=h_mem,
-                future_memory=f_mem,
-                history_mask=key_padding_mask(history, pad_id),
-                future_mask=key_padding_mask(future, pad_id),
-                train=train,
-                rng=rng,
-            )
-        if future is not None:
+        if cfg.variant == "scenario-based" and future is None:
+            raise ContractError("scenario-based variant requires the future input")
+        if cfg.variant == "conventional" and future is not None:
             raise ContractError("conventional variant takes no future input")
         h_mem = self.encode(history, pad_id, train, rng)
+        f_mem = f_mask = None
+        if future is not None:
+            future = np.atleast_2d(np.asarray(future))
+            f_mem, f_mask = self.encode(future, pad_id, train, rng), key_padding_mask(future, pad_id)
         return self.decode(
             response_in,
             history_memory=h_mem,
+            future_memory=f_mem,
             history_mask=key_padding_mask(history, pad_id),
+            future_mask=f_mask,
             train=train,
             rng=rng,
         )

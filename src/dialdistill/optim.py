@@ -58,19 +58,16 @@ class Adam:
             if t.grad is None:
                 continue
             g = t.grad
-            m = self._m.get(name)
-            if m is None:
-                m = np.zeros_like(t.data)
-                v = np.zeros_like(t.data)
-            else:
-                v = self._v[name]
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / bc1
-            v_hat = v / bc2
-            t.data = t.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            if name not in self._m:
+                self._m[name], self._v[name] = np.zeros_like(t.data), np.zeros_like(t.data)
+            # the moments update in place; t.data is rebound instead, since
+            # callers hold the old array (ParameterSet.state, say)
+            m, v = self._m[name], self._v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            t.data = t.data - self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
         return norm
 
 

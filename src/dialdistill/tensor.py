@@ -23,6 +23,9 @@ from .errors import ContractError, NumericError, ShapeError
 
 _MODES = {"single": np.float32, "double": np.float64}
 _state = {"mode": "single"}
+# OpenBLAS runs a product of at most this many multiply-adds in a small-matrix
+# kernel, which is fast and rounds differently from its blocked kernel
+_SMALL_GEMM = 100**3
 
 
 def set_precision(mode: str) -> None:
@@ -240,15 +243,21 @@ def matmul(a, b) -> Tensor:
 def affine(x, w, b) -> Tensor:
     """x @ w + b over the last axis; b broadcasts over all leading axes."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.shape[-1] != w.data.shape[0]:
+    shape, k = x.data.shape, w.data.shape[0]
+    if shape[-1] != k:
         raise ShapeError(f"affine dimension mismatch: {x.data.shape} @ {w.data.shape}")
-    data = x.data @ w.data + b.data
+    # one GEMM over all positions beats one per sequence, except for decode
+    # steps (one position) and small per-sequence products
+    flat = len(shape) > 2 and shape[-2] > 1 and shape[-2] * k * w.data.shape[-1] > _SMALL_GEMM
+    if flat:
+        data = (x.data.reshape(-1, k) @ w.data).reshape(*shape[:-1], -1) + b.data
+    else:
+        data = x.data @ w.data + b.data
 
     def bw(g):
-        gx = g @ w.data.T
-        gw = x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
-        return gx, gw, _unbroadcast(gb, b.data.shape)
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = (g2 @ w.data.T).reshape(shape) if flat else g @ w.data.T
+        return gx, x.data.reshape(-1, k).T @ g2, _unbroadcast(g2.sum(axis=0), b.data.shape)
 
     return _make(data, (x, w, b), bw, "affine")
 

@@ -1,12 +1,13 @@
 """Parameter-perturbation robustness and teacher/student divergence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from dialdistill.analysis import (
     mean_teacher_student_kl,
     perturbation_analysis,
-    read_perturbation_series,
     write_perturbation_series,
 )
 from dialdistill.corpus import EncodedExample
@@ -96,7 +97,7 @@ class TestPerturbation:
         series = perturbation_analysis(model, examples(), [0.0, 0.1], samples_per_sigma=2, seed=4)
         path = tmp_path / "series.jsonl"
         write_perturbation_series(series, path)
-        assert read_perturbation_series(path) == series
+        assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == series
 
 
 class TestTeacherStudentKL:

@@ -10,7 +10,6 @@ import json
 import numpy as np
 import pytest
 
-from dialdistill.analysis import read_perturbation_series
 from dialdistill.checkpoint import load_model
 from dialdistill.cli import (
     PRESET_BATCH,
@@ -357,7 +356,7 @@ class TestAnalysisCommands:
             ]
         )
         assert rc == 0
-        records = read_perturbation_series(out)
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert [r["sigma"] for r in records] == [0.0, 0.05]
         assert records[0]["std_ppl"] == 0.0
         assert all(np.isfinite(r["mean_ppl"]) for r in records)

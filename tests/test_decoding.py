@@ -18,6 +18,7 @@ from dialdistill.decoding import (
     beam_decode,
     decode,
     greedy_decode,
+    top_k,
 )
 from dialdistill.errors import ContractError
 from dialdistill.model import (
@@ -403,6 +404,26 @@ class TestAgainstRealModel:
             backward = [decode(real_model, h, cfg) for h in reversed(histories)][::-1]
             assert all(isinstance(r, DecodeResult) for r in forward)
             assert [(r.token_ids, r.score) for r in forward] == [(r.token_ids, r.score) for r in backward]
+
+
+class TestTopK:
+    def test_matches_full_stable_argsort(self):
+        # ties and -inf entries (pad and bos) included, k up to past the size
+        rng = np.random.default_rng(5)
+        for trial in range(500):
+            size = int(rng.integers(1, 60))
+            scores = rng.choice(rng.standard_normal(int(rng.integers(1, 8))), size=size)
+            scores[rng.random(size) < 0.2] = -np.inf
+            for k in (1, 2, 4, int(rng.integers(1, size + 3))):
+                want = np.argsort(-scores, kind="stable")[:k]
+                assert np.array_equal(top_k(scores, k), want), (trial, k)
+
+    def test_beam_shape_with_ties(self):
+        scores = np.full(4 * 5000, -3.0)
+        scores[[7, 5007, 12000, 3]] = -1.0
+        scores[[0, 1, 5000, 5001]] = -np.inf
+        assert top_k(scores, 4).tolist() == [3, 7, 5007, 12000]
+        assert top_k(scores, 6).tolist() == [3, 7, 5007, 12000, 2, 4]
 
 
 class TestContracts:

@@ -18,6 +18,38 @@ def double_precision():
         yield
 
 
+class RebindingAdam(Adam):
+    """``Adam.step`` as it was before the moments were updated in place."""
+
+    def step(self) -> float:
+        for name, t in self.targets:
+            if t.grad is not None and not np.all(np.isfinite(t.grad)):
+                raise NumericError(f"non-finite gradient for {name!r}; step aborted")
+        norm = clip_gradients([t for _, t in self.targets], self.clip_norm)
+        self.step_count += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.step_count
+        bc2 = 1.0 - b2 ** self.step_count
+        for name, t in self.targets:
+            if t.grad is None:
+                continue
+            g = t.grad
+            m = self._m.get(name)
+            if m is None:
+                m = np.zeros_like(t.data)
+                v = np.zeros_like(t.data)
+            else:
+                v = self._v[name]
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            self._m[name] = m
+            self._v[name] = v
+            m_hat = m / bc1
+            v_hat = v / bc2
+            t.data = t.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        return norm
+
+
 def dist(data):
     return T.Tensor(np.asarray(data, dtype=T.active_dtype()))
 
@@ -361,6 +393,36 @@ class TestAdam:
             v = 0.999 * v + 0.001 * g_ref**2
             ref = ref - 0.01 * (m / (1 - 0.9**k)) / (np.sqrt(v / (1 - 0.999**k)) + 1e-8)
             assert np.allclose(t.data, ref, atol=1e-12), f"diverged at step {k}"
+
+    def test_in_place_moments_bitwise_equal_to_rebinding_ones(self):
+        # float32, as in training; clipping fires on some steps, and one
+        # tensor has no gradient on some steps
+        def params():
+            rng = np.random.default_rng(21)
+            with T.precision("single"):
+                return [(f"p{i}", T.Tensor(rng.standard_normal(shape), requires_grad=True))
+                        for i, shape in enumerate([(5, 3), (3,), (4, 2, 2)])]
+
+        got, want = params(), params()
+        opt, ref = Adam(got, learning_rate=0.01), RebindingAdam(want, learning_rate=0.01)
+        rng = np.random.default_rng(22)
+        for step in range(20):
+            for (_, a), (_, b) in zip(got, want):
+                g = (rng.standard_normal(a.data.shape) * rng.choice([0.1, 3.0])).astype(np.float32)
+                a.grad, b.grad = g.copy(), g.copy()
+            if step % 3 == 1:
+                got[1][1].grad = want[1][1].grad = None
+            snapshot = got[0][1].data
+            assert opt.step() == ref.step()
+            assert not np.shares_memory(got[0][1].data, snapshot)  # t.data is rebound
+            if step == 0:
+                m0, v0 = opt._m["p0"], opt._v["p0"]
+            assert opt._m["p0"] is m0 and opt._v["p0"] is v0  # the moments are updated in place
+            for (name, a), (_, b) in zip(got, want):
+                assert a.data.dtype == np.float32
+                assert np.array_equal(a.data, b.data), (step, name)
+                assert np.array_equal(opt._m[name], ref._m[name]), (step, name)
+                assert np.array_equal(opt._v[name], ref._v[name]), (step, name)
 
     def test_clip_is_global_across_tensors(self):
         a = make_param([3.0])

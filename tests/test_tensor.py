@@ -129,6 +129,15 @@ class TestMatmul:
             T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
 
 
+@pytest.fixture(params=["flat", "per-sequence"])
+def affine_path(request, monkeypatch):
+    """Run a test with its multi-position inputs taking the flat GEMM, then
+    keeping one product per sequence, as small products do."""
+    if request.param == "flat":
+        monkeypatch.setattr(T, "_SMALL_GEMM", 0)
+    return request.param
+
+
 class TestAffine:
     def test_gradients(self):
         rng = np.random.default_rng(7)
@@ -140,6 +149,46 @@ class TestAffine:
         rng = np.random.default_rng(8)
         x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 2), leaf(rng, 2)
         fd_check(lambda ls: T.tsum(T.affine(*ls)), [x, w, b])
+
+    def test_multi_position_gradients(self, affine_path):
+        # contiguous, then a narrow or transposed view, as the LM's narrow
+        # feeds its output projection
+        rng = np.random.default_rng(9)
+        x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 3), leaf(rng, 3)
+        fd_check(lambda ls: T.tsum(T.mul(T.affine(*ls), T.affine(*ls))), [x, w, b])
+        x, w, b = leaf(rng, 2, 5, 4), leaf(rng, 4, 3), leaf(rng, 3)
+        fd_check(lambda ls: T.tsum(T.mul(T.affine(T.narrow(ls[0], 1, 1, 3), ls[1], ls[2]), 0.5)), [x, w, b])
+        x, w, b = leaf(rng, 3, 2, 4), leaf(rng, 4, 3), leaf(rng, 3)
+        fd_check(lambda ls: T.tsum(T.mul(T.affine(T.transpose(ls[0], (1, 0, 2)), ls[1], ls[2]), 0.5)), [x, w, b])
+
+    def test_one_position_gradients(self):
+        rng = np.random.default_rng(10)
+        x, w, b = leaf(rng, 3, 1, 4), leaf(rng, 4, 2), leaf(rng, 2)
+        fd_check(lambda ls: T.tsum(T.mul(T.affine(*ls), T.affine(*ls))), [x, w, b])
+
+    # paper-width output projection and FFN, which take one flat GEMM, and
+    # desk-width products, which keep one per sequence
+    @pytest.mark.parametrize("batch, length, k, n", [
+        (32, 15, 256, 5000), (32, 60, 256, 1024), (16, 8, 64, 64), (16, 8, 64, 128), (32, 15, 64, 150)])
+    def test_equals_per_sequence_products(self, batch, length, k, n):
+        rng = np.random.default_rng(11)
+        x = T.Tensor(rng.standard_normal((batch, length, k)), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((k, n)) * 0.05, requires_grad=True)
+        b = T.Tensor(rng.standard_normal(n), requires_grad=True)
+        g = rng.standard_normal((batch, length, n)).astype(np.float32)
+        y = T.affine(x, w, b)
+        T.backward(T.tsum(T.mul(y, T.Tensor(g))))  # the affine's incoming gradient is g exactly
+        for i in range(batch):
+            assert np.array_equal(y.data[i], x.data[i] @ w.data + b.data), i
+            assert np.array_equal(x.grad[i], g[i] @ w.data.T), i
+
+    def test_one_position_input_keeps_the_batched_product(self):
+        # decode steps: a beam's (W, 1, d) rows, not one (W, d) GEMM
+        rng = np.random.default_rng(12)
+        x = T.Tensor(rng.standard_normal((4, 1, 256)))
+        w = T.Tensor(rng.standard_normal((256, 5000)) * 0.05)
+        b = T.Tensor(np.zeros(5000))
+        assert np.array_equal(T.affine(x, w, b).data, x.data @ w.data + b.data)
 
 
 class TestSoftmax:
