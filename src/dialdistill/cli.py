@@ -231,6 +231,15 @@ def load_prepared_examples(data_dir: Path, split: str) -> list:
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise DataError("not a JSON object")
+                for key, turns in (("history", rec["history"]), ("response", [rec["response"]]),
+                                   ("future", rec["future"])):
+                    if not isinstance(turns, list) or not all(
+                        isinstance(t, list) and all(isinstance(w, str) for w in t) for t in turns
+                    ):
+                        kind = "tokens" if key == "response" else "token lists"
+                        raise DataError(f"{key!r} is not a list of {kind}")
                 out.append(
                     DialogueExample(
                         history=rec["history"],
@@ -240,7 +249,7 @@ def load_prepared_examples(data_dir: Path, split: str) -> list:
                         window_offset=rec.get("window_offset", 0),
                     )
                 )
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (json.JSONDecodeError, KeyError, DataError) as exc:
                 raise DataError(f"{path}:{line_no}: bad example record: {exc}") from exc
     return out
 
@@ -490,10 +499,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         f"evaluated {len(examples)} examples: ppl {report.ppl:.3f}, bleu {report.bleu:.2f}, "
         f"dist1 {report.dist1:.3f} -> {out_path}"
     )
-    # stdout only: the report's scalars must not vary from run to run
-    stages = zip(("generation", "perplexity", "embeddings", "metrics"), marks, marks[1:])
-    print("timing (s): " + ", ".join(f"{name} {end - start:.3f}" for name, start, end in stages))
+    _print_timings(("generation", "perplexity", "embeddings", "metrics"), marks)
     return 0
+
+
+def _print_timings(names, marks) -> None:
+    # stdout only: output files must not vary from run to run
+    stages = zip(names, marks, marks[1:])
+    print("timing (s): " + ", ".join(f"{name} {end - start:.3f}" for name, start, end in stages))
 
 
 def _parse_sigmas(raw) -> list:
@@ -562,20 +575,25 @@ def cmd_classify_informative(cfg: RunConfig) -> int:
         raise ContractError(
             f"unknown strategy {strategy!r}; expected one of {INFORMATIVENESS_STRATEGIES}"
         )
+    marks = [time.perf_counter()]
     examples = load_prepared_examples(data_dir, split)
     if not examples:
         raise DataError(f"split {split!r} in {data_dir} is empty")
     table = _embedding_table(cfg, data_dir) if strategy == "sentence-cluster" else None
+    marks.append(time.perf_counter())
     uninformative, other = classify_uninformative(examples, strategy, table)
+    marks.append(time.perf_counter())
     out_dir.mkdir(parents=True, exist_ok=True)
     uninf_path = out_dir / "uninformative.jsonl"
     inf_path = out_dir / "informative.jsonl"
     _write_examples([examples[i] for i in uninformative], uninf_path)
     _write_examples([examples[i] for i in other], inf_path)
+    marks.append(time.perf_counter())
     print(
         f"{strategy}: {len(uninformative)} uninformative / {len(other)} informative "
         f"-> {uninf_path}, {inf_path}"
     )
+    _print_timings(("load", "classify", "write"), marks)
     return 0
 
 

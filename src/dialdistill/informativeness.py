@@ -134,14 +134,22 @@ def _exact_keys(elements):
     return keys
 
 
-def _pairwise_uninformative(firsts_equal, seconds_equal, n) -> set:
-    flagged = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j and seconds_equal(i, j) and not firsts_equal(i, j):
-                flagged.add(i)
-                break
-    return flagged
+def _overlap_pairs(sequences):
+    """Yield each pair (j, i), j < i, of overlap-equivalent sequences by a
+    prefix-filtered self-join. Tokens are ordered by (document frequency,
+    token) and a set indexes its first len - floor(0.8 len) + 1: a ratio
+    above 0.8 leaves the two prefixes a common token (the +1 guards the
+    rounding of 0.8 len). ``overlap_equivalent`` confirms every candidate."""
+    sets = [frozenset(s) for s in sequences]
+    df = Counter(t for s in sets for t in s)
+    index = {}  # token -> windows whose prefix holds it
+    for i, s in enumerate(sets):
+        keep = len(s) - int(OVERLAP_THRESHOLD * len(s)) + 1
+        candidates = set()
+        for t in sorted(s, key=lambda t: (df[t], t))[:keep]:
+            candidates.update(index.setdefault(t, []))
+            index[t].append(i)
+        yield from ((j, i) for j in candidates if overlap_equivalent(sets[j], s))
 
 
 def _flag_by_keys(first_keys, second_keys) -> set:
@@ -161,9 +169,9 @@ def _flag_by_keys(first_keys, second_keys) -> set:
 def classify_uninformative(examples, strategy: str, embeddings: WordEmbeddings = None):
     """Partition examples into (uninformative indices, other indices).
 
-    The word-overlap relation is not transitive, so it is applied
-    pairwise (quadratic in corpus size — intended for training corpora
-    of up to a few thousand windows).
+    The word-overlap relation is not transitive, so it is applied per
+    pair: both windows of each pair ``_overlap_pairs`` joins on the second
+    elements are flagged when their first elements are not equivalent.
     """
     if strategy not in STRATEGIES:
         raise ContractError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -184,11 +192,9 @@ def classify_uninformative(examples, strategy: str, embeddings: WordEmbeddings =
         flat_h = [_flatten_turns(h) for h in histories]
         flat_f = [_flatten_turns(f) for f in futures]
         for firsts, seconds in ((flat_h, responses), (responses, flat_f)):
-            flagged |= _pairwise_uninformative(
-                lambda i, j: overlap_equivalent(firsts[i], firsts[j]),
-                lambda i, j: overlap_equivalent(seconds[i], seconds[j]),
-                n,
-            )
+            for j, i in _overlap_pairs(seconds):
+                if not overlap_equivalent(firsts[j], firsts[i]):
+                    flagged.update((j, i))
     else:
         all_sentences = [_flatten_turns(h) for h in histories] + list(responses) + [
             _flatten_turns(f) for f in futures

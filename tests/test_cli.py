@@ -21,6 +21,7 @@ from dialdistill.cli import (
 )
 from dialdistill.corpus import Vocabulary, encode_example
 from dialdistill.errors import ContractError, DataError
+from dialdistill.informativeness import classify_uninformative
 from dialdistill.metrics import MetricsReport
 from dialdistill.model import ModelConfig
 from dialdistill.training import TrainingConfig, train_conventional
@@ -391,6 +392,43 @@ class TestAnalysisCommands:
         flagged = [json.loads(l) for l in (out_dir / "uninformative.jsonl").read_text().splitlines()]
         assert flagged[0]["response"] == flagged[1]["response"]
 
+    def test_classify_word_overlap_partition(self, pipeline, tmp_path):
+        out_dir = tmp_path / "parts"
+        rc = main(
+            [
+                "classify-informative", "--data", str(pipeline["data"]),
+                "--strategy", "word-overlap", "--out", str(out_dir),
+            ]
+        )
+        assert rc == 0
+        records = (pipeline["data"] / "train.jsonl").read_text().splitlines()
+        flagged = (out_dir / "uninformative.jsonl").read_text().splitlines()
+        kept = (out_dir / "informative.jsonl").read_text().splitlines()
+        assert sorted(flagged + kept) == sorted(records)
+        uninformative, _ = classify_uninformative(
+            load_prepared_examples(pipeline["data"], "train"), "word-overlap"
+        )
+        assert flagged == [records[i] for i in uninformative]
+
+    def test_classify_prints_stage_timings_outside_the_parts(self, pipeline, tmp_path, capsys):
+        outputs = []
+        for run in ("first", "second"):
+            out_dir = tmp_path / run
+            rc = main(
+                [
+                    "classify-informative", "--data", str(pipeline["data2"]),
+                    "--strategy", "word-overlap", "--out", str(out_dir),
+                ]
+            )
+            assert rc == 0
+            timing = [l for l in capsys.readouterr().out.splitlines() if l.startswith("timing (s): ")]
+            assert len(timing) == 1
+            stages = dict(item.split(" ") for item in timing[0][len("timing (s): "):].split(", "))
+            assert list(stages) == ["load", "classify", "write"]
+            assert all(float(v) >= 0.0 for v in stages.values())
+            outputs.append([(out_dir / f).read_bytes() for f in ("uninformative.jsonl", "informative.jsonl")])
+        assert outputs[0] == outputs[1]
+
     def test_classify_cluster_strategy_partitions(self, pipeline, tmp_path):
         out_dir = tmp_path / "parts"
         emb = tmp_path / "emb2.txt"
@@ -517,6 +555,27 @@ class TestUsageErrors:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "[1, 2]",
+            '"a string"',
+            '{"history": [["a"]], "response": ["b"], "future": null}',
+            '{"history": ["a", "b"], "response": ["b"], "future": [["c"]]}',
+            '{"history": [["a"]], "response": "b c", "future": [["c"]]}',
+            '{"history": [["a"]], "response": [["b"]], "future": [["c"]]}',
+            '{"history": [["a", 1]], "response": ["b"], "future": [["c"]]}',
+        ],
+    )
+    def test_malformed_prepared_record_reports_error(self, tmp_path, record, capsys):
+        good = '{"history": [["a"]], "response": ["b"], "future": [["c"]]}'
+        (tmp_path / "train.jsonl").write_text(good + "\n" + record + "\n", encoding="utf-8")
+        rc = main(["classify-informative", "--data", str(tmp_path), "--strategy", "exact-match"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{tmp_path / 'train.jsonl'}:2:" in err
 
     def test_missing_checkpoint_reports_error(self, tmp_path, capsys):
         rc = main(

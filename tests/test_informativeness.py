@@ -4,7 +4,8 @@ the many-to-one flagging rule under each strategy."""
 import numpy as np
 import pytest
 
-from dialdistill.corpus import DialogueExample
+from dialdistill import informativeness
+from dialdistill.corpus import DialogueExample, window_dialogue
 from dialdistill.embeddings import WordEmbeddings
 from dialdistill.errors import ContractError
 from dialdistill.informativeness import (
@@ -172,6 +173,113 @@ class TestWordOverlap:
         ]
         uninformative, _ = classify_uninformative(examples, "word-overlap")
         assert uninformative == []
+
+
+def pairwise_uninformative(firsts_equal, seconds_equal, n) -> set:
+    """The quadratic rule, kept as the reference for the prefix-filtered
+    join: i is flagged when some j != i has an equivalent second element
+    and a non-equivalent first element."""
+    flagged = set()
+    for i in range(n):
+        for j in range(n):
+            if i != j and seconds_equal(i, j) and not firsts_equal(i, j):
+                flagged.add(i)
+                break
+    return flagged
+
+
+def oracle_word_overlap(examples) -> list:
+    # token sets built once: overlap_ratio reads only the set of each side
+    histories = [frozenset(e.history_tokens) for e in examples]
+    responses = [frozenset(e.response) for e in examples]
+    futures = [frozenset(e.future_tokens) for e in examples]
+    flagged = set()
+    for firsts, seconds in ((histories, responses), (responses, futures)):
+        flagged |= pairwise_uninformative(
+            lambda i, j: overlap_equivalent(firsts[i], firsts[j]),
+            lambda i, j: overlap_equivalent(seconds[i], seconds[j]),
+            len(examples),
+        )
+    return sorted(flagged)
+
+
+def random_corpus(rng, n) -> list:
+    """Short windows over a small vocabulary: empty turns and responses,
+    repeated tokens, and planted pairs at exactly 4/5 (not equivalent)
+    and 5/6 (equivalent) overlap."""
+    vocab = [f"t{i}" for i in range(int(rng.integers(1, 16)))]
+
+    def tokens():
+        return [str(t) for t in rng.choice(vocab, size=int(rng.integers(0, 9)))]
+
+    def turns():
+        return [tokens() for _ in range(int(rng.integers(0, 3)))]
+
+    examples = [DialogueExample(history=turns(), response=tokens(), future=turns()) for _ in range(n)]
+    for _ in range(n // 3):
+        i, j = (int(k) for k in rng.integers(n, size=2))
+        size = int(rng.choice([5, 6]))
+        base = [f"p{k}" for k in rng.permutation(size + 1)]
+        near, far = base[:size], base[1:] + base[1:2]  # far repeats a token
+        field = str(rng.choice(["history", "response", "future"]))
+        for k, toks in ((i, near), (j, far)):
+            setattr(examples[k], field, toks if field == "response" else [toks])
+    return examples
+
+
+def zipf_corpus(n_dialogues, seed) -> list:
+    """Windows shaped like the benchmark's classify corpus: nine-turn
+    dialogues of Zipf words over 3000 types, cut into (3, 1, 3)-turn
+    windows, each middle window answered from a pool of eight generic
+    replies."""
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, 3001) ** 1.1
+    p /= p.sum()
+
+    def words(n):
+        return [f"w{i}" for i in rng.choice(3000, size=n, p=p)]
+
+    generic = [words(12) for _ in range(8)]
+    examples = []
+    for d in range(n_dialogues):
+        turns = [words(n) for n in (9, 20, 12, 17, 12, 11, 19, 10, 16)]
+        turns[4] = generic[int(rng.integers(8))]
+        examples += window_dialogue(turns, 3, 1, 3, dialogue_index=d)
+    return examples
+
+
+class TestWordOverlapJoin:
+    """The prefix-filtered join flags exactly what the quadratic rule does."""
+
+    def test_random_corpora_match_oracle(self):
+        rng = np.random.default_rng(7)
+        sizes = [0, 1, 2] + [int(n) for n in rng.integers(3, 41, size=300)]
+        for n in sizes:
+            examples = random_corpus(rng, n)
+            uninformative, _ = classify_uninformative(examples, "word-overlap")
+            assert uninformative == oracle_word_overlap(examples), n
+
+    def test_zipf_corpus_matches_oracle(self):
+        examples = zipf_corpus(334, seed=3)
+        assert len(examples) == 1002
+        uninformative, _ = classify_uninformative(examples, "word-overlap")
+        assert uninformative  # the generic replies recur behind distinct histories
+        assert uninformative == oracle_word_overlap(examples)
+
+    def test_verified_pairs_stay_far_below_quadratic(self, monkeypatch):
+        calls = []
+        ratio = informativeness.overlap_ratio
+
+        def counting_ratio(a, b):
+            calls.append(None)
+            return ratio(a, b)
+
+        monkeypatch.setattr(informativeness, "overlap_ratio", counting_ratio)
+        examples = zipf_corpus(667, seed=5)
+        n = len(examples)
+        assert n == 2001
+        classify_uninformative(examples, "word-overlap")
+        assert 0 < len(calls) < n * n / 20
 
 
 class TestSentenceCluster:
