@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from .embeddings import WordEmbeddings, cosine
+from .embeddings import WordEmbeddings
 from .errors import ContractError
 
 STRATEGIES = ("exact-match", "word-overlap", "sentence-cluster")
@@ -97,24 +97,25 @@ def single_pass_cluster(
     if total is None:
         total = sum(counts.values())
 
-    sums = []  # running vector sum per cluster
-    sizes = []
+    # per cluster in rows [0, k): the running vector sum (its centroid's direction) and norm
+    sums = np.zeros((len(sentences), embeddings.dim))
+    norms = np.zeros(len(sentences))
+    k = 0
     labels = []
     for tokens in sentences:
         vec = sentence_embedding(tokens, embeddings, counts, total)
+        norm = float(np.linalg.norm(vec))
         chosen = -1
-        for c, (s, n) in enumerate(zip(sums, sizes)):
-            if cosine(s / n, vec) >= threshold:
-                chosen = c
-                break
+        if k and norm > 0.0:  # a zero vector has cosine 0 with everything
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hits = (sums[:k] @ vec) / (norms[:k] * norm) >= threshold
+            if hits.any():
+                chosen = int(hits.argmax())
         if chosen < 0:
-            sums.append(vec.copy())
-            sizes.append(1)
-            labels.append(len(sums) - 1)
-        else:
-            sums[chosen] += vec
-            sizes[chosen] += 1
-            labels.append(chosen)
+            chosen, k = k, k + 1
+        sums[chosen] += vec
+        norms[chosen] = np.linalg.norm(sums[chosen])
+        labels.append(chosen)
     return labels
 
 

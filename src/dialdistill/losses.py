@@ -64,7 +64,7 @@ def nll_sum(probabilities: T.Tensor, targets: np.ndarray, mask: np.ndarray) -> T
     p_gold = T.pick(probabilities, targets)  # (B, T)
     _note_clamps(p_gold.data, mask)
     logp = T.log(p_gold, floor=LOG_FLOOR)
-    return T.mul(T.tsum(T.mul(logp, T.Tensor(mask))), -1.0)
+    return T.mul(T.tsum(T.mul(logp, mask)), -1.0)
 
 
 def prediction_imitation_sum(
@@ -80,8 +80,8 @@ def prediction_imitation_sum(
             f"student {student_probs.data.shape}"
         )
     logp = T.log(student_probs, floor=LOG_FLOOR)
-    per_pos = T.mul(T.tsum(T.mul(logp, T.Tensor(teacher_probs)), axis=-1), -1.0)  # (B, T)
-    return T.tsum(T.mul(per_pos, T.Tensor(mask)))
+    per_pos = T.mul(T.tsum(T.mul(logp, teacher_probs), axis=-1), -1.0)  # (B, T)
+    return T.tsum(T.mul(per_pos, mask))
 
 
 def representation_imitation_sum(
@@ -110,9 +110,9 @@ def representation_imitation_sum(
         ht = np.asarray(ht)
         if ht.shape != hs.data.shape:
             raise ShapeError(f"hidden-state shape mismatch: {ht.shape} vs {hs.data.shape}")
-        phi = T.mean_square(hs, T.Tensor(ht))  # (B, T)
+        phi = T.mean_square(hs, ht)  # (B, T)
         gate = ((phi.data >= alpha) & (mask > 0)).astype(phi.data.dtype)
-        layer_sum = T.tsum(T.mul(phi, T.Tensor(gate)))
+        layer_sum = T.tsum(T.mul(phi, gate))
         total = layer_sum if total is None else T.add(total, layer_sum)
     if total is None:
         raise ContractError("no hidden-state layers given")

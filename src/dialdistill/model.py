@@ -276,7 +276,7 @@ class DecodeState:
 
     def select_rows(self, rows) -> None:
         """Keep the self-attention rows ``rows``, in order: a beam step's parents."""
-        self.self_kv = {b: tuple(T.Tensor(t.data[rows]) for t in kv) for b, kv in self.self_kv.items()}
+        self.self_kv = {b: tuple(T.as_tensor(t.data[rows]) for t in kv) for b, kv in self.self_kv.items()}
 
 
 def key_padding_mask(token_ids: np.ndarray, pad_id: int) -> np.ndarray:
@@ -316,7 +316,7 @@ def _attend(params: ParameterSet, prefix: str, query_in, memory_in, additive_mas
     b, h, t, dh = q.data.shape
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     if additive_mask is not None:
-        scores = T.add(scores, T.Tensor(additive_mask[..., None, :, :]))
+        scores = T.add(scores, additive_mask[..., None, :, :])
     ctx = T.matmul(T.softmax(scores, axis=-1), v)
     return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, h * dh))
 
@@ -378,7 +378,7 @@ class TransformerModel:
             )
         x = T.embedding(self.params[table_name], token_ids)
         pe = self.params["positional_encoding"].data[position_offset : position_offset + t]
-        x = T.add(x, T.Tensor(pe))
+        x = T.add(x, pe)
         return self._maybe_dropout(x, train, rng)
 
     def _residual(self, x, sublayer_out, ln_prefix: str, train, rng):
@@ -391,6 +391,12 @@ class TransformerModel:
         p = self.params
         h = T.relu(T.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
         return T.affine(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+
+    def _output_head(self, x, hidden) -> DecodeOutput:
+        # the one finiteness check of a forward pass: a NaN/Inf anywhere
+        # upstream reaches the logits, and softmax keeps finite logits finite
+        logits = T.check_finite(T.affine(x, self.params["out_proj.w"], self.params["out_proj.b"]))
+        return DecodeOutput(probabilities=T.softmax(logits, axis=-1), hidden_states=hidden)
 
     def _project_out(self, x, additive_mask, prefix: str, num_heads: int, kv=None):
         ctx = _attend(self.params, prefix, x, x, additive_mask, num_heads, kv)
@@ -426,6 +432,8 @@ class TransformerModel:
         train: bool = False,
         rng=None,
         state: DecodeState = None,
+        self_mask=None,
+        outputs_from: int = 0,
     ) -> DecodeOutput:
         """Teacher-forced decode over a right-shifted target prefix.
 
@@ -438,6 +446,9 @@ class TransformerModel:
         incremental: ``response_in`` and the outputs hold only the positions
         from ``state.length`` on, which attend to the cached keys and values
         and extend them. The memory's projections are cached on the first call.
+        ``self_mask`` replaces the causal self-attention mask and outputs cover
+        the positions from ``outputs_from`` on: the language-model ``forward``
+        reads its history as a prefix of ``response_in``.
         """
         cfg = self.config
         p = self.params
@@ -458,7 +469,7 @@ class TransformerModel:
 
         offset = 0 if state is None else state.length
         t = response_in.shape[-1]
-        self_mask = causal_mask(offset + t)[offset:]
+        self_mask = causal_mask(offset + t)[offset:] if self_mask is None else self_mask
         x = self._embed("decoder_embedding", response_in, train, rng, position_offset=offset)
         if state is not None and not state.cross_kv:
             state.cross_kv = [_project_kv(p, f"dec.{i}.cross_attn", history_memory, cfg.num_heads)
@@ -486,8 +497,9 @@ class TransformerModel:
             hidden.append(x)
         if state is not None:
             state.length += t
-        logits = T.affine(x, p["out_proj.w"], p["out_proj.b"])
-        return DecodeOutput(probabilities=T.softmax(logits, axis=-1), hidden_states=hidden)
+        if outputs_from:
+            hidden = [T.narrow(h, 1, outputs_from, t - outputs_from) for h in hidden]
+        return self._output_head(hidden[-1], hidden)
 
     # ---- full passes ---------------------------------------------------
 
@@ -507,7 +519,10 @@ class TransformerModel:
         if cfg.variant == "language-model":
             if future is not None:
                 raise ContractError("language-model variant takes no future input")
-            return self._lm_forward(history, response_in, pad_id, train, rng)
+            # pads sit inside [history ; response] when histories differ in length
+            full = np.concatenate([history, response_in], axis=-1)
+            mask = causal_mask(full.shape[-1])[None, :, :] + key_padding_mask(full, pad_id)
+            return self.decode(full, train=train, rng=rng, self_mask=mask, outputs_from=history.shape[-1])
         if cfg.variant == "scenario-based" and future is None:
             raise ContractError("scenario-based variant requires the future input")
         if cfg.variant == "conventional" and future is not None:
@@ -526,26 +541,3 @@ class TransformerModel:
             train=train,
             rng=rng,
         )
-
-    def _lm_forward(self, history, response_in, pad_id, train, rng) -> DecodeOutput:
-        """Decoder-only pass over [history ; response_in]. Outputs are
-        sliced to the response positions so they align one-to-one with the
-        encoder-decoder variants' outputs."""
-        cfg = self.config
-        p = self.params
-        full = np.concatenate([history, response_in], axis=-1)
-        b, t = full.shape
-        th = history.shape[-1]
-        # causal visibility, minus pad keys (pads can sit inside the
-        # concatenated sequence when histories have unequal lengths)
-        mask = causal_mask(t)[None, :, :] + key_padding_mask(full, pad_id)
-        x = self._embed("decoder_embedding", full, train, rng)
-        hidden = []
-        for i in range(cfg.num_blocks):
-            a = self._project_out(x, mask, f"dec.{i}.self_attn", cfg.num_heads)
-            x = self._residual(x, a, f"dec.{i}.ln_self", train, rng)
-            f = self._ffn(x, f"dec.{i}.ffn")
-            x = self._residual(x, f, f"dec.{i}.ln_ffn", train, rng)
-            hidden.append(T.narrow(x, 1, th, t - th))
-        logits = T.affine(T.narrow(x, 1, th, t - th), p["out_proj.w"], p["out_proj.b"])
-        return DecodeOutput(probabilities=T.softmax(logits, axis=-1), hidden_states=hidden)

@@ -43,12 +43,15 @@ class Adam:
 
     def step(self) -> float:
         """Apply one update; returns the pre-clip global gradient norm. The
-        targets' ``grad`` arrays are left clipped."""
-        for name, t in self.targets:
-            if t.grad is not None and not np.all(np.isfinite(t.grad)):
-                raise NumericError(f"non-finite gradient for {name!r}; step aborted")
-
+        targets' ``grad`` arrays are left clipped. A non-finite gradient
+        aborts the step before any parameter or moment changes."""
         norm = clip_gradients([t for _, t in self.targets], self.clip_norm)
+        if not math.isfinite(norm):
+            # clipping keeps non-finite entries non-finite (inf * 0 is NaN);
+            # a finite set of float64 gradients can also overflow the norm
+            for name, t in self.targets:
+                if t.grad is not None and not np.all(np.isfinite(t.grad)):
+                    raise NumericError(f"non-finite gradient for {name!r}; step aborted")
 
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2

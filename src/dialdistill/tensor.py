@@ -10,6 +10,12 @@ Two precision modes exist: ``single`` (float32, the training default)
 and ``double`` (float64, used to verify analytic gradients against
 finite differences). ``precision(...)`` switches the dtype used when
 tensors are created; a computation should stay in one mode throughout.
+
+Primitives do not scan their outputs for NaN/Inf; ``check_finite`` runs
+at boundaries instead: on ``Tensor(...)`` leaves (not on the constants
+``as_tensor`` wraps), on ``log``'s output, where finite inputs can turn
+into NaN, and where callers ask (the model's logits, the training loss).
+A failed check names the first primitive of the graph with a non-finite output.
 """
 
 from __future__ import annotations
@@ -49,9 +55,15 @@ def precision(mode: str):
         _state["mode"] = previous
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
-        raise NumericError(f"non-finite values produced by primitive '{op}'")
+def check_finite(x: Tensor) -> Tensor:
+    """Return ``x`` if all its values are finite, else raise ``NumericError``
+    naming the first primitive of ``x``'s graph, inputs before outputs, with a
+    non-finite output (a non-finite parameter is named by its consumer)."""
+    if np.isfinite(x.data).all():
+        return x
+    nodes = _topological_order(x, grad_only=False)
+    op = next((n._op for n in nodes if n._parents and not np.isfinite(n.data).all()), x._op)
+    raise NumericError(f"non-finite values produced by primitive '{op}'")
 
 
 class Tensor:
@@ -64,14 +76,15 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, *, check: bool = True):
         self.data = np.asarray(data, dtype=active_dtype())
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
         self._op = "leaf"
-        _check_finite(self.data, "leaf")
+        if check:
+            check_finite(self)
 
     @property
     def shape(self):
@@ -84,12 +97,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -126,11 +133,12 @@ class Tensor:
 
 
 def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+    """``value`` if it is a Tensor, else a constant leaf. Constants skip the
+    finiteness check of ``Tensor(...)``; the checks downstream see their effect."""
+    return value if isinstance(value, Tensor) else Tensor(value, check=False)
 
 
 def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
-    _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -152,6 +160,26 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _topological_order(root: Tensor, grad_only: bool) -> list:
+    """The nodes ``root`` depends on, each after its inputs, found
+    iteratively; with ``grad_only``, only through requires_grad nodes."""
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited or (grad_only and not node.requires_grad):
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            stack.append((parent, False))
+    return order
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
@@ -161,32 +189,14 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
 
-    # Iterative topological order over the requires_grad subgraph.
-    order = []
-    visited = set()
-    stack = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited or not node.requires_grad:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            stack.append((parent, False))
-
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    for node in reversed(_topological_order(loss, grad_only=True)):
         if node._backward is None:
             continue
         grads = node._backward(node.grad)
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"NaN/Inf gradient produced by primitive '{node._op}'")
             if parent.grad is None:
                 # nothing writes a gradient in place, so a view is copied only
                 # for a leaf, whose grad outlives the pass, or when strided: the
@@ -308,7 +318,7 @@ def log(x, floor: float = 0.0) -> Tensor:
         def bw(g):
             return (g / x.data,)
 
-    return _make(data, (x,), bw, "log")
+    return check_finite(_make(data, (x,), bw, "log"))
 
 
 def layer_norm(x, gain, bias, epsilon: float = 1e-5) -> Tensor:
@@ -449,9 +459,7 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
@@ -461,15 +469,10 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
 def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     data = x.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = x.data.size
-    else:
-        count = x.data.shape[axis]
+    count = x.data.size if axis is None else x.data.shape[axis]
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, x.data.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, x.data.shape).copy(),)
 

@@ -157,6 +157,7 @@ def _train_loop(
             step += 1
             rng = np.random.default_rng([tcfg.seed, 11, step])
             loss, breakdown = batch_loss(model, batch, rng)
+            T.check_finite(loss)
             model.params.zero_grads()
             T.backward(loss)
             grad_norm = opt.step()

@@ -6,7 +6,7 @@ import pytest
 
 from dialdistill import informativeness
 from dialdistill.corpus import DialogueExample, window_dialogue
-from dialdistill.embeddings import WordEmbeddings
+from dialdistill.embeddings import WordEmbeddings, cosine
 from dialdistill.errors import ContractError
 from dialdistill.informativeness import (
     classify_uninformative,
@@ -25,6 +25,27 @@ def example(history, response, future, idx=0):
     return DialogueExample(
         history=turns(history), response=response.split(), future=turns(future), dialogue_index=idx
     )
+
+
+def per_centroid_cluster(sentences, embeddings, threshold, counts, total):
+    """``single_pass_cluster`` as one ``cosine`` call per centroid."""
+    sums, sizes, labels = [], [], []
+    for tokens in sentences:
+        vec = sentence_embedding(tokens, embeddings, counts, total)
+        chosen = -1
+        for c, (s, n) in enumerate(zip(sums, sizes)):
+            if cosine(s / n, vec) >= threshold:
+                chosen = c
+                break
+        if chosen < 0:
+            sums.append(vec.copy())
+            sizes.append(1)
+            labels.append(len(sums) - 1)
+        else:
+            sums[chosen] += vec
+            sizes[chosen] += 1
+            labels.append(chosen)
+    return labels
 
 
 def axis_table(**tokens):
@@ -83,6 +104,24 @@ class TestSinglePassCluster:
         with pytest.raises(ContractError):
             single_pass_cluster([["a"]], table, threshold=1.2)
         assert single_pass_cluster([["a"], ["a"]], table, threshold=1.0) == [0, 0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_per_centroid_cosine_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(40)]
+        vectors = {w: rng.standard_normal(6) for w in words[:34]}  # w34..w39 have no vector
+        vectors["w0"] = np.zeros(6)
+        table = WordEmbeddings(vectors)
+        sentences = [list(rng.choice(words, size=rng.integers(0, 7))) for _ in range(150)]
+        sentences += [sentences[i] for i in rng.integers(0, 150, size=50)]  # duplicates
+        rng.shuffle(sentences)
+        counts = token_frequencies(sentences)
+        total = sum(counts.values())
+        # not 1.0: there a duplicate's cosine of 1 +- 1 ulp decides, and a
+        # matrix-vector product rounds differently from one dot per centroid
+        for threshold in (0.3, 0.8, 0.98):
+            got = single_pass_cluster(sentences, table, threshold, counts, total)
+            assert got == per_centroid_cluster(sentences, table, threshold, counts, total)
 
     def test_weights_favor_rare_tokens(self):
         counts = token_frequencies([["common"] * 99 + ["rare"]])

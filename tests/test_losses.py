@@ -369,6 +369,25 @@ class TestAdam:
             opt.step()
         assert t.data[0] == 1.0
 
+    def test_inf_grad_aborts_naming_the_tensor_before_any_update(self):
+        a, b = make_param([1.0]), make_param([2.0, 3.0])
+        a.grad, b.grad = np.array([5.0]), np.array([1.0, np.inf])
+        opt = Adam([("a", a), ("b", b)], clip_norm=2.0)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="for 'b'; step aborted"):
+            opt.step()
+        assert a.data[0] == 1.0 and b.data[1] == 3.0
+        assert opt.step_count == 0 and not opt._m
+
+    def test_norm_overflow_with_finite_grads_still_steps(self):
+        # float64 squares overflow, so the norm is inf although every
+        # gradient is finite: no tensor to name, the clip zeroes the step
+        t = make_param([1.0])
+        t.grad = np.array([1e200])
+        opt = Adam([("w", t)])
+        with np.errstate(over="ignore"):
+            assert opt.step() == np.inf
+        assert t.data[0] == 1.0 and opt.step_count == 1
+
     def test_matches_reference_implementation(self):
         # independent re-derivation of Adam with clipping, 10 steps on a
         # quadratic bowl f(w) = 0.5 ||w||^2 (gradient = w)

@@ -6,6 +6,7 @@ import pytest
 from dialdistill import tensor as T
 from dialdistill.errors import ContractError
 from dialdistill.model import (
+    DecodeOutput,
     DecodeState,
     ModelConfig,
     TransformerModel,
@@ -381,6 +382,26 @@ class TestDecodeState:
             lm.decode(np.array([[2]]), state=DecodeState())
 
 
+def lm_block_loop(m, history, response_in, pad_id=PAD, train=False, rng=None):
+    """The language model's forward as its own decoder-block loop, before
+    it ran through ``decode``."""
+    p = m.params
+    full = np.concatenate([history, response_in], axis=-1)
+    b, t = full.shape
+    th = history.shape[-1]
+    mask = causal_mask(t)[None, :, :] + key_padding_mask(full, pad_id)
+    x = m._embed("decoder_embedding", full, train, rng)
+    hidden = []
+    for i in range(m.config.num_blocks):
+        a = m._project_out(x, mask, f"dec.{i}.self_attn", m.config.num_heads)
+        x = m._residual(x, a, f"dec.{i}.ln_self", train, rng)
+        f = m._ffn(x, f"dec.{i}.ffn")
+        x = m._residual(x, f, f"dec.{i}.ln_ffn", train, rng)
+        hidden.append(T.narrow(x, 1, th, t - th))
+    logits = T.affine(T.narrow(x, 1, th, t - th), p["out_proj.w"], p["out_proj.b"])
+    return DecodeOutput(probabilities=T.softmax(logits, axis=-1), hidden_states=hidden)
+
+
 class TestLanguageModelVariant:
     def test_aligned_output_shapes(self):
         m = TransformerModel.build(tiny("language-model"), seed=9)
@@ -398,6 +419,26 @@ class TestLanguageModelVariant:
         m.params["decoder_embedding"].data[PAD] += 2.0
         after = m.forward(hist, resp_in).probabilities.data
         assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("width", ["desk", "paper"])
+    @pytest.mark.parametrize("history_length", [0, 5])
+    def test_bitwise_equal_to_its_own_block_loop(self, width, history_length):
+        make = desk_config if width == "desk" else paper_config
+        m = TransformerModel.build(make(40, "language-model", dropout_rate=0.1), seed=3)
+        rng = np.random.default_rng(4)
+        hist = rng.integers(4, 40, size=(3, history_length))
+        hist[0, 3:] = PAD  # pads inside [history ; response]
+        resp_in = rng.integers(4, 40, size=(3, 15))
+        weights = rng.random((3, 15, 40))
+        runs = []
+        for forward in (m.forward, lambda h, r, **kw: lm_block_loop(m, h, r, **kw)):
+            m.params.zero_grads()
+            out = forward(hist, resp_in, train=True, rng=np.random.default_rng(5))
+            T.backward(T.tsum(T.mul(T.log(out.probabilities), weights)))
+            runs.append([out.probabilities.data] + [h.data for h in out.hidden_states]
+                        + [t.grad for _, t in m.params.items() if t.grad is not None])
+        assert len(runs[0]) == len(runs[1])
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
     def test_rejects_future(self):
         m = TransformerModel.build(tiny("language-model"), seed=9)
