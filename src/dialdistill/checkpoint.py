@@ -46,6 +46,16 @@ def save_checkpoint(params: ParameterSet, configs: dict, path) -> None:
             fh.write(blob)
 
 
+def _entry_shape(path, entry) -> tuple:
+    """A manifest entry's shape; the entry must name a tensor and list its
+    dimensions as non-negative integers."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"])):
+        raise CheckpointFormatError(f"{path}: malformed manifest entry {entry!r}")
+    return tuple(entry["shape"])
+
+
 def load_checkpoint(path):
     """Read a checkpoint back as (ParameterSet, configs dict)."""
     with open(path, "rb") as fh:
@@ -65,13 +75,14 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: unreadable JSON header: {exc}") from exc
     for key in ("configs", "manifest"):
-        if key not in header:
+        if not isinstance(header, dict) or key not in header:
             raise CheckpointFormatError(f"{path}: header missing {key!r}")
+    if not isinstance(header["manifest"], list):
+        raise CheckpointFormatError(f"{path}: manifest is not a list")
+    shapes = [_entry_shape(path, entry) for entry in header["manifest"]]
 
     payload = raw[header_start + header_len :]
-    expected = sum(
-        int(np.prod(entry["shape"], dtype=np.int64)) for entry in header["manifest"]
-    ) * _PAYLOAD_DTYPE.itemsize
+    expected = sum(int(np.prod(shape, dtype=np.int64)) for shape in shapes) * _PAYLOAD_DTYPE.itemsize
     if len(payload) != expected:
         raise CheckpointFormatError(
             f"{path}: payload is {len(payload)} bytes, manifest promises {expected}"
@@ -79,14 +90,16 @@ def load_checkpoint(path):
 
     params = ParameterSet()
     offset = 0
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
+    for entry, shape in zip(header["manifest"], shapes):
         size = int(np.prod(shape, dtype=np.int64)) * _PAYLOAD_DTYPE.itemsize
         flat = np.frombuffer(payload[offset : offset + size], dtype=_PAYLOAD_DTYPE)
         offset += size
         array = np.asarray(flat.reshape(shape), dtype=T.active_dtype())
         params.add(entry["name"], array.copy(), trainable=bool(entry.get("trainable", True)))
-    params.frozen = set(header.get("frozen", []))
+    frozen = header.get("frozen", [])
+    if not (isinstance(frozen, list) and all(isinstance(n, str) and n in params for n in frozen)):
+        raise CheckpointFormatError(f"{path}: 'frozen' must list manifest tensors, got {frozen!r}")
+    params.frozen = set(frozen)
     return params, header["configs"]
 
 
@@ -102,9 +115,12 @@ def load_model(path):
     Returns (model, configs). Tensor names and shapes are validated
     against a fresh skeleton for the stored configuration."""
     params, configs = load_checkpoint(path)
-    if "model" not in configs:
+    if not isinstance(configs, dict) or "model" not in configs:
         raise CheckpointFormatError(f"{path}: header configs lack a 'model' section")
-    config = ModelConfig.from_dict(configs["model"])
+    try:
+        config = ModelConfig.from_dict(configs["model"])
+    except TypeError as exc:  # not a mapping, unknown fields, or mistyped values
+        raise CheckpointFormatError(f"{path}: unreadable model config: {exc}") from exc
     skeleton = init_params(config, seed=0)
     expected = {name: t.data.shape for name, t in skeleton.items()}
     actual = {name: t.data.shape for name, t in params.items()}

@@ -86,14 +86,9 @@ def read_dialogues_format_b(path) -> list:
     return dialogues
 
 
-def read_dialogues(path, fmt: str = "auto") -> list:
-    """Load dialogues as lists of raw turn strings; fmt in {a, b, auto}."""
-    if fmt == "a":
-        return read_dialogues_format_a(path)
-    if fmt == "b":
-        return read_dialogues_format_b(path)
-    if fmt != "auto":
-        raise DataError(f"unknown corpus format {fmt!r}; expected 'a', 'b', or 'auto'")
+def read_dialogues(path) -> list:
+    """Load dialogues as lists of raw turn strings; the first non-blank line
+    picks the format (a JSON object for format B, else format A)."""
     with open(path, encoding="utf-8") as fh:
         first = ""
         for line in fh:
@@ -300,9 +295,9 @@ class Batch:
         return float(self.target_mask.sum())
 
 
-def _pad_rows(rows: list, pad: int = PAD_ID) -> np.ndarray:
+def _pad_rows(rows: list) -> np.ndarray:
     width = max(len(r) for r in rows)
-    out = np.full((len(rows), width), pad, dtype=np.int64)
+    out = np.full((len(rows), width), PAD_ID, dtype=np.int64)
     for i, r in enumerate(rows):
         out[i, : len(r)] = r
     return out

@@ -47,10 +47,6 @@ class DecodeConfig:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecodeConfig":
-        return cls(**d)
-
 
 @dataclass
 class DecodeResult:
@@ -102,13 +98,13 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def greedy_decode(
-    model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig(), pad_id: int = PAD_ID
+    model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig()
 ) -> DecodeResult:
     """Argmax token per step until end-of-sequence or the length cap."""
     history = _history(model, history_ids)
     with model.params.inference():
-        memory = model.encode(history, pad_id)
-        mask = key_padding_mask(history, pad_id)
+        memory = model.encode(history)
+        mask = key_padding_mask(history)
         state = DecodeState()
         k = BOS_ID
         tokens = []
@@ -130,7 +126,7 @@ def greedy_decode(
 
 
 def beam_decode(
-    model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig(strategy="beam"), pad_id: int = PAD_ID
+    model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig(strategy="beam")
 ) -> DecodeResult:
     """Beam search over log-probabilities.
 
@@ -144,8 +140,8 @@ def beam_decode(
     """
     history = _history(model, history_ids)
     with model.params.inference():
-        memory = model.encode(history, pad_id)
-        mask = key_padding_mask(history, pad_id)
+        memory = model.encode(history)
+        mask = key_padding_mask(history)
         state = DecodeState()
         active = [((), 0.0)]  # (token tuple, raw score)
         completed = []
@@ -196,8 +192,8 @@ def beam_decode(
 
 
 def decode(
-    model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig(), pad_id: int = PAD_ID
+    model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig()
 ) -> DecodeResult:
     if config.strategy == "beam":
-        return beam_decode(model, history_ids, config, pad_id)
-    return greedy_decode(model, history_ids, config, pad_id)
+        return beam_decode(model, history_ids, config)
+    return greedy_decode(model, history_ids, config)

@@ -6,8 +6,8 @@
   memories with shared projections, concatenates the two contexts, and
   merges them back to width d with a learned projection. The merge
   projection is the only tensor the conventional variant lacks.
-* ``language-model`` — decoder-only blocks over the concatenation of
-  history and response; no encoder, no cross-attention.
+* ``language-model`` — decoder-only blocks over the response alone; no
+  history, no encoder, no cross-attention.
 
 All variants expose per-block decoder hidden states so a student can be
 trained to imitate them layer by layer.
@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .corpus import PAD_ID
 from .errors import ContractError, ShapeError
 
 VARIANTS = ("conventional", "scenario-based", "language-model")
@@ -162,9 +163,6 @@ class ParameterSet:
             for n, t in self._tensors.items():
                 t.requires_grad = saved[n]
 
-    def state(self) -> dict:
-        return {n: t.data for n, t in self._tensors.items()}
-
     def load_state(self, arrays: dict) -> None:
         for n, t in self._tensors.items():
             if n not in arrays:
@@ -279,9 +277,9 @@ class DecodeState:
         self.self_kv = {b: tuple(T.as_tensor(t.data[rows]) for t in kv) for b, kv in self.self_kv.items()}
 
 
-def key_padding_mask(token_ids: np.ndarray, pad_id: int) -> np.ndarray:
+def key_padding_mask(token_ids: np.ndarray) -> np.ndarray:
     """Additive mask (B, 1, T) that removes pad positions as attention keys."""
-    mask = np.where(token_ids == pad_id, MASKED, 0.0).astype(T.active_dtype())
+    mask = np.where(token_ids == PAD_ID, MASKED, 0.0).astype(T.active_dtype())
     return mask[:, None, :]
 
 
@@ -404,14 +402,14 @@ class TransformerModel:
 
     # ---- encoder -------------------------------------------------------
 
-    def encode(self, token_ids: np.ndarray, pad_id: int = 0, train: bool = False, rng=None):
+    def encode(self, token_ids: np.ndarray, train: bool = False, rng=None):
         """(B, T) token ids -> (B, T, d) memory. Pad positions are masked as
         attention keys, so they never influence unpadded outputs."""
         cfg = self.config
         if cfg.variant == "language-model":
             raise ContractError("the language-model variant has no encoder")
         token_ids = np.atleast_2d(np.asarray(token_ids))
-        mask = key_padding_mask(token_ids, pad_id)
+        mask = key_padding_mask(token_ids)
         x = self._embed("encoder_embedding", token_ids, train, rng)
         for i in range(cfg.num_blocks):
             a = self._project_out(x, mask, f"enc.{i}.attn", cfg.num_heads)
@@ -432,8 +430,6 @@ class TransformerModel:
         train: bool = False,
         rng=None,
         state: DecodeState = None,
-        self_mask=None,
-        outputs_from: int = 0,
     ) -> DecodeOutput:
         """Teacher-forced decode over a right-shifted target prefix.
 
@@ -446,9 +442,6 @@ class TransformerModel:
         incremental: ``response_in`` and the outputs hold only the positions
         from ``state.length`` on, which attend to the cached keys and values
         and extend them. The memory's projections are cached on the first call.
-        ``self_mask`` replaces the causal self-attention mask and outputs cover
-        the positions from ``outputs_from`` on: the language-model ``forward``
-        reads its history as a prefix of ``response_in``.
         """
         cfg = self.config
         p = self.params
@@ -469,7 +462,7 @@ class TransformerModel:
 
         offset = 0 if state is None else state.length
         t = response_in.shape[-1]
-        self_mask = causal_mask(offset + t)[offset:] if self_mask is None else self_mask
+        self_mask = causal_mask(offset + t)[offset:]
         x = self._embed("decoder_embedding", response_in, train, rng, position_offset=offset)
         if state is not None and not state.cross_kv:
             state.cross_kv = [_project_kv(p, f"dec.{i}.cross_attn", history_memory, cfg.num_heads)
@@ -497,8 +490,6 @@ class TransformerModel:
             hidden.append(x)
         if state is not None:
             state.length += t
-        if outputs_from:
-            hidden = [T.narrow(h, 1, outputs_from, t - outputs_from) for h in hidden]
         return self._output_head(hidden[-1], hidden)
 
     # ---- full passes ---------------------------------------------------
@@ -508,35 +499,32 @@ class TransformerModel:
         history: np.ndarray,
         response_in: np.ndarray,
         future: np.ndarray = None,
-        pad_id: int = 0,
         train: bool = False,
         rng=None,
     ) -> DecodeOutput:
-        """End-to-end teacher-forced pass appropriate to the variant."""
+        """End-to-end teacher-forced pass appropriate to the variant. The
+        language model reads the response alone: its ``history`` must be
+        empty."""
         cfg = self.config
         history = np.atleast_2d(np.asarray(history))
-        response_in = np.atleast_2d(np.asarray(response_in))
         if cfg.variant == "language-model":
-            if future is not None:
-                raise ContractError("language-model variant takes no future input")
-            # pads sit inside [history ; response] when histories differ in length
-            full = np.concatenate([history, response_in], axis=-1)
-            mask = causal_mask(full.shape[-1])[None, :, :] + key_padding_mask(full, pad_id)
-            return self.decode(full, train=train, rng=rng, self_mask=mask, outputs_from=history.shape[-1])
+            if future is not None or history.size:
+                raise ContractError("language-model variant takes no history or future input")
+            return self.decode(response_in, train=train, rng=rng)
         if cfg.variant == "scenario-based" and future is None:
             raise ContractError("scenario-based variant requires the future input")
         if cfg.variant == "conventional" and future is not None:
             raise ContractError("conventional variant takes no future input")
-        h_mem = self.encode(history, pad_id, train, rng)
+        h_mem = self.encode(history, train, rng)
         f_mem = f_mask = None
         if future is not None:
             future = np.atleast_2d(np.asarray(future))
-            f_mem, f_mask = self.encode(future, pad_id, train, rng), key_padding_mask(future, pad_id)
+            f_mem, f_mask = self.encode(future, train, rng), key_padding_mask(future)
         return self.decode(
             response_in,
             history_memory=h_mem,
             future_memory=f_mem,
-            history_mask=key_padding_mask(history, pad_id),
+            history_mask=key_padding_mask(history),
             future_mask=f_mask,
             train=train,
             rng=rng,

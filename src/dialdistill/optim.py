@@ -63,8 +63,8 @@ class Adam:
             g = t.grad
             if name not in self._m:
                 self._m[name], self._v[name] = np.zeros_like(t.data), np.zeros_like(t.data)
-            # the moments update in place; t.data is rebound instead, since
-            # callers hold the old array (ParameterSet.state, say)
+            # the moments update in place; t.data is rebound instead, since a
+            # caller may hold the old array (as perturbation_analysis does)
             m, v = self._m[name], self._v[name]
             m *= b1
             m += (1.0 - b1) * g

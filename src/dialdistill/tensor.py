@@ -87,49 +87,11 @@ class Tensor:
             check_finite(self)
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; constants are wrapped as non-differentiable leaves.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise ContractError("tensor/tensor division is not a primitive; divide by a scalar")
-        return mul(self, 1.0 / float(scalar))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(value) -> Tensor:
@@ -403,29 +365,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(data, tuple(tensors), bw, "concat")
 
 
-def narrow(x, axis: int, start: int, length: int) -> Tensor:
-    """Slice ``length`` entries from ``start`` along ``axis``."""
-    x = as_tensor(x)
-    if not (-x.ndim <= axis < x.ndim):
-        raise ShapeError(f"narrow axis {axis} invalid for shape {x.data.shape}")
-    axis = axis % x.ndim
-    if start < 0 or start + length > x.data.shape[axis]:
-        raise ShapeError(
-            f"narrow [{start}:{start + length}] out of bounds for axis {axis} of shape {x.data.shape}"
-        )
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    data = x.data[index]
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[index] = g
-        return (gx,)
-
-    return _make(data, (x,), bw, "narrow")
-
-
 def reshape(x, shape) -> Tensor:
     """The same entries in row-major order under a new shape of equal size."""
     x = as_tensor(x)
@@ -464,19 +403,6 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
     return _make(np.asarray(data), (x,), bw, "sum")
-
-
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else x.data.shape[axis]
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, x.data.shape).copy(),)
-
-    return _make(np.asarray(data), (x,), bw, "mean")
 
 
 def mean_square(a, b) -> Tensor:
@@ -525,11 +451,9 @@ PRIMITIVES = (
     "embedding",
     "pick",
     "concat",
-    "narrow",
     "reshape",
     "transpose",
     "sum",
-    "mean",
     "mean_square",
     "dropout",
 )

@@ -55,6 +55,10 @@ class TrainingConfig:
             raise ContractError(f"alpha must be >= 0, got {self.alpha}")
         if self.lambda1 < 0:
             raise ContractError(f"lambda1 must be >= 0, got {self.lambda1}")
+        if self.lambda_lm < 0:
+            raise ContractError(f"lambda_lm must be >= 0, got {self.lambda_lm}")
+        if self.learning_rate <= 0:
+            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.hard_transfer_scope not in TRANSFER_SCOPES:
             raise ContractError(
                 f"hard_transfer_scope {self.hard_transfer_scope!r} not in {TRANSFER_SCOPES}"
@@ -68,10 +72,6 @@ class TrainingConfig:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingConfig":
-        return cls(**d)
 
 
 @dataclass

@@ -141,6 +141,40 @@ class TestCorruption:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    @staticmethod
+    def _load_header(tmp_path, header, payload=b"", match="manifest"):
+        raw = json.dumps(header).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)
+        with pytest.raises(CheckpointFormatError, match=match):
+            load_checkpoint(path)
+
+    def test_manifest_not_a_list_rejected(self, tmp_path):
+        self._load_header(tmp_path, {"configs": {}, "manifest": {"w": {"shape": [2]}}})
+
+    def test_manifest_entry_without_shape_rejected(self, tmp_path):
+        self._load_header(tmp_path, {"configs": {}, "manifest": [{"name": "w", "trainable": True}]})
+
+    def test_manifest_negative_dimension_rejected(self, tmp_path):
+        # (-2) * (-2) would promise the 16 payload bytes that are there
+        entry = {"name": "w", "shape": [-2, -2], "trainable": True}
+        self._load_header(tmp_path, {"configs": {}, "manifest": [entry]}, np.zeros(4, "<f4").tobytes())
+
+    @pytest.mark.parametrize("frozen", [3, ["no.such.tensor"], [["encoder_embedding"]]])
+    def test_bad_frozen_list_rejected(self, tmp_path, frozen):
+        entry = {"name": "w", "shape": [2], "trainable": True}
+        self._load_header(tmp_path, {"configs": {}, "manifest": [entry], "frozen": frozen},
+                          np.zeros(2, "<f4").tobytes(), match="frozen")
+
+    @pytest.mark.parametrize("model_config", [[1], {"vocab_size": 16, "colour": "red"}, {"vocab_size": "16"}])
+    def test_unreadable_model_config_rejected(self, saved, tmp_path, model_config):
+        _, path = saved
+        params, _ = load_checkpoint(path)
+        forged = tmp_path / "forged.ckpt"
+        save_checkpoint(params, {"model": model_config}, forged)
+        with pytest.raises(CheckpointFormatError, match="model config"):
+            load_model(forged)
+
     def test_wrong_parameter_names_for_config_rejected(self, saved, tmp_path):
         model, path = saved
         params, configs = load_checkpoint(path)

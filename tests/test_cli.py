@@ -6,11 +6,12 @@ against those artifacts and check the files they leave behind.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from dialdistill.checkpoint import load_model
+from dialdistill.checkpoint import MAGIC, load_model
 from dialdistill.cli import (
     PRESET_BATCH,
     RunConfig,
@@ -224,6 +225,33 @@ class TestTrainingCommands:
             assert rc == 1
             assert capsys.readouterr().err.startswith("error:")
             assert not out.exists()
+
+    def test_negative_lm_weight_and_nonpositive_learning_rate_rejected(self, pipeline, tmp_path, capsys):
+        for flag, value in (("--lambda-lm", "-0.5"), ("--learning-rate", "0"), ("--learning-rate", "-1e-3")):
+            out = tmp_path / "s.ckpt"
+            rc = main(
+                [
+                    "train-student", "--data", str(pipeline["data"]), "--out", str(out),
+                    "--teacher", str(pipeline["teacher"]), "--lm-teacher", str(pipeline["lm"]), f"{flag}={value}",
+                ]
+                + MODEL_FLAGS
+            )
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error:")
+            assert not out.exists()
+
+    def test_malformed_checkpoint_header_rejected(self, pipeline, tmp_path, capsys):
+        header = json.dumps({"configs": {}, "manifest": {"w": [2]}}).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+        rc = main(
+            [
+                "train-student", "--data", str(pipeline["data"]),
+                "--out", str(tmp_path / "s.ckpt"), "--teacher", str(bad),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_student_rejects_conventional_teacher(self, pipeline, tmp_path, capsys):
         rc = main(

@@ -60,7 +60,7 @@ class ScriptedModel:
         self.config = _ScriptedConfig()
         self.params = ParameterSet()
 
-    def encode(self, history, pad_id=PAD_ID):
+    def encode(self, history):
         return None
 
     def decode(self, response_in, history_memory=None, history_mask=None, state=None):
@@ -263,7 +263,7 @@ def _full_prefix_logp(model, history, prefixes, memory=None):
     with model.params.inference():
         out = model.decode(
             np.array(prefixes), history_memory=model.encode(history) if memory is None else memory,
-            history_mask=key_padding_mask(history, PAD_ID),
+            history_mask=key_padding_mask(history),
         )
     logp = np.log(out.probabilities.data[:, -1, :])
     logp[:, [PAD_ID, BOS_ID]] = -np.inf
@@ -323,7 +323,7 @@ class TestIncrementalAgainstFullPrefix:
             state = DecodeState()
             with model.params.inference():
                 memory = model.encode(history)
-                mask = key_padding_mask(history, PAD_ID)
+                mask = key_padding_mask(history)
                 for n in range(1, len(prefix) + 1):
                     out = model.decode(np.array([prefix[n - 1 : n]]), history_memory=memory,
                                        history_mask=mask, state=state)
@@ -460,4 +460,4 @@ class TestContracts:
 
     def test_config_round_trips_through_dict(self):
         cfg = DecodeConfig(strategy="beam", beam_width=4, max_length=12, length_penalty=0.5)
-        assert DecodeConfig.from_dict(cfg.to_dict()) == cfg
+        assert DecodeConfig(**cfg.to_dict()) == cfg

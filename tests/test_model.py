@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dialdistill import tensor as T
+from dialdistill.corpus import EncodedExample, make_batch
 from dialdistill.errors import ContractError
+from dialdistill.losses import nll_sum
 from dialdistill.model import (
     DecodeOutput,
     DecodeState,
@@ -186,9 +188,9 @@ class TestBatchedHeads:
         ids[0, 4:] = PAD
         ids[2, 5:] = PAD
         masks = {
-            "padding (B, 1, S)": key_padding_mask(ids, PAD),
+            "padding (B, 1, S)": key_padding_mask(ids),
             "offset causal (T, S)": causal_mask(s)[s - t:],
-            "causal plus padding (B, T, S)": causal_mask(s)[s - t:][None] + key_padding_mask(ids, PAD),
+            "causal plus padding (B, T, S)": causal_mask(s)[s - t:][None] + key_padding_mask(ids),
         }
         with T.precision("double"):
             ps = init_params(tiny(num_heads=num_heads), seed=11)
@@ -326,8 +328,8 @@ class TestDecodeState:
         with T.precision("double"):
             self.m = TransformerModel.build(tiny(num_blocks=2, max_sequence_length=8), seed=6)
             self.hist = np.array([[4, 5, 6, 7, PAD]])
-            self.mem = self.m.encode(self.hist, PAD)
-            self.mask = key_padding_mask(self.hist, PAD)
+            self.mem = self.m.encode(self.hist)
+            self.mask = key_padding_mask(self.hist)
             yield
 
     def _decode(self, rows, state=None):
@@ -373,7 +375,7 @@ class TestDecodeState:
             self.m.decode(np.array([[2]]), history_memory=self.mem, history_mask=self.mask,
                           train=True, rng=np.random.default_rng(0), state=DecodeState())
         teacher = TransformerModel.build(tiny("scenario-based"), seed=7)
-        mem = teacher.encode(self.hist, PAD)
+        mem = teacher.encode(self.hist)
         with pytest.raises(ContractError):
             teacher.decode(np.array([[2]]), history_memory=mem, future_memory=mem,
                            history_mask=self.mask, future_mask=self.mask, state=DecodeState())
@@ -382,68 +384,70 @@ class TestDecodeState:
             lm.decode(np.array([[2]]), state=DecodeState())
 
 
-def lm_block_loop(m, history, response_in, pad_id=PAD, train=False, rng=None):
-    """The language model's forward as its own decoder-block loop, before
-    it ran through ``decode``."""
+def lm_block_loop(m, response_in, train=False, rng=None):
+    """The language model's forward as it ran before it read the response
+    alone, with the empty history the pipeline always passed it: decoder
+    blocks over the response under the causal mask plus a key mask on pads."""
     p = m.params
-    full = np.concatenate([history, response_in], axis=-1)
-    b, t = full.shape
-    th = history.shape[-1]
-    mask = causal_mask(t)[None, :, :] + key_padding_mask(full, pad_id)
-    x = m._embed("decoder_embedding", full, train, rng)
+    mask = causal_mask(response_in.shape[-1])[None, :, :] + key_padding_mask(response_in)
+    x = m._embed("decoder_embedding", response_in, train, rng)
     hidden = []
     for i in range(m.config.num_blocks):
         a = m._project_out(x, mask, f"dec.{i}.self_attn", m.config.num_heads)
         x = m._residual(x, a, f"dec.{i}.ln_self", train, rng)
         f = m._ffn(x, f"dec.{i}.ffn")
         x = m._residual(x, f, f"dec.{i}.ln_ffn", train, rng)
-        hidden.append(T.narrow(x, 1, th, t - th))
-    logits = T.affine(T.narrow(x, 1, th, t - th), p["out_proj.w"], p["out_proj.b"])
+        hidden.append(x)
+    logits = T.affine(x, p["out_proj.w"], p["out_proj.b"])
     return DecodeOutput(probabilities=T.softmax(logits, axis=-1), hidden_states=hidden)
+
+
+def no_history(rows):
+    return np.zeros((rows, 0), dtype=np.int64)
 
 
 class TestLanguageModelVariant:
     def test_aligned_output_shapes(self):
         m = TransformerModel.build(tiny("language-model"), seed=9)
-        hist = np.array([[4, 5, 6, PAD]])
         resp_in = np.array([[2, 7, 8]])
-        out = m.forward(hist, resp_in)
+        out = m.forward(no_history(1), resp_in)
         assert out.probabilities.data.shape == (1, 3, 12)
         assert all(h.data.shape == (1, 3, 8) for h in out.hidden_states)
 
-    def test_history_pads_are_invisible(self):
-        m = TransformerModel.build(tiny("language-model"), seed=10)
-        hist = np.array([[4, 5, PAD, PAD]])
-        resp_in = np.array([[2, 7]])
-        before = m.forward(hist, resp_in).probabilities.data.copy()
-        m.params["decoder_embedding"].data[PAD] += 2.0
-        after = m.forward(hist, resp_in).probabilities.data
-        assert np.array_equal(before, after)
-
     @pytest.mark.parametrize("width", ["desk", "paper"])
-    @pytest.mark.parametrize("history_length", [0, 5])
+    @pytest.mark.parametrize("history_length", [0])  # the only history the LM takes
     def test_bitwise_equal_to_its_own_block_loop(self, width, history_length):
+        # right-padded responses of different lengths: every unmasked
+        # position, the NLL and every gradient match the old pad-masked pass
         make = desk_config if width == "desk" else paper_config
         m = TransformerModel.build(make(40, "language-model", dropout_rate=0.1), seed=3)
         rng = np.random.default_rng(4)
-        hist = rng.integers(4, 40, size=(3, history_length))
-        hist[0, 3:] = PAD  # pads inside [history ; response]
-        resp_in = rng.integers(4, 40, size=(3, 15))
-        weights = rng.random((3, 15, 40))
+        examples = [EncodedExample(history=[5], response=list(rng.integers(4, 40, size=n)), future=[])
+                    for n in (14, 3, 9, 1)]
+        batch = make_batch(examples, include_future=False)
+        keep = batch.target_mask > 0
         runs = []
-        for forward in (m.forward, lambda h, r, **kw: lm_block_loop(m, h, r, **kw)):
+        history = np.zeros((len(examples), history_length), dtype=np.int64)
+        for forward in (lambda r, **kw: m.forward(history, r, **kw), lambda r, **kw: lm_block_loop(m, r, **kw)):
             m.params.zero_grads()
-            out = forward(hist, resp_in, train=True, rng=np.random.default_rng(5))
-            T.backward(T.tsum(T.mul(T.log(out.probabilities), weights)))
-            runs.append([out.probabilities.data] + [h.data for h in out.hidden_states]
+            out = forward(batch.response_in, train=True, rng=np.random.default_rng(5))
+            nll = nll_sum(out.probabilities, batch.response_target, batch.target_mask)
+            T.backward(nll)
+            runs.append([nll.data, out.probabilities.data[keep]] + [h.data[keep] for h in out.hidden_states]
                         + [t.grad for _, t in m.params.items() if t.grad is not None])
-        assert len(runs[0]) == len(runs[1])
+        assert not keep.all()
+        assert len(runs[0]) == len(runs[1]) > 3
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+    def test_rejects_history(self):
+        m = TransformerModel.build(tiny("language-model"), seed=9)
+        with pytest.raises(ContractError):
+            m.forward(np.array([[4, 5]]), np.array([[2, 7]]))
 
     def test_rejects_future(self):
         m = TransformerModel.build(tiny("language-model"), seed=9)
         with pytest.raises(ContractError):
-            m.forward(np.array([[4]]), np.array([[2]]), future=np.array([[5]]))
+            m.forward(no_history(1), np.array([[2]]), future=np.array([[5]]))
 
 
 class TestFullModelGradients:
@@ -457,6 +461,8 @@ class TestFullModelGradients:
         kwargs = {}
         if m.config.variant == "scenario-based":
             kwargs["future"] = fut
+        if m.config.variant == "language-model":
+            hist = no_history(2)
         out = m.forward(hist, resp_in, **kwargs)
         loss = T.tsum(T.mul(out.probabilities, weights))
         for h in out.hidden_states:

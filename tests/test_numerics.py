@@ -94,7 +94,7 @@ class TestGraphWalk:
     def test_backward_passes_non_finite_gradients_to_adam(self):
         x = T.Tensor([0.0], requires_grad=True)
         with np.errstate(invalid="ignore"):
-            T.backward(T.tsum(T.log(T.add(x, 1.0), floor=0.0) * np.inf))
+            T.backward(T.tsum(T.mul(T.log(T.add(x, 1.0), floor=0.0), np.inf)))
         assert not np.isfinite(x.grad).all()
 
 
@@ -120,7 +120,7 @@ class TestModelBoundaries:
     def test_training_loss(self, examples):
         def batch_loss(m, batch, rng):
             out = training.forward_batch(m, batch, train=True, rng=rng)
-            loss = T.tsum(T.mean_square(out.hidden_states[0], np.zeros(out.hidden_states[0].shape)))
+            loss = T.tsum(T.mean_square(out.hidden_states[0], np.zeros(out.hidden_states[0].data.shape)))
             return T.mul(loss, np.inf), None
 
         model = TransformerModel.build(config("conventional"), 0)
@@ -165,9 +165,9 @@ class TestCheckCount:
         with model.params.inference():
             memory = model.encode(history)
             state = DecodeState()
-            model.decode(np.array([[1]]), memory, history_mask=key_padding_mask(history, 0), state=state)
+            model.decode(np.array([[1]]), memory, history_mask=key_padding_mask(history), state=state)
             count.clear()
-            model.decode(np.array([[7]]), memory, history_mask=key_padding_mask(history, 0), state=state)
+            model.decode(np.array([[7]]), memory, history_mask=key_padding_mask(history), state=state)
         return len(count)
 
     def train_step_checks(self, count, examples, num_blocks):

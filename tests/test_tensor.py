@@ -80,11 +80,6 @@ class TestElementwise:
             a.data[np.abs(a.data) < 0.05] += 0.1
             fd_check(lambda ls: T.tsum(T.mul(T.relu(ls[0]), ls[0])), [a])
 
-    def test_scalar_ops_sugar(self):
-        rng = np.random.default_rng(3)
-        a = leaf(rng, 4)
-        fd_check(lambda ls: T.tsum((ls[0] * 2.0 - 1.0) * ls[0] / 3.0 + (-ls[0])), [a])
-
 
 class TestMatmul:
     def test_identity(self):
@@ -151,13 +146,10 @@ class TestAffine:
         fd_check(lambda ls: T.tsum(T.affine(*ls)), [x, w, b])
 
     def test_multi_position_gradients(self, affine_path):
-        # contiguous, then a narrow or transposed view, as the LM's narrow
-        # feeds its output projection
+        # contiguous, then a transposed view
         rng = np.random.default_rng(9)
         x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 3), leaf(rng, 3)
         fd_check(lambda ls: T.tsum(T.mul(T.affine(*ls), T.affine(*ls))), [x, w, b])
-        x, w, b = leaf(rng, 2, 5, 4), leaf(rng, 4, 3), leaf(rng, 3)
-        fd_check(lambda ls: T.tsum(T.mul(T.affine(T.narrow(ls[0], 1, 1, 3), ls[1], ls[2]), 0.5)), [x, w, b])
         x, w, b = leaf(rng, 3, 2, 4), leaf(rng, 4, 3), leaf(rng, 3)
         fd_check(lambda ls: T.tsum(T.mul(T.affine(T.transpose(ls[0], (1, 0, 2)), ls[1], ls[2]), 0.5)), [x, w, b])
 
@@ -349,23 +341,13 @@ class TestShapeOps:
             a = T.Tensor(rng.standard_normal((2, 3)))
             b = T.Tensor(rng.standard_normal((2, 5)))
             cat = T.concat([a, b], axis=-1)
-            assert np.array_equal(T.narrow(cat, -1, 0, 3).data, a.data)
-            assert np.array_equal(T.narrow(cat, -1, 3, 5).data, b.data)
+            assert np.array_equal(cat.data[:, :3], a.data)
+            assert np.array_equal(cat.data[:, 3:], b.data)
 
     def test_concat_gradients(self):
         rng = np.random.default_rng(19)
         a, b = leaf(rng, 2, 3), leaf(rng, 2, 2)
         fd_check(lambda ls: T.tsum(T.mul(T.concat(ls, axis=-1), T.concat(ls, axis=-1))), [a, b])
-
-    def test_narrow_gradients(self):
-        rng = np.random.default_rng(20)
-        a = leaf(rng, 4, 6)
-        fd_check(lambda ls: T.tsum(T.mul(T.narrow(ls[0], 1, 2, 3), T.narrow(ls[0], 1, 2, 3))), [a])
-
-    def test_narrow_bounds(self):
-        a = T.Tensor(np.ones((2, 4)))
-        with pytest.raises(ShapeError):
-            T.narrow(a, 1, 2, 3)
 
     def test_transpose(self):
         rng = np.random.default_rng(21)
@@ -414,13 +396,6 @@ class TestReductions:
         rng = np.random.default_rng(22)
         a = leaf(rng, 3, 4)
         fd_check(lambda ls: T.tsum(T.mul(T.tsum(ls[0], axis=0), T.tsum(ls[0], axis=0))), [a])
-
-    def test_mean_gradients(self):
-        rng = np.random.default_rng(23)
-        a = leaf(rng, 3, 4)
-        fd_check(lambda ls: T.tmean(T.mul(ls[0], ls[0])), [a])
-        a2 = leaf(rng, 2, 5)
-        fd_check(lambda ls: T.tsum(T.mul(T.tmean(ls[0], axis=-1), T.tmean(ls[0], axis=-1))), [a2])
 
     def test_mean_square_value(self):
         with T.precision("double"):

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from dialdistill import tensor as T
 from dialdistill.corpus import encode_example
 from dialdistill.errors import ContractError, DataError
-from dialdistill.model import ModelConfig, TransformerModel
+from dialdistill.model import ModelConfig, TransformerModel, desk_config
 from dialdistill.synthetic import future_marker_corpus, marker_vocabulary
 from dialdistill.training import (
     TrainingConfig,
@@ -48,6 +49,14 @@ def tcfg(**kw):
 
 
 class TestTrainingConfig:
+    def test_rejects_negative_lm_weight_and_nonpositive_learning_rate(self):
+        # a negative lambda_lm would switch the LM term off silently, and a
+        # negative learning rate would make Adam climb the loss
+        for bad in ({"lambda_lm": -0.5}, {"learning_rate": 0.0}, {"learning_rate": -1e-3}):
+            with pytest.raises(ContractError):
+                TrainingConfig(**bad)
+        assert TrainingConfig(lambda_lm=0.0).lambda_lm == 0.0
+
     def test_defaults_and_validation(self):
         c = TrainingConfig()
         assert (c.learning_rate, c.grad_clip_norm, c.batch_size) == (0.001, 2.0, 128)
@@ -67,7 +76,26 @@ class TestTrainingConfig:
 
     def test_roundtrip(self):
         c = TrainingConfig(lambda1=3.0, seed=9)
-        assert TrainingConfig.from_dict(c.to_dict()) == c
+        assert TrainingConfig(**c.to_dict()) == c
+
+
+def test_desk_steps_record_every_primitive(data, monkeypatch):
+    # a primitive that neither a teacher step nor a student step with both
+    # teachers and dropout records has no caller; it must not come back
+    train, _, vocab = data
+    ops = set()
+    backward = T.backward
+
+    def recording_backward(loss):
+        ops.update(n._op for n in T._topological_order(loss, grad_only=False) if n._parents)
+        backward(loss)
+
+    monkeypatch.setattr(T, "backward", recording_backward)
+    one_step = tcfg(max_steps=1)
+    teacher = train_teacher(train, [], desk_config(len(vocab), "scenario-based"), one_step).model
+    lm = TransformerModel.build(desk_config(len(vocab), "language-model"), seed=1)
+    train_student(train, [], teacher, desk_config(len(vocab)), one_step, lm_teacher=lm)
+    assert ops == set(T.PRIMITIVES)
 
 
 class TestTeacherTraining:
