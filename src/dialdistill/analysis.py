@@ -14,6 +14,7 @@ from .metrics import corpus_ppl
 from .training import forward_batch
 
 _LOG_FLOOR = 1e-12
+BATCH_SIZE = 32  # examples scored per forward pass
 
 
 def perturbation_analysis(
@@ -22,7 +23,6 @@ def perturbation_analysis(
     sigmas,
     samples_per_sigma: int = 5,
     seed: int = 0,
-    batch_size: int = 32,
 ) -> list:
     """Perplexity under element-wise Gaussian parameter noise.
 
@@ -49,7 +49,7 @@ def perturbation_analysis(
     try:
         for i, sigma in enumerate(sigmas):
             if sigma == 0.0:
-                base = corpus_ppl(model, examples, batch_size).value
+                base = corpus_ppl(model, examples, BATCH_SIZE).value
                 records.append({"sigma": 0.0, "mean_ppl": base, "std_ppl": 0.0})
                 continue
             ppls = []
@@ -58,7 +58,7 @@ def perturbation_analysis(
                 for name, tensor in trainable:
                     noise = rng.normal(0.0, sigma, size=tensor.data.shape)
                     tensor.data = (originals[name] + noise).astype(originals[name].dtype)
-                ppls.append(corpus_ppl(model, examples, batch_size).value)
+                ppls.append(corpus_ppl(model, examples, BATCH_SIZE).value)
             records.append(
                 {
                     "sigma": sigma,
@@ -79,7 +79,7 @@ def write_perturbation_series(records: list, path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def mean_teacher_student_kl(teacher, student, examples, batch_size: int = 32) -> float:
+def mean_teacher_student_kl(teacher, student, examples) -> float:
     """Mean per-position KL (nats) from the student's next-token
     distribution to the teacher's, teacher-forced on gold targets.
 
@@ -90,7 +90,7 @@ def mean_teacher_student_kl(teacher, student, examples, batch_size: int = 32) ->
     total = 0.0
     count = 0.0
     with teacher.params.inference(), student.params.inference():
-        for batch in batchify(examples, batch_size, seed=None, include_future=True):
+        for batch in batchify(examples, BATCH_SIZE, seed=None, include_future=True):
             q = forward_batch(teacher, batch).probabilities.data
             p = forward_batch(student, batch).probabilities.data
             log_ratio = np.log(np.maximum(q, _LOG_FLOOR)) - np.log(np.maximum(p, _LOG_FLOOR))

@@ -118,7 +118,7 @@ def load_model(path):
     if not isinstance(configs, dict) or "model" not in configs:
         raise CheckpointFormatError(f"{path}: header configs lack a 'model' section")
     try:
-        config = ModelConfig.from_dict(configs["model"])
+        config = ModelConfig(**configs["model"])
     except TypeError as exc:  # not a mapping, unknown fields, or mistyped values
         raise CheckpointFormatError(f"{path}: unreadable model config: {exc}") from exc
     skeleton = init_params(config, seed=0)

@@ -31,6 +31,7 @@ from .corpus import (
     encode_example,
     length_filter,
     read_dialogues,
+    read_lines,
     split_examples,
     tokenize,
     window_dialogues,
@@ -110,7 +111,7 @@ class RunConfig:
             self.preset = value
             return
         if dotted == "seed":
-            self.seed = int(value)
+            self.seed = _typed(dotted, value, int)
             return
         section, _, key = dotted.partition(".")
         allowed = {
@@ -127,6 +128,9 @@ class RunConfig:
             if dotted in ("training.seed",):
                 hint = " (use the top-level 'seed')"
             raise ContractError(f"unknown configuration key {dotted!r}{hint}")
+        kind = _FLAG_TYPES.get(dotted)
+        if kind is not None and value is not None:  # null keeps a default of None (max_steps)
+            value = _typed(dotted, value, kind)
         getattr(self, section)[key] = value
 
     @classmethod
@@ -137,7 +141,7 @@ class RunConfig:
             if not path.is_file():
                 raise DataError(f"config file not found: {path}")
             try:
-                file_values = json.loads(path.read_text(encoding="utf-8"))
+                file_values = json.loads("".join(read_lines(path)))
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: invalid JSON: {exc}") from exc
             if not isinstance(file_values, dict):
@@ -189,6 +193,16 @@ class RunConfig:
         return value
 
 
+def _typed(dotted: str, value, kind):
+    """``value`` read as ``kind`` the way its command-line flag reads it."""
+    try:
+        return kind(str(value))
+    except ValueError as exc:
+        raise ContractError(
+            f"configuration key {dotted!r} needs {kind.__name__}, got {value!r}"
+        ) from exc
+
+
 def _require_file(path: Path) -> Path:
     if not path.is_file():
         raise DataError(f"file not found: {path}")
@@ -225,32 +239,31 @@ def _write_examples(examples, path: Path) -> None:
 def load_prepared_examples(data_dir: Path, split: str) -> list:
     path = _require_file(Path(data_dir) / f"{split}.jsonl")
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise DataError("not a JSON object")
-                for key, turns in (("history", rec["history"]), ("response", [rec["response"]]),
-                                   ("future", rec["future"])):
-                    if not isinstance(turns, list) or not all(
-                        isinstance(t, list) and all(isinstance(w, str) for w in t) for t in turns
-                    ):
-                        kind = "tokens" if key == "response" else "token lists"
-                        raise DataError(f"{key!r} is not a list of {kind}")
-                out.append(
-                    DialogueExample(
-                        history=rec["history"],
-                        response=rec["response"],
-                        future=rec["future"],
-                        dialogue_index=rec.get("dialogue_index", 0),
-                        window_offset=rec.get("window_offset", 0),
-                    )
+    for line_no, line in enumerate(read_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise DataError("not a JSON object")
+            for key, turns in (("history", rec["history"]), ("response", [rec["response"]]),
+                               ("future", rec["future"])):
+                if not isinstance(turns, list) or not all(
+                    isinstance(t, list) and all(isinstance(w, str) for w in t) for t in turns
+                ):
+                    kind = "tokens" if key == "response" else "token lists"
+                    raise DataError(f"{key!r} is not a list of {kind}")
+            out.append(
+                DialogueExample(
+                    history=rec["history"],
+                    response=rec["response"],
+                    future=rec["future"],
+                    dialogue_index=rec.get("dialogue_index", 0),
+                    window_offset=rec.get("window_offset", 0),
                 )
-            except (json.JSONDecodeError, KeyError, DataError) as exc:
-                raise DataError(f"{path}:{line_no}: bad example record: {exc}") from exc
+            )
+        except (json.JSONDecodeError, KeyError, DataError) as exc:
+            raise DataError(f"{path}:{line_no}: bad example record: {exc}") from exc
     return out
 
 
@@ -286,7 +299,7 @@ def _embedding_table(cfg: RunConfig, data_dir: Path) -> WordEmbeddings:
     train_examples = load_prepared_examples(data_dir, "train")
     sentences = list(corpus_token_stream(train_examples))
     table = train_word_embeddings(
-        sentences, dim=int(cfg.run_value("embedding_dim")), seed=cfg.seed
+        sentences, dim=cfg.run_value("embedding_dim"), seed=cfg.seed
     )
     if emb_path is not None:
         table.save(emb_path)
@@ -315,19 +328,19 @@ def cmd_prepare_data(cfg: RunConfig) -> int:
     out_dir = cfg.require_path("out")
     dialogues = read_dialogues(corpus_path)
     tokenized = [[tokenize(turn) for turn in turns] for turns in dialogues]
-    windows = window_dialogues(tokenized, stride=int(cfg.run_value("stride")))
+    windows = window_dialogues(tokenized, stride=cfg.run_value("stride"))
     kept = length_filter(windows)
     if not kept:
         raise DataError("no usable windows after length filtering")
     train, val, test = split_examples(
         kept,
-        float(cfg.run_value("val_fraction")),
-        float(cfg.run_value("test_fraction")),
+        cfg.run_value("val_fraction"),
+        cfg.run_value("test_fraction"),
         cfg.seed,
     )
     if not train:
         raise DataError("train split is empty; lower the val/test fractions")
-    vocab = build_vocabulary(corpus_token_stream(train), int(cfg.run_value("max_vocab")))
+    vocab = build_vocabulary(corpus_token_stream(train), cfg.run_value("max_vocab"))
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(out_dir / "vocab.txt")
     for name, split in (("train", train), ("val", val), ("test", test)):
@@ -392,7 +405,7 @@ def _student_config(cfg: RunConfig, teacher, vocab_size: int) -> ModelConfig:
                 f"model override {key}={value!r} conflicts with the teacher's "
                 f"{key}={derived.get(key)!r}"
             )
-    return ModelConfig.from_dict(derived)
+    return ModelConfig(**derived)
 
 
 def cmd_train_student(cfg: RunConfig) -> int:
@@ -532,7 +545,7 @@ def cmd_analyze_robustness(cfg: RunConfig) -> int:
         model,
         examples,
         _parse_sigmas(cfg.run_value("sigmas")),
-        samples_per_sigma=int(cfg.run_value("samples_per_sigma")),
+        samples_per_sigma=cfg.run_value("samples_per_sigma"),
         seed=cfg.seed,
     )
     write_perturbation_series(records, out_path)
@@ -546,7 +559,7 @@ def cmd_analyze_wordfreq(cfg: RunConfig) -> int:
     data_dir = _require_dir(cfg.require_path("data"))
     split = cfg.run_value("split", "test")
     out_path = cfg.path("out", default="wordfreq.json")
-    top_k = int(cfg.run_value("top_k"))
+    top_k = cfg.run_value("top_k")
     examples = load_prepared_examples(data_dir, split)
     if not examples:
         raise DataError(f"split {split!r} in {data_dir} is empty")
@@ -628,6 +641,19 @@ _DECODE_FLAGS = (
     ("--max-length", "decode.max_length", int),
     ("--length-penalty", "decode.length_penalty", float),
 )
+_PREPARE_FLAGS = (
+    ("--stride", "run.stride", int),
+    ("--max-vocab", "run.max_vocab", int),
+    ("--val-fraction", "run.val_fraction", float),
+    ("--test-fraction", "run.test_fraction", float),
+)
+_EMBEDDING_FLAG = ("--embedding-dim", "run.embedding_dim", int)
+_SAMPLES_FLAG = ("--samples", "run.samples_per_sigma", int)
+_TOP_K_FLAG = ("--top-k", "run.top_k", int)
+# a config-file value is read as the type its flag declares; path flags read strings
+_FLAG_TYPES = {dotted: kind for _, dotted, kind in _MODEL_FLAGS + _TRAINING_FLAGS + _DECODE_FLAGS
+               + _PREPARE_FLAGS + (_EMBEDDING_FLAG, _SAMPLES_FLAG, _TOP_K_FLAG)}
+_FLAG_TYPES.update((f"paths.{key}", str) for key in _PATH_KEYS)
 
 
 def _add_flags(parser, specs):
@@ -668,10 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_path_flag(p, "corpus", "raw dialogue corpus (format A or B)")
     _add_path_flag(p, "out", "output directory for splits and vocab")
-    p.add_argument("--stride", dest="run.stride", type=int, default=None)
-    p.add_argument("--max-vocab", dest="run.max_vocab", type=int, default=None)
-    p.add_argument("--val-fraction", dest="run.val_fraction", type=float, default=None)
-    p.add_argument("--test-fraction", dest="run.test_fraction", type=float, default=None)
+    _add_flags(p, _PREPARE_FLAGS)
     p.set_defaults(func=cmd_prepare_data)
 
     for name, variant, kind, help_text in (
@@ -713,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_path_flag(p, "embeddings", "embedding text file (trained if absent)")
     _add_path_flag(p, "out", "metrics report path")
     p.add_argument("--split", dest="run.split", default=None)
-    p.add_argument("--embedding-dim", dest="run.embedding_dim", type=int, default=None)
+    _add_flags(p, (_EMBEDDING_FLAG,))
     _add_flags(p, _DECODE_FLAGS)
     p.set_defaults(func=cmd_evaluate)
 
@@ -724,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_path_flag(p, "out", "output series (JSONL)")
     p.add_argument("--split", dest="run.split", default=None)
     p.add_argument("--sigmas", dest="run.sigmas", default=None, help="comma-separated, e.g. 0,0.01,0.1")
-    p.add_argument("--samples", dest="run.samples_per_sigma", type=int, default=None)
+    _add_flags(p, (_SAMPLES_FLAG,))
     p.set_defaults(func=cmd_analyze_robustness)
 
     p = sub.add_parser("analyze-wordfreq", help="generated-vs-reference word-frequency cosine")
@@ -733,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flag(p)
     _add_path_flag(p, "out", "output JSON path")
     p.add_argument("--split", dest="run.split", default=None)
-    p.add_argument("--top-k", dest="run.top_k", type=int, default=None)
+    _add_flags(p, (_TOP_K_FLAG,))
     _add_flags(p, _DECODE_FLAGS)
     p.set_defaults(func=cmd_analyze_wordfreq)
 
@@ -746,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy", dest="run.strategy", choices=INFORMATIVENESS_STRATEGIES, default=None
     )
-    p.add_argument("--embedding-dim", dest="run.embedding_dim", type=int, default=None)
+    _add_flags(p, (_EMBEDDING_FLAG,))
     p.set_defaults(func=cmd_classify_informative)
 
     return parser

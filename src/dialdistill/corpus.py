@@ -8,12 +8,13 @@ Two input formats are supported:
 * format B — one JSON object per line with a ``"turns"`` field holding
   an array of strings.
 
-A dialogue becomes training material by sliding a window of
-``h + r + f`` consecutive turns over it (stride 1 by default): the first
-``h`` turns are the history, the next turn the response, the last ``f``
-turns the future conversation. Length filtering then keeps examples
-whose response is 5–25 tokens and whose concatenated history and future
-are 25–80 tokens each (inclusive, configurable).
+A dialogue becomes training material by sliding a window of seven
+consecutive turns over it (stride 1 by default): the first
+``HISTORY_TURNS`` (3) turns are the history, the next turn the
+response, the last ``FUTURE_TURNS`` (3) turns the future conversation.
+Length filtering then keeps examples whose response is 5–25 tokens and
+whose concatenated history and future are 25–80 tokens each (the
+inclusive ``RESPONSE_LENGTH`` and ``CONTEXT_LENGTH`` bounds).
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ RESERVED = ("<pad>", "<unk>", "<bos>", "<eos>")
 
 TURN_DELIMITER = "__eou__"
 
+HISTORY_TURNS = 3
+FUTURE_TURNS = 3
+RESPONSE_LENGTH = (5, 25)  # tokens, inclusive
+CONTEXT_LENGTH = (25, 80)  # tokens of the history and of the future, inclusive
+
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 
@@ -52,49 +58,52 @@ def tokenize(text: str) -> list:
 # --------------------------------------------------------------------------
 
 
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file; ``DataError`` naming the
+    path when its bytes are not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_dialogues_format_a(path) -> list:
     """One dialogue per line; turns separated by ``__eou__``."""
     dialogues = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            turns = [t.strip() for t in line.split(TURN_DELIMITER)]
-            turns = [t for t in turns if t]
-            if turns:
-                dialogues.append(turns)
+    for line in read_lines(path):
+        turns = [t.strip() for t in line.split(TURN_DELIMITER)]
+        turns = [t for t in turns if t]
+        if turns:
+            dialogues.append(turns)
     return dialogues
 
 
 def read_dialogues_format_b(path) -> list:
     """JSON-lines records with a "turns" array of strings."""
     dialogues = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
-            if not isinstance(record, dict) or "turns" not in record:
-                raise DataError(f"{path}:{lineno}: record lacks a 'turns' field")
-            turns = record["turns"]
-            if not isinstance(turns, list) or not all(isinstance(t, str) for t in turns):
-                raise DataError(f"{path}:{lineno}: 'turns' must be an array of strings")
-            turns = [t.strip() for t in turns if t.strip()]
-            if turns:
-                dialogues.append(turns)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
+        if not isinstance(record, dict) or "turns" not in record:
+            raise DataError(f"{path}:{lineno}: record lacks a 'turns' field")
+        turns = record["turns"]
+        if not isinstance(turns, list) or not all(isinstance(t, str) for t in turns):
+            raise DataError(f"{path}:{lineno}: 'turns' must be an array of strings")
+        turns = [t.strip() for t in turns if t.strip()]
+        if turns:
+            dialogues.append(turns)
     return dialogues
 
 
 def read_dialogues(path) -> list:
     """Load dialogues as lists of raw turn strings; the first non-blank line
     picks the format (a JSON object for format B, else format A)."""
-    with open(path, encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            if line.strip():
-                first = line.strip()
-                break
+    first = next((line.strip() for line in read_lines(path) if line.strip()), "")
     return read_dialogues_format_b(path) if first.startswith("{") else read_dialogues_format_a(path)
 
 
@@ -122,23 +131,19 @@ class DialogueExample:
         return [tok for turn in self.future for tok in turn]
 
 
-def window_dialogue(
-    turns: list, h: int = 3, r: int = 1, f: int = 3, stride: int = 1, dialogue_index: int = 0
-) -> list:
-    """Slide an (h + r + f)-turn window over one tokenized dialogue."""
-    if min(h, r, f) < 1:
-        raise DataError(f"window counts must be >= 1, got ({h}, {r}, {f})")
+def window_dialogue(turns: list, stride: int = 1, dialogue_index: int = 0) -> list:
+    """Slide a (history, response, future)-turn window over one tokenized dialogue."""
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
-    width = h + r + f
+    width = HISTORY_TURNS + 1 + FUTURE_TURNS
     out = []
     for start in range(0, len(turns) - width + 1, stride):
         chunk = turns[start : start + width]
         out.append(
             DialogueExample(
-                history=chunk[:h],
-                response=chunk[h],
-                future=chunk[h + r :],
+                history=chunk[:HISTORY_TURNS],
+                response=chunk[HISTORY_TURNS],
+                future=chunk[HISTORY_TURNS + 1 :],
                 dialogue_index=dialogue_index,
                 window_offset=start,
             )
@@ -146,34 +151,24 @@ def window_dialogue(
     return out
 
 
-def window_dialogues(dialogues: list, h: int = 3, r: int = 1, f: int = 3, stride: int = 1) -> list:
+def window_dialogues(dialogues: list, stride: int = 1) -> list:
     """Window every dialogue; ordering is (dialogue index, window offset)."""
     out = []
     for idx, turns in enumerate(dialogues):
-        out.extend(window_dialogue(turns, h, r, f, stride, dialogue_index=idx))
+        out.extend(window_dialogue(turns, stride, dialogue_index=idx))
     return out
 
 
-@dataclass(frozen=True)
-class LengthBounds:
-    response_min: int = 5
-    response_max: int = 25
-    context_min: int = 25
-    context_max: int = 80
-
-
-def length_filter(examples: list, bounds: LengthBounds = LengthBounds()) -> list:
-    """Keep exactly the examples satisfying all three inclusive bounds."""
-    kept = []
-    for ex in examples:
-        if not bounds.response_min <= len(ex.response) <= bounds.response_max:
-            continue
-        if not bounds.context_min <= len(ex.history_tokens) <= bounds.context_max:
-            continue
-        if not bounds.context_min <= len(ex.future_tokens) <= bounds.context_max:
-            continue
-        kept.append(ex)
-    return kept
+def length_filter(examples: list) -> list:
+    """Keep exactly the examples within all three inclusive length bounds."""
+    (r_min, r_max), (c_min, c_max) = RESPONSE_LENGTH, CONTEXT_LENGTH
+    return [
+        ex
+        for ex in examples
+        if r_min <= len(ex.response) <= r_max
+        and c_min <= len(ex.history_tokens) <= c_max
+        and c_min <= len(ex.future_tokens) <= c_max
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -220,9 +215,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
+        return cls([line.rstrip("\n") for line in read_lines(path) if line.rstrip("\n")])
 
 
 def build_vocabulary(token_sequences, max_size: int) -> Vocabulary:
@@ -281,10 +274,7 @@ class Batch:
     response_in: np.ndarray  # (B, Tr) int
     response_target: np.ndarray  # (B, Tr) int
     target_mask: np.ndarray  # (B, Tr) float
-    history_lengths: np.ndarray  # (B,)
-    response_lengths: np.ndarray  # (B,) includes the eos position
     future: np.ndarray = None  # (B, Tf) int, scenario training only
-    future_lengths: np.ndarray = None
 
     @property
     def size(self) -> int:
@@ -312,18 +302,9 @@ def make_batch(examples: list, include_future: bool = True) -> Batch:
     resp_tgt = _pad_rows([e.response + [EOS_ID] for e in examples])
     lengths = np.array([len(e.response) + 1 for e in examples], dtype=np.int64)
     mask = (np.arange(resp_tgt.shape[1])[None, :] < lengths[:, None]).astype(T.active_dtype())
-    batch = Batch(
-        history=hist,
-        response_in=resp_in,
-        response_target=resp_tgt,
-        target_mask=mask,
-        history_lengths=np.array([len(e.history) for e in examples], dtype=np.int64),
-        response_lengths=lengths,
-    )
-    if include_future:
-        batch.future = _pad_rows([e.future for e in examples])
-        batch.future_lengths = np.array([len(e.future) for e in examples], dtype=np.int64)
-    return batch
+    future = _pad_rows([e.future for e in examples]) if include_future else None
+    return Batch(history=hist, response_in=resp_in, response_target=resp_tgt,
+                 target_mask=mask, future=future)
 
 
 def batchify(

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .corpus import read_lines
 from .errors import DataError
 
 MIN_CORPUS_TOKENS = 100
+WINDOW = 2  # context words on each side of a center word
+NEGATIVES = 5  # noise words per (center, context) pair
+LEARNING_RATE = 0.025
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -67,8 +71,7 @@ class WordEmbeddings:
 
     @classmethod
     def load(cls, path) -> "WordEmbeddings":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = [line.rstrip("\n") for line in fh if line.strip()]
+        raw = [line.rstrip("\n") for line in read_lines(path) if line.strip()]
         if not raw:
             raise DataError(f"{path}: empty embedding file")
         head = raw[0].split()
@@ -92,17 +95,17 @@ class WordEmbeddings:
         return cls(vectors)
 
 
-def _window_pairs(sentence: np.ndarray, window: int):
-    """(center, context) id arrays of every pair at most ``window`` apart,
+def _window_pairs(sentence: np.ndarray):
+    """(center, context) id arrays of every pair at most ``WINDOW`` apart,
     center-major with contexts in sentence order."""
     n = len(sentence)
-    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    offsets = np.concatenate([np.arange(-WINDOW, 0), np.arange(1, WINDOW + 1)])
     ctx = np.arange(n)[:, None] + offsets
     keep = (ctx >= 0) & (ctx < n)
     return np.repeat(sentence, keep.sum(axis=1)), sentence[ctx[keep]]
 
 
-def _sgns_update(w_in, w_out, centers, contexts, noise, learning_rate: float) -> None:
+def _sgns_update(w_in, w_out, centers, contexts, noise) -> None:
     """One minibatch step in place. Pair ``i`` is scored against its
     context (label 1) and the ids in ``noise[i]`` (label 0), all with the
     weights as they stand; a noise id equal to its pair's context is
@@ -111,8 +114,8 @@ def _sgns_update(w_in, w_out, centers, contexts, noise, learning_rate: float) ->
     v_in = w_in[centers]
     v_out = w_out[targets]
     scores = np.einsum("pd,pkd->pk", v_in, v_out)
-    g = -learning_rate * 0.5 * (1.0 + np.tanh(0.5 * scores))  # overflow-free logistic
-    g[:, 0] += learning_rate
+    g = -LEARNING_RATE * 0.5 * (1.0 + np.tanh(0.5 * scores))  # overflow-free logistic
+    g[:, 0] += LEARNING_RATE
     g[:, 1:] *= noise != contexts[:, None]
     dim = w_in.shape[1]
     cols = np.arange(dim)
@@ -122,21 +125,13 @@ def _sgns_update(w_in, w_out, centers, contexts, noise, learning_rate: float) ->
               (g[..., None] * v_in[:, None, :]).ravel())
 
 
-def train_word_embeddings(
-    corpus,
-    dim: int = 32,
-    seed: int = 0,
-    window: int = 2,
-    negatives: int = 5,
-    epochs: int = 5,
-    learning_rate: float = 0.025,
-) -> WordEmbeddings:
+def train_word_embeddings(corpus, dim: int = 32, seed: int = 0, epochs: int = 5) -> WordEmbeddings:
     """Skip-gram with negative sampling over a tokenized corpus.
 
     ``corpus`` is an iterable of token lists (one per sentence/turn).
     Each sentence is one minibatch (Mikolov et al. 2013): all its pairs
-    within ``window`` are scored from the same weights, each against
-    ``negatives`` noise words drawn from the unigram distribution raised
+    within ``WINDOW`` are scored from the same weights, each against
+    ``NEGATIVES`` noise words drawn from the unigram distribution raised
     to 3/4. Deterministic for a given seed.
     """
     sentences = [list(s) for s in corpus if s]
@@ -147,8 +142,8 @@ def train_word_embeddings(
         )
     if dim < 1:
         raise DataError(f"embedding dimension must be positive, got {dim}")
-    if window < 1 or epochs < 1 or negatives < 0:
-        raise DataError(f"need window, epochs >= 1 and negatives >= 0; got {window}, {epochs}, {negatives}")
+    if epochs < 1:
+        raise DataError(f"need epochs >= 1, got {epochs}")
 
     vocab = sorted(set(tokens))
     index = {t: i for i, t in enumerate(vocab)}
@@ -162,8 +157,8 @@ def train_word_embeddings(
     w_out = np.zeros((len(vocab), dim))
     for _ in range(epochs):
         for sentence in encoded:
-            centers, contexts = _window_pairs(sentence, window)
-            noise = cdf.searchsorted(rng.random((len(centers), negatives)), side="right")
-            _sgns_update(w_in, w_out, centers, contexts, noise, learning_rate)
+            centers, contexts = _window_pairs(sentence)
+            noise = cdf.searchsorted(rng.random((len(centers), NEGATIVES)), side="right")
+            _sgns_update(w_in, w_out, centers, contexts, noise)
 
     return WordEmbeddings({t: w_in[index[t]] for t in vocab})

@@ -53,13 +53,7 @@ def token_frequencies(token_lists) -> Counter:
     return counts
 
 
-def sentence_embedding(
-    tokens,
-    embeddings: WordEmbeddings,
-    counts: Counter,
-    total: int,
-    smoothing: float = WEIGHT_SMOOTHING,
-) -> np.ndarray:
+def sentence_embedding(tokens, embeddings: WordEmbeddings, counts: Counter, total: int) -> np.ndarray:
     """Weighted sum of word vectors; rarer words weigh more. The weight
     of token w is a / (a + relative-frequency(w)). Tokens absent from
     the table contribute nothing."""
@@ -70,19 +64,16 @@ def sentence_embedding(
         vec = embeddings.vector(t)
         if vec is None:
             continue
-        weight = smoothing / (smoothing + counts.get(t, 0) / total)
+        weight = WEIGHT_SMOOTHING / (WEIGHT_SMOOTHING + counts.get(t, 0) / total)
         out += weight * vec
     return out
 
 
 def single_pass_cluster(
-    sentences,
-    embeddings: WordEmbeddings,
-    threshold: float,
-    counts: Counter = None,
-    total: int = None,
+    sentences, embeddings: WordEmbeddings, threshold: float, counts: Counter, total: int
 ) -> list:
-    """Greedy one-pass clustering of token-list sentences.
+    """Greedy one-pass clustering of token-list sentences, whose words are
+    weighted by ``counts`` out of ``total`` tokens.
 
     Each sentence joins the first cluster whose centroid (running mean
     of member embeddings) has cosine similarity >= threshold, otherwise
@@ -91,11 +82,6 @@ def single_pass_cluster(
     if not 0.0 < threshold <= 1.0:
         raise ContractError(f"cluster threshold must be in (0, 1], got {threshold}")
     sentences = [list(s) for s in sentences]
-    if counts is None:
-        counts = token_frequencies(sentences)
-        total = sum(counts.values())
-    if total is None:
-        total = sum(counts.values())
 
     # per cluster in rows [0, k): the running vector sum (its centroid's direction) and norm
     sums = np.zeros((len(sentences), embeddings.dim))

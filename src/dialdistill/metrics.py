@@ -288,18 +288,9 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        return cls(**json.loads(text))
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "MetricsReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
 
 
 def improvement_average(metrics_a: MetricsReport, metrics_b: MetricsReport, include=None):

@@ -63,10 +63,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 def desk_config(vocab_size: int, variant: str = "conventional", **overrides) -> ModelConfig:
     """Small preset that trains in seconds on a laptop CPU."""
@@ -315,7 +311,7 @@ def _attend(params: ParameterSet, prefix: str, query_in, memory_in, additive_mas
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     if additive_mask is not None:
         scores = T.add(scores, additive_mask[..., None, :, :])
-    ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    ctx = T.matmul(T.softmax(scores), v)
     return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, h * dh))
 
 
@@ -394,7 +390,7 @@ class TransformerModel:
         # the one finiteness check of a forward pass: a NaN/Inf anywhere
         # upstream reaches the logits, and softmax keeps finite logits finite
         logits = T.check_finite(T.affine(x, self.params["out_proj.w"], self.params["out_proj.b"]))
-        return DecodeOutput(probabilities=T.softmax(logits, axis=-1), hidden_states=hidden)
+        return DecodeOutput(probabilities=T.softmax(logits), hidden_states=hidden)
 
     def _project_out(self, x, additive_mask, prefix: str, num_heads: int, kv=None):
         ctx = _attend(self.params, prefix, x, x, additive_mask, num_heads, kv)

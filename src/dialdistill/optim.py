@@ -3,7 +3,9 @@
 Clipping happens first, through :func:`clip_gradients`: if the L2 norm
 over all update targets exceeds ``clip_norm``, every gradient is scaled
 in place by ``clip_norm / norm``. The Adam update then runs with bias
-correction (β₁=0.9, β₂=0.999, ε=1e-8).
+correction and the fixed constants ``BETA1`` = 0.9, ``BETA2`` = 0.999
+and ``EPSILON`` = 1e-8; only the learning rate and the clip norm are
+set per optimizer.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ import numpy as np
 
 from .errors import NumericError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
     """Owns moment state for a fixed list of (name, tensor) targets.
@@ -22,21 +28,10 @@ class Adam:
     gradient: their moments stay zero and their values do not move.
     """
 
-    def __init__(
-        self,
-        targets,
-        learning_rate: float = 0.001,
-        clip_norm: float = 2.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, targets, learning_rate: float = 0.001, clip_norm: float = 2.0):
         self.targets = list(targets)
         self.learning_rate = learning_rate
         self.clip_norm = clip_norm
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self._m = {}
         self._v = {}
@@ -54,7 +49,7 @@ class Adam:
                     raise NumericError(f"non-finite gradient for {name!r}; step aborted")
 
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, t in self.targets:
@@ -70,7 +65,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            t.data = t.data - self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            t.data = t.data - self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
         return norm
 
 

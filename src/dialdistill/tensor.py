@@ -32,12 +32,7 @@ _state = {"mode": "single"}
 # OpenBLAS runs a product of at most this many multiply-adds in a small-matrix
 # kernel, which is fast and rounds differently from its blocked kernel
 _SMALL_GEMM = 100**3
-
-
-def set_precision(mode: str) -> None:
-    if mode not in _MODES:
-        raise ContractError(f"unknown precision mode {mode!r}; expected 'single' or 'double'")
-    _state["mode"] = mode
+LAYER_NORM_EPSILON = 1e-5
 
 
 def active_dtype():
@@ -47,8 +42,10 @@ def active_dtype():
 @contextmanager
 def precision(mode: str):
     """Temporarily switch the dtype new tensors are created with."""
+    if mode not in _MODES:
+        raise ContractError(f"unknown precision mode {mode!r}; expected 'single' or 'double'")
     previous = _state["mode"]
-    set_precision(mode)
+    _state["mode"] = mode
     try:
         yield
     finally:
@@ -244,19 +241,17 @@ def relu(x) -> Tensor:
     return _make(data, (x,), bw, "relu")
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, stabilized by subtracting the slice maximum."""
+def softmax(x) -> Tensor:
+    """Softmax over the last axis, stabilized by subtracting the slice maximum."""
     x = as_tensor(x)
-    if not (-x.ndim <= axis < x.ndim):
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.data.shape}")
-    if x.data.shape[axis] == 0:
-        raise ShapeError(f"softmax over empty axis {axis} of shape {x.data.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    if x.ndim == 0 or x.data.shape[-1] == 0:
+        raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.data.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return ((g - inner) * y,)
 
     return _make(y, (x,), bw, "softmax")
@@ -283,7 +278,7 @@ def log(x, floor: float = 0.0) -> Tensor:
     return check_finite(_make(data, (x,), bw, "log"))
 
 
-def layer_norm(x, gain, bias, epsilon: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
@@ -294,7 +289,7 @@ def layer_norm(x, gain, bias, epsilon: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + epsilon)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
     xhat = centered * inv_std
     data = gain.data * xhat + bias.data
 
@@ -393,12 +388,12 @@ def transpose(x, axes) -> Tensor:
     return _make(data, (x,), bw, "transpose")
 
 
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def bw(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy(),)
 

@@ -339,7 +339,7 @@ def report_path(pipeline, tmp_path_factory):
 
 class TestEvaluate:
     def test_report_round_trips(self, report_path):
-        report = MetricsReport.load(report_path)
+        report = MetricsReport(**json.loads(report_path.read_text()))
         for name in ("dist1", "dist2", "dist3", "kl_unigram", "kl_bigram",
                       "ppl", "bleu", "emb_average", "emb_greedy", "emb_extrema",
                       "coherence"):
@@ -348,7 +348,7 @@ class TestEvaluate:
         assert report.ppl > 1.0
 
     def test_report_embeds_run_identifiers(self, pipeline, report_path):
-        report = MetricsReport.load(report_path)
+        report = MetricsReport(**json.loads(report_path.read_text()))
         assert report.run_config["decode.max_length"] == 5
         assert report.run_config["run.split"] == "test"
         assert report.generation["strategy"] == "greedy"
@@ -614,3 +614,54 @@ class TestUsageErrors:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["corpus", "prepared", "config", "vocab", "embeddings"])
+    def test_non_utf8_input_reports_error_naming_the_file(self, tmp_path, reader, capsys):
+        good = '{"history": [["a"]], "response": ["b"], "future": [["c"]]}\n'
+        files = {"train.jsonl": good, "vocab.txt": "a\nb\n"}
+        bad_name = {"corpus": "corpus.txt", "prepared": "train.jsonl", "config": "run.json",
+                    "vocab": "vocab.txt", "embeddings": "emb.txt"}[reader]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        bad = tmp_path / bad_name
+        bad.write_bytes(b"ok\n\xff\n")
+        data = ["--data", str(tmp_path)]
+        argv = {
+            "corpus": ["prepare-data", "--corpus", str(bad), "--out", str(tmp_path / "out")],
+            "prepared": ["classify-informative", *data],
+            "config": ["classify-informative", *data, "--config", str(bad)],
+            "vocab": ["train-teacher", *data, "--out", str(tmp_path / "t.ckpt")],
+            "embeddings": ["classify-informative", *data, "--strategy", "sentence-cluster",
+                           "--embeddings", str(bad), "--out", str(tmp_path / "out")],
+        }[reader]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{bad}: not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("prepare-data", "seed"),
+            ("prepare-data", "run.stride"),
+            ("train-teacher", "training.batch_size"),
+            ("train-teacher", "model.model_dim"),
+        ],
+    )
+    def test_mistyped_config_value_reports_error_naming_the_key(
+        self, pipeline, tmp_path, command, key, capsys
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: "x"}), encoding="utf-8")
+        source = ["--corpus", str(pipeline["corpus"])] if command == "prepare-data" else [
+            "--data", str(pipeline["data"])]
+        rc = main([command, *source, "--out", str(tmp_path / "out"), "--config", str(config)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
+    def test_non_string_config_path_is_read_as_a_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"paths.data": 5}), encoding="utf-8")
+        assert main(["classify-informative", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: directory not found: 5\n"

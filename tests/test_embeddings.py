@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from dialdistill.embeddings import (
+    LEARNING_RATE,
+    NEGATIVES,
+    WINDOW,
     WordEmbeddings,
     _sgns_update,
     _window_pairs,
@@ -34,7 +37,7 @@ def template_corpus(seed=0, sentences=400):
     return corpus
 
 
-def per_pair_reference(corpus, dim, seed, window=2, negatives=5, epochs=5, learning_rate=0.025):
+def per_pair_reference(corpus, dim, seed, epochs=5):
     """The oracle: plain per-pair SGD, every pair updating the weights
     before the next one is scored."""
     sentences = [list(s) for s in corpus if s]
@@ -52,18 +55,18 @@ def per_pair_reference(corpus, dim, seed, window=2, negatives=5, epochs=5, learn
     for _ in range(epochs):
         for sentence in ([index[t] for t in s] for s in sentences):
             for pos, center in enumerate(sentence):
-                for ctx_pos in range(max(0, pos - window), min(len(sentence), pos + window + 1)):
+                for ctx_pos in range(max(0, pos - WINDOW), min(len(sentence), pos + WINDOW + 1)):
                     if ctx_pos == pos:
                         continue
                     context = sentence[ctx_pos]
                     grad_center = np.zeros(dim)
                     targets = [(context, 1.0)]
-                    for noise_id in rng.choice(len(vocab), size=negatives, p=noise):
+                    for noise_id in rng.choice(len(vocab), size=NEGATIVES, p=noise):
                         if noise_id != context:
                             targets.append((int(noise_id), 0.0))
                     for target, label in targets:
                         p = 1.0 / (1.0 + math.exp(-float(np.dot(w_in[center], w_out[target]))))
-                        g = learning_rate * (label - p)
+                        g = LEARNING_RATE * (label - p)
                         grad_center += g * w_out[target]
                         w_out[target] += g * w_in[center]
                     w_in[center] += grad_center
@@ -118,17 +121,9 @@ class TestTrainer:
         with pytest.raises(DataError):
             train_word_embeddings([["a", "b", "c"]] * 10, dim=4)
 
-    def test_zero_window_rejected(self):
-        with pytest.raises(DataError):
-            train_word_embeddings(template_corpus(), dim=4, window=0)
-
     def test_zero_epochs_rejected(self):
         with pytest.raises(DataError):
             train_word_embeddings(template_corpus(), dim=4, epochs=0)
-
-    def test_negative_noise_count_rejected(self):
-        with pytest.raises(DataError):
-            train_word_embeddings(template_corpus(), dim=4, negatives=-1)
 
     def test_epochs_has_a_default(self):
         default = inspect.signature(train_word_embeddings).parameters["epochs"].default
@@ -154,19 +149,19 @@ class TestMinibatch:
         expected = [
             (sentence[pos], sentence[ctx])
             for pos in range(len(sentence))
-            for ctx in range(max(0, pos - 2), min(len(sentence), pos + 3))
+            for ctx in range(max(0, pos - WINDOW), min(len(sentence), pos + WINDOW + 1))
             if ctx != pos
         ]
-        centers, contexts = _window_pairs(sentence, 2)
+        centers, contexts = _window_pairs(sentence)
         assert list(zip(centers, contexts)) == expected
 
     def test_sentence_update_matches_a_float64_loop(self):
         rng = np.random.default_rng(4)
-        vocab, dim, lr = 5, 4, 0.5
+        vocab, dim = 5, 4
         w_in = rng.standard_normal((vocab, dim))
         w_out = rng.standard_normal((vocab, dim))
         sentence = np.array([3, 1, 3, 0, 2])  # id 3 repeats
-        centers, contexts = _window_pairs(sentence, 2)
+        centers, contexts = _window_pairs(sentence)
         noise = rng.integers(0, vocab, size=(len(centers), 3))
         noise[0, 1] = contexts[0]  # a noise id equal to its own context
         noise[5, :] = contexts[5]
@@ -176,11 +171,11 @@ class TestMinibatch:
             targets = [(context, 1.0)] + [(n, 0.0) for n in negatives if n != context]
             for target, label in targets:
                 p = 1.0 / (1.0 + math.exp(-float(w_in[center] @ w_out[target])))
-                g = lr * (label - p)
+                g = LEARNING_RATE * (label - p)
                 want_in[center] += g * w_out[target]
                 want_out[target] += g * w_in[center]
 
-        _sgns_update(w_in, w_out, centers, contexts, noise, lr)
+        _sgns_update(w_in, w_out, centers, contexts, noise)
         assert np.max(np.abs(w_in - want_in)) <= 1e-12
         assert np.max(np.abs(w_out - want_out)) <= 1e-12
 

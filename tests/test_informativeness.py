@@ -48,6 +48,12 @@ def per_centroid_cluster(sentences, embeddings, threshold, counts, total):
     return labels
 
 
+def cluster(sentences, table, threshold):
+    """``single_pass_cluster`` weighting words by their counts in ``sentences``."""
+    counts = token_frequencies(sentences)
+    return single_pass_cluster(sentences, table, threshold, counts, sum(counts.values()))
+
+
 def axis_table(**tokens):
     """Hand-built embeddings with exactly controlled geometry."""
     return WordEmbeddings({k: np.asarray(v, dtype=float) for k, v in tokens.items()})
@@ -56,12 +62,12 @@ def axis_table(**tokens):
 class TestSinglePassCluster:
     def test_identical_sentences_share_one_cluster(self):
         table = axis_table(hi=[1.0, 0.0], there=[0.5, 0.5])
-        labels = single_pass_cluster([["hi", "there"]] * 4, table, threshold=0.9)
+        labels = cluster([["hi", "there"]] * 4, table, threshold=0.9)
         assert labels == [0, 0, 0, 0]
 
     def test_orthogonal_sentences_split(self):
         table = axis_table(a=[1.0, 0.0], b=[0.0, 1.0])
-        labels = single_pass_cluster([["a"], ["b"]], table, threshold=0.8)
+        labels = cluster([["a"], ["b"]], table, threshold=0.8)
         assert labels == [0, 1]
 
     def test_similarity_just_below_threshold_splits(self):
@@ -69,14 +75,14 @@ class TestSinglePassCluster:
         table = axis_table(
             u=[1.0, 0.0], v=[angle_cos, float(np.sqrt(1 - angle_cos**2))]
         )
-        assert single_pass_cluster([["u"], ["v"]], table, threshold=0.8) == [0, 1]
+        assert cluster([["u"], ["v"]], table, threshold=0.8) == [0, 1]
 
     def test_similarity_at_threshold_joins(self):
         angle_cos = 0.81
         table = axis_table(
             u=[1.0, 0.0], v=[angle_cos, float(np.sqrt(1 - angle_cos**2))]
         )
-        assert single_pass_cluster([["u"], ["v"]], table, threshold=0.8) == [0, 0]
+        assert cluster([["u"], ["v"]], table, threshold=0.8) == [0, 0]
 
     def test_centroid_is_running_mean_not_first_member(self):
         # unit vectors at 0°, 36°, 50° with threshold 0.8 (= cos 36.87°):
@@ -89,21 +95,21 @@ class TestSinglePassCluster:
             return [float(np.cos(rad)), float(np.sin(rad))]
 
         table = axis_table(a=unit(0), b=unit(36), m=unit(50))
-        labels = single_pass_cluster([["a"], ["b"], ["m"]], table, threshold=0.8)
+        labels = cluster([["a"], ["b"], ["m"]], table, threshold=0.8)
         assert labels == [0, 0, 0]
 
     def test_first_matching_cluster_wins(self):
         table = axis_table(a=[1.0, 0.0], b=[0.0, 1.0], c=[1.0, 0.0])
-        labels = single_pass_cluster([["a"], ["b"], ["c"]], table, threshold=0.99)
+        labels = cluster([["a"], ["b"], ["c"]], table, threshold=0.99)
         assert labels == [0, 1, 0]
 
     def test_threshold_bounds_enforced(self):
         table = axis_table(a=[1.0, 0.0])
         with pytest.raises(ContractError):
-            single_pass_cluster([["a"]], table, threshold=0.0)
+            cluster([["a"]], table, threshold=0.0)
         with pytest.raises(ContractError):
-            single_pass_cluster([["a"]], table, threshold=1.2)
-        assert single_pass_cluster([["a"], ["a"]], table, threshold=1.0) == [0, 0]
+            cluster([["a"]], table, threshold=1.2)
+        assert cluster([["a"], ["a"]], table, threshold=1.0) == [0, 0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_per_centroid_cosine_loop(self, seed):
@@ -283,7 +289,7 @@ def zipf_corpus(n_dialogues, seed) -> list:
     for d in range(n_dialogues):
         turns = [words(n) for n in (9, 20, 12, 17, 12, 11, 19, 10, 16)]
         turns[4] = generic[int(rng.integers(8))]
-        examples += window_dialogue(turns, 3, 1, 3, dialogue_index=d)
+        examples += window_dialogue(turns, dialogue_index=d)
     return examples
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from dialdistill import losses, tensor as T
 from dialdistill.errors import ContractError, NumericError, ShapeError
-from dialdistill.optim import Adam, clip_gradients
+from dialdistill.optim import BETA1, BETA2, EPSILON, Adam, clip_gradients
 
 
 @pytest.fixture(autouse=True)
@@ -27,7 +27,7 @@ class RebindingAdam(Adam):
                 raise NumericError(f"non-finite gradient for {name!r}; step aborted")
         norm = clip_gradients([t for _, t in self.targets], self.clip_norm)
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, t in self.targets:
@@ -46,7 +46,7 @@ class RebindingAdam(Adam):
             self._v[name] = v
             m_hat = m / bc1
             v_hat = v / bc2
-            t.data = t.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            t.data = t.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
         return norm
 
 

@@ -57,7 +57,7 @@ class TestConfig:
 
     def test_roundtrip_dict(self):
         c = tiny(variant="scenario-based")
-        assert ModelConfig.from_dict(c.to_dict()) == c
+        assert ModelConfig(**c.to_dict()) == c
 
 
 class TestInit:
@@ -399,7 +399,7 @@ def lm_block_loop(m, response_in, train=False, rng=None):
         x = m._residual(x, f, f"dec.{i}.ln_ffn", train, rng)
         hidden.append(x)
     logits = T.affine(x, p["out_proj.w"], p["out_proj.b"])
-    return DecodeOutput(probabilities=T.softmax(logits, axis=-1), hidden_states=hidden)
+    return DecodeOutput(probabilities=T.softmax(logits), hidden_states=hidden)
 
 
 def no_history(rows):

@@ -194,7 +194,7 @@ class TestSoftmax:
         rng = np.random.default_rng(9)
         with T.precision("double"):
             x = T.Tensor(rng.standard_normal((4, 7)) * 10)
-            out = T.softmax(x, axis=-1)
+            out = T.softmax(x)
             assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(out.data > 0)
 
@@ -211,6 +211,11 @@ class TestSoftmax:
             out = T.softmax(T.Tensor([[1000.0, 0.0, -1000.0]]))
             assert np.all(np.isfinite(out.data))
             assert out.data[0, 0] > 0.999
+
+    @pytest.mark.parametrize("shape", [(), (2, 0)])
+    def test_empty_last_axis_rejected(self, shape):
+        with pytest.raises(ShapeError, match="non-empty last axis"):
+            T.softmax(T.Tensor(np.zeros(shape)))
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
@@ -251,12 +256,11 @@ class TestLog:
 
 class TestLayerNorm:
     def test_hand_case(self):
-        # [1, 3]: mean 2, var 1 -> normalized [-1, 1] (up to epsilon)
+        # [1, 3]: mean 2, var 1 -> normalized [-1, 1] / sqrt(1 + epsilon)
         with T.precision("double"):
-            out = T.layer_norm(
-                T.Tensor([[1.0, 3.0]]), T.Tensor([1.0, 1.0]), T.Tensor([0.0, 0.0]), epsilon=0.0
-            )
-            assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-12)
+            out = T.layer_norm(T.Tensor([[1.0, 3.0]]), T.Tensor([1.0, 1.0]), T.Tensor([0.0, 0.0]))
+            want = np.array([[-1.0, 1.0]]) / np.sqrt(1.0 + T.LAYER_NORM_EPSILON)
+            assert np.allclose(out.data, want, atol=1e-12)
 
     def test_output_statistics(self):
         rng = np.random.default_rng(14)
@@ -588,7 +592,7 @@ class TestRandomizedGradients:
                 h = T.affine(xx, ww, bb)
                 h = T.relu(h)
                 h = T.layer_norm(h, gg, nb)
-                p = T.softmax(h, axis=-1)
+                p = T.softmax(h)
                 return T.tsum(T.mul(p, xx))
 
             fd_check(build, [x, w, b, ln_g, ln_b], rtol=1e-5)
