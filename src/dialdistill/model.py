@@ -15,7 +15,6 @@ trained to imitate them layer by layer.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -253,9 +252,9 @@ class DecodeOutput:
 class DecodeState:
     """What an incremental :meth:`TransformerModel.decode` carries between
     calls: the number of response positions processed and, per decoder
-    block, their head-split self-attention keys and values
-    (rows, heads, length, d/heads) and the history memory's cross-attention
-    keys and values (1, heads, history length, d/heads)."""
+    block, their self-attention keys and values (rows, length, d) and the
+    history memory's cross-attention keys and values (1, history length, d),
+    which serve every row."""
 
     length: int = 0
     self_kv: dict = field(default_factory=dict)
@@ -264,7 +263,7 @@ class DecodeState:
     def extend(self, block: int, kv) -> tuple:
         """Append new positions' keys and values to ``block``'s; returns all."""
         if block in self.self_kv:
-            kv = tuple(T.concat(pair, axis=2) for pair in zip(self.self_kv[block], kv))
+            kv = tuple(T.concat(pair, axis=1) for pair in zip(self.self_kv[block], kv))
         self.self_kv[block] = kv
         return kv
 
@@ -285,34 +284,24 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(m, k=1)
 
 
-def _split_heads(x, num_heads: int):
-    """(B, T, d) -> (B, H, T, d/H): head h holds features [h*d/H, (h+1)*d/H)."""
-    b, t, d = x.data.shape
-    return T.transpose(T.reshape(x, (b, t, num_heads, d // num_heads)), (0, 2, 1, 3))
-
-
-def _project_kv(params: ParameterSet, prefix: str, memory_in, num_heads: int):
-    """Attention keys and values of ``memory_in``, split into heads (B, H, S, dh)."""
+def _project_kv(params: ParameterSet, prefix: str, memory_in):
+    """Attention keys and values of ``memory_in``, each (B, S, d)."""
     k = T.affine(memory_in, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v = T.affine(memory_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    return _split_heads(k, num_heads), _split_heads(v, num_heads)
+    return k, v
 
 
 def _attend(params: ParameterSet, prefix: str, query_in, memory_in, additive_mask, num_heads: int, kv=None):
     """Multi-head scaled dot-product attention WITHOUT the output
-    projection: all heads run as one (B, H, T, dh) product and are joined
-    back to width d. Callers apply ``wo`` (and, for dual-context, the merge
-    projection first). ``kv``, when given, is the already-projected
-    head-split (keys, values) pair and ``memory_in`` is not read. The
-    additive mask, (B, 1, S), (T, S) or (B, T, S), is shared by all heads."""
-    q = _split_heads(T.affine(query_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), num_heads)
-    k, v = kv if kv is not None else _project_kv(params, prefix, memory_in, num_heads)
-    b, h, t, dh = q.data.shape
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    if additive_mask is not None:
-        scores = T.add(scores, additive_mask[..., None, :, :])
-    ctx = T.matmul(T.softmax(scores), v)
-    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, h * dh))
+    projection: the query projection plus one ``T.attention`` node, whose
+    heads are joined back to width d. Callers apply ``wo`` (and, for
+    dual-context, the merge projection first). ``kv``, when given, is the
+    already-projected (keys, values) pair, each (B or 1, S, d), and
+    ``memory_in`` is not read. The additive mask, (B, 1, S), (T, S) or
+    (B, T, S), is shared by all heads."""
+    q = T.affine(query_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    k, v = kv if kv is not None else _project_kv(params, prefix, memory_in)
+    return T.attention(q, k, v, additive_mask, num_heads)
 
 
 def dual_context_attention(
@@ -461,12 +450,12 @@ class TransformerModel:
         self_mask = causal_mask(offset + t)[offset:]
         x = self._embed("decoder_embedding", response_in, train, rng, position_offset=offset)
         if state is not None and not state.cross_kv:
-            state.cross_kv = [_project_kv(p, f"dec.{i}.cross_attn", history_memory, cfg.num_heads)
+            state.cross_kv = [_project_kv(p, f"dec.{i}.cross_attn", history_memory)
                               for i in range(cfg.num_blocks)]
         hidden = []
         for i in range(cfg.num_blocks):
             prefix = f"dec.{i}.self_attn"
-            kv = None if state is None else state.extend(i, _project_kv(p, prefix, x, cfg.num_heads))
+            kv = None if state is None else state.extend(i, _project_kv(p, prefix, x))
             a = self._project_out(x, self_mask, prefix, cfg.num_heads, kv)
             x = self._residual(x, a, f"dec.{i}.ln_self", train, rng)
             if cfg.variant != "language-model":

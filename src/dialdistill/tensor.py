@@ -177,7 +177,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), bw, "add")
 
@@ -187,26 +188,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), bw, "mul")
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product with broadcastable batch dimensions (operands must be >= 2-D)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs matrices, got shapes {a.data.shape} and {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def bw(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-    return _make(data, (a, b), bw, "matmul")
 
 
 def affine(x, w, b) -> Tensor:
@@ -276,6 +261,58 @@ def log(x, floor: float = 0.0) -> Tensor:
             return (g / x.data,)
 
     return check_finite(_make(data, (x,), bw, "log"))
+
+
+def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node: queries (B, T, d)
+    attend to keys and values (B or 1, S, d) through an additive mask that
+    broadcasts to (B, T, S), or none; head h reads features [h*d/H, (h+1)*d/H)
+    and the heads are joined back to (B, T, d). Forward and backward run the
+    numpy operations of the chain of primitives this node replaced, in order
+    and on the same layouts, so results are bitwise that chain's."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or k.ndim != 3 or k.data.shape != v.data.shape:
+        raise ShapeError(f"attention needs (B, T, d) queries and equal (B, S, d) keys and values, "
+                         f"got {q.data.shape}, {k.data.shape} and {v.data.shape}")
+    (b, t, d), (b_kv, s, d_kv) = q.data.shape, k.data.shape
+    if d_kv != d or b_kv not in (1, b) or s == 0 or num_heads < 1 or d % num_heads:
+        raise ShapeError(f"attention over {num_heads} heads cannot take queries {q.data.shape} "
+                         f"and keys and values {k.data.shape}")
+    mask = None if additive_mask is None else np.asarray(additive_mask, dtype=active_dtype())
+    fits = mask is None or mask.ndim <= 3 and all(m in (1, n) for m, n in zip(mask.shape[::-1], (s, t, b)))
+    if not fits:
+        raise ShapeError(f"attention mask {mask.shape} does not broadcast to {(b, t, s)}")
+    h, dh = num_heads, d // num_heads
+
+    def heads(x, rows, n):  # (rows, n, d) -> a (rows, H, n, dh) view
+        return np.transpose(x.reshape(rows, n, h, dh), (0, 2, 1, 3))
+
+    qh, kh, vh = heads(q.data, b, t), heads(k.data, b_kv, s), heads(v.data, b_kv, s)
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=active_dtype())
+    scores = (qh @ kt) * scale
+    if mask is not None:
+        scores = scores + mask[..., None, :, :]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    data = np.transpose(p @ vh, (0, 2, 1, 3)).reshape(b, t, d)
+
+    def bw(g):
+        # each step hands on its gradient as the chain's backward kept it: a
+        # strided view copied C-ordered, so later products see its layouts
+        kept = np.ascontiguousarray
+        gctx = kept(np.transpose(kept(g.reshape(b, t, h, dh)), (0, 2, 1, 3)))
+        gp = kept(gctx @ np.swapaxes(vh, -1, -2))
+        gvh = kept(_unbroadcast(np.swapaxes(p, -1, -2) @ gctx, vh.shape))
+        gs = kept((gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale)
+        gqh = kept(gs @ np.swapaxes(kt, -1, -2))
+        gkt = kept(_unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape))
+        gq = kept(np.transpose(gqh, (0, 2, 1, 3))).reshape(b, t, d)
+        gk = kept(np.transpose(kept(np.transpose(gkt, (0, 1, 3, 2))), (0, 2, 1, 3))).reshape(b_kv, s, d)
+        gv = kept(np.transpose(gvh, (0, 2, 1, 3))).reshape(b_kv, s, d)
+        return gq, gk, gv
+
+    return _make(data, (q, k, v), bw, "attention")
 
 
 def layer_norm(x, gain, bias) -> Tensor:
@@ -360,34 +397,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(data, tuple(tensors), bw, "concat")
 
 
-def reshape(x, shape) -> Tensor:
-    """The same entries in row-major order under a new shape of equal size."""
-    x = as_tensor(x)
-    shape = tuple(shape)
-    if math.prod(shape) != x.data.size or any(n < 0 for n in shape):
-        raise ShapeError(f"cannot reshape {x.data.shape} to {shape}")
-    data = x.data.reshape(shape)
-
-    def bw(g):
-        return (g.reshape(x.data.shape),)
-
-    return _make(data, (x,), bw, "reshape")
-
-
-def transpose(x, axes) -> Tensor:
-    """Permute the axes: output axis i is input axis ``axes[i]``."""
-    x = as_tensor(x)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose axes {axes} are not a permutation of {x.ndim} axes")
-    data = np.transpose(x.data, axes)
-
-    def bw(g):
-        return (np.transpose(g, np.argsort(axes)),)
-
-    return _make(data, (x,), bw, "transpose")
-
-
 def tsum(x, axis=None) -> Tensor:
     x = as_tensor(x)
     data = x.data.sum(axis=axis)
@@ -411,7 +420,7 @@ def mean_square(a, b) -> Tensor:
 
     def bw(g):
         scaled = (2.0 / d) * diff * np.expand_dims(g, -1)
-        return scaled, -scaled
+        return scaled if a.requires_grad else None, -scaled if b.requires_grad else None
 
     return _make(data, (a, b), bw, "mean_square")
 
@@ -437,17 +446,15 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
 PRIMITIVES = (
     "add",
     "mul",
-    "matmul",
     "affine",
     "relu",
     "softmax",
     "log",
+    "attention",
     "layer_norm",
     "embedding",
     "pick",
     "concat",
-    "reshape",
-    "transpose",
     "sum",
     "mean_square",
     "dropout",

@@ -50,9 +50,9 @@ class ScriptedModel:
 
     Decoding is incremental, so each call sees only every row's newest
     token. The rows' whole prefixes ride in the decode state as its one
-    self-attention pair, laid out (rows, 1 head, length, 1) like a real
-    model's head-split keys and values, so beam search's row reordering
-    applies to them exactly as it does to the cached keys and values."""
+    self-attention pair, laid out (rows, length, 1) like a real model's
+    cached keys and values, so beam search's row reordering applies to
+    them exactly as it does to those."""
 
     def __init__(self, table, vocab_size=6):
         self.table = {tuple(k): np.asarray(v, dtype=np.float64) for k, v in table.items()}
@@ -64,8 +64,8 @@ class ScriptedModel:
         return None
 
     def decode(self, response_in, history_memory=None, history_mask=None, state=None):
-        new = T.Tensor(response_in[:, None, :, None])
-        prefixes = state.extend(0, (new, new))[0].data[:, 0, :, 0].astype(np.int64)
+        new = T.Tensor(response_in[:, :, None])
+        prefixes = state.extend(0, (new, new))[0].data[:, :, 0].astype(np.int64)
         state.length += response_in.shape[1]
         rows, length = response_in.shape
         probs = np.full((rows, length, self.vocab_size), 1.0 / self.vocab_size)

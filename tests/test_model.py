@@ -177,6 +177,119 @@ def graph_size(*outputs):
     return len(seen)
 
 
+def chain_attention(q, k, v, mask, num_heads, g_out):
+    """The 14-node chain ``T.attention`` replaced, in plain numpy: the q, k
+    and v head splits (reshape, transpose), the transpose of k, the scores
+    product, the scale ``mul``, the mask ``add``, softmax, the context
+    product and the head join (transpose, reshape). Returns the output and
+    the q, k and v gradients for the incoming gradient ``g_out``, each node's
+    backward run in turn and its result kept as ``T.backward`` keeps an inner
+    node's gradient."""
+
+    def kept(g):  # a strided view is copied C-ordered
+        return g.copy() if g.base is not None and not g.flags.c_contiguous else g
+
+    def unbroadcast(g, shape):
+        if g.ndim > len(shape):
+            g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+        axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+        return (g.sum(axis=axes, keepdims=True) if axes else g).reshape(shape)
+
+    b, t, d = q.shape
+    b_kv, s, _ = k.shape
+    dh = d // num_heads
+    split = (0, 2, 1, 3)
+    qh = np.transpose(q.reshape(b, t, num_heads, dh), split)
+    kh = np.transpose(k.reshape(b_kv, s, num_heads, dh), split)
+    vh = np.transpose(v.reshape(b_kv, s, num_heads, dh), split)
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    s0 = qh @ kt
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
+    s1 = s0 * scale
+    s2 = s1 if mask is None else s1 + np.asarray(mask[..., None, :, :], dtype=q.dtype)
+    shifted = s2 - s2.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    c0 = y @ vh
+    c1 = np.transpose(c0, split)
+    out = c1.reshape(b, t, d)
+
+    g_c1 = kept(g_out.reshape(c1.shape))
+    g_c0 = kept(np.transpose(g_c1, np.argsort(split)))
+    g_y = kept(unbroadcast(g_c0 @ np.swapaxes(vh, -1, -2), y.shape))
+    g_vh = kept(unbroadcast(np.swapaxes(y, -1, -2) @ g_c0, vh.shape))
+    g_s2 = (g_y - (g_y * y).sum(axis=-1, keepdims=True)) * y
+    g_s1 = g_s2 if mask is None else kept(unbroadcast(g_s2, s1.shape))
+    g_s0 = kept(unbroadcast(g_s1 * scale, s0.shape))
+    g_qh = kept(unbroadcast(g_s0 @ np.swapaxes(kt, -1, -2), qh.shape))
+    g_kt = kept(unbroadcast(np.swapaxes(qh, -1, -2) @ g_s0, kt.shape))
+    g_kh = kept(np.transpose(g_kt, np.argsort((0, 1, 3, 2))))
+    g_q = kept(np.transpose(g_qh, np.argsort(split))).reshape(q.shape)
+    g_k = kept(np.transpose(g_kh, np.argsort(split))).reshape(k.shape)
+    g_v = kept(np.transpose(g_vh, np.argsort(split))).reshape(v.shape)
+    return out, g_q, g_k, g_v
+
+
+def padding_and_causal_masks(rng, b, t, s):
+    """The three mask shapes ``_attend`` is given, keyed by name."""
+    ids = rng.integers(4, 12, size=(b, s))
+    ids[0, s // 2:] = PAD
+    padding = key_padding_mask(ids)
+    causal = causal_mask(s)[s - t:]
+    return {"padding": padding, "causal": causal, "causal-plus-padding": causal[None] + padding}
+
+
+class TestAttentionEqualsTheChain:
+    """``T.attention`` against the chain of primitives it replaced: outputs,
+    gradients and gradient layouts bitwise equal, in single precision."""
+
+    @staticmethod
+    def assert_same_as_chain(q, k, v, mask, num_heads, g_out):
+        node = T.attention(T.Tensor(q, requires_grad=True), T.Tensor(k, requires_grad=True),
+                           T.Tensor(v, requires_grad=True), mask, num_heads)
+        want = chain_attention(q, k, v, mask, num_heads, g_out)
+        got = (node.data,) + tuple(node._backward(g_out))
+        for name, a, b in zip(("output", "q", "k", "v"), want, got):
+            assert a.dtype == b.dtype == np.float32, name
+            assert a.shape == b.shape and a.strides == b.strides, name
+            assert np.array_equal(a, b), name
+
+    # desk width over a desk batch, and paper width over a paper batch
+    @pytest.mark.parametrize("d, num_heads, b, t, s", [
+        (64, 1, 16, 8, 12), (64, 2, 16, 8, 12), (64, 4, 16, 8, 12), (256, 4, 32, 15, 60)],
+        ids=["desk-H1", "desk-H2", "desk-H4", "paper-H4"])
+    @pytest.mark.parametrize("mask", ["none", "padding", "causal", "causal-plus-padding"])
+    def test_bitwise_equal_to_the_chain(self, mask, d, num_heads, b, t, s):
+        rng = np.random.default_rng(d + num_heads)
+        q, k, v, g = (rng.standard_normal(shape).astype(np.float32)
+                      for shape in ((b, t, d), (b, s, d), (b, s, d), (b, t, d)))
+        masks = padding_and_causal_masks(rng, b, t, s)
+        self.assert_same_as_chain(q, k, v, masks.get(mask), num_heads, g)
+
+    def test_one_memory_serves_four_beam_rows(self):
+        # cross-attention keys and values cached as (1, S, d) serve a beam's
+        # rows: the same as repeating them per row, and equal to the chain
+        rng = np.random.default_rng(5)
+        q, g = (rng.standard_normal((4, 1, 64)).astype(np.float32) for _ in range(2))
+        k, v = (rng.standard_normal((1, 12, 64)).astype(np.float32) for _ in range(2))
+        mask = padding_and_causal_masks(rng, 1, 1, 12)["padding"]
+        self.assert_same_as_chain(q, k, v, mask, 2, g)
+        shared = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask, 2).data
+        repeated = T.attention(T.Tensor(q), T.Tensor(np.repeat(k, 4, axis=0)),
+                               T.Tensor(np.repeat(v, 4, axis=0)), np.repeat(mask, 4, axis=0), 2).data
+        assert np.array_equal(shared, repeated)
+
+    def test_desk_student_forward_records_one_node_per_attention(self):
+        model = TransformerModel.build(desk_config(30), seed=0)
+        rng = np.random.default_rng(0)
+        out = model.forward(rng.integers(4, 30, (16, 20)), rng.integers(4, 30, (16, 8)),
+                            train=True, rng=rng)
+        ops = [n._op for n in T._topological_order(out.probabilities, grad_only=False) if n._parents]
+        # two encoder self-attentions, two decoder self- and two cross-attentions
+        assert ops.count("attention") == 6
+        assert len(ops) == 80
+
+
 class TestBatchedHeads:
     """All heads in one product, against the per-head loop it replaced."""
 
@@ -201,8 +314,8 @@ class TestBatchedHeads:
                 got = _attend(ps, "dec.0.cross_attn", T.Tensor(q_in), T.Tensor(mem), mask, num_heads)
                 assert got.data.shape == (b, t, 8)
                 assert np.max(np.abs(got.data - expected)) <= 1e-12, name
-                kv = _project_kv(ps, "dec.0.cross_attn", T.Tensor(mem), num_heads)
-                assert kv[0].data.shape == (b, num_heads, s, 8 // num_heads)
+                kv = _project_kv(ps, "dec.0.cross_attn", T.Tensor(mem))
+                assert kv[0].data.shape == (b, s, 8)
                 cached = _attend(ps, "dec.0.cross_attn", T.Tensor(q_in), None, mask, num_heads, kv)
                 assert np.array_equal(cached.data, got.data), name
 
@@ -341,9 +454,9 @@ class TestDecodeState:
         state = DecodeState()
         parts = [self._decode(resp_in[:, a:b], state) for a, b in ((0, 1), (1, 3), (3, 4), (4, 7))]
         assert state.length == 7
-        # head-split: (rows, heads, length, d / heads)
-        assert [kv[0].data.shape for kv in state.self_kv.values()] == [(1, 2, 7, 4)] * 2
-        assert [kv[1].data.shape for kv in state.cross_kv] == [(1, 2, 5, 4)] * 2
+        # keys and values are cached as (rows, length, d)
+        assert [[t.data.shape for t in kv] for kv in state.self_kv.values()] == [[(1, 7, 8)] * 2] * 2
+        assert [[t.data.shape for t in kv] for kv in state.cross_kv] == [[(1, 5, 8)] * 2] * 2
         probs = np.concatenate([o.probabilities.data for o in parts], axis=1)
         assert np.max(np.abs(probs - full.probabilities.data)) < 1e-12
         for block in range(2):
@@ -358,6 +471,10 @@ class TestDecodeState:
         state.select_rows(rows)
         new = np.array([[10], [11], [4]])
         step = self._decode(new, state).probabilities.data[:, -1]
+        # the rows' own keys and values grew by one position; the history
+        # memory's keep one row, which serves all three
+        assert [[t.data.shape for t in kv] for kv in state.self_kv.values()] == [[(3, 4, 8)] * 2] * 2
+        assert [[t.data.shape for t in kv] for kv in state.cross_kv] == [[(1, 5, 8)] * 2] * 2
         full = self._decode(np.concatenate([prefixes[rows], new], axis=1)).probabilities.data[:, -1]
         assert np.max(np.abs(step - full)) < 1e-12
 

@@ -29,17 +29,16 @@ def fd_check(build, leaves, rtol=TOL, step=STEP):
         for leaf in leaves:
             assert leaf.grad is not None, "leaf missing gradient"
             assert leaf.grad.shape == leaf.data.shape
-            numeric = np.zeros_like(leaf.data)
-            flat = leaf.data.reshape(-1)
-            num_flat = numeric.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + step
+            numeric = np.zeros(leaf.data.shape)
+            # indexed in place, so a leaf may hold a strided view
+            for i in np.ndindex(leaf.data.shape):
+                keep = leaf.data[i]
+                leaf.data[i] = keep + step
                 hi = build(leaves).data.item()
-                flat[i] = keep - step
+                leaf.data[i] = keep - step
                 lo = build(leaves).data.item()
-                flat[i] = keep
-                num_flat[i] = (hi - lo) / (2 * step)
+                leaf.data[i] = keep
+                numeric[i] = (hi - lo) / (2 * step)
             denom = np.maximum(np.maximum(np.abs(numeric), np.abs(leaf.grad)), 1e-4)
             err = np.abs(numeric - leaf.grad) / denom
             assert err.max() < rtol, f"gradient mismatch: max rel err {err.max():.3e}"
@@ -81,49 +80,6 @@ class TestElementwise:
             fd_check(lambda ls: T.tsum(T.mul(T.relu(ls[0]), ls[0])), [a])
 
 
-class TestMatmul:
-    def test_identity(self):
-        with T.precision("double"):
-            m = T.Tensor(np.arange(9.0).reshape(3, 3))
-            out = T.matmul(m, T.Tensor(np.eye(3)))
-            assert np.array_equal(out.data, m.data)
-
-    def test_hand_case(self):
-        with T.precision("double"):
-            a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-            b = T.Tensor([[5.0, 6.0], [7.0, 8.0]])
-            out = T.matmul(a, b)
-            assert np.array_equal(out.data, [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_zero_matrix(self):
-        with T.precision("double"):
-            a = T.Tensor(np.zeros((2, 3)))
-            b = T.Tensor(np.ones((3, 2)))
-            assert np.all(T.matmul(a, b).data == 0.0)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            a, b = leaf(rng, 3, 4), leaf(rng, 4, 2)
-            fd_check(lambda ls: T.tsum(T.mul(T.matmul(ls[0], ls[1]), T.matmul(ls[0], ls[1]))), [a, b])
-
-    def test_batched_gradients(self):
-        rng = np.random.default_rng(5)
-        a, b = leaf(rng, 2, 3, 4), leaf(rng, 2, 4, 5)
-        fd_check(lambda ls: T.tsum(T.matmul(ls[0], ls[1])), [a, b])
-
-    def test_broadcast_batch(self):
-        rng = np.random.default_rng(6)
-        a, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 5)
-        fd_check(lambda ls: T.tsum(T.mul(T.matmul(ls[0], ls[1]), 0.5)), [a, b])
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
-        with pytest.raises(ShapeError):
-            T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
-
-
 @pytest.fixture(params=["flat", "per-sequence"])
 def affine_path(request, monkeypatch):
     """Run a test with its multi-position inputs taking the flat GEMM, then
@@ -150,8 +106,11 @@ class TestAffine:
         rng = np.random.default_rng(9)
         x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 3), leaf(rng, 3)
         fd_check(lambda ls: T.tsum(T.mul(T.affine(*ls), T.affine(*ls))), [x, w, b])
-        x, w, b = leaf(rng, 3, 2, 4), leaf(rng, 4, 3), leaf(rng, 3)
-        fd_check(lambda ls: T.tsum(T.mul(T.affine(T.transpose(ls[0], (1, 0, 2)), ls[1], ls[2]), 0.5)), [x, w, b])
+        with T.precision("double"):
+            x = T.Tensor(np.transpose(rng.standard_normal((3, 2, 4)), (1, 0, 2)), requires_grad=True)
+        w, b = leaf(rng, 4, 3), leaf(rng, 3)
+        assert not x.data.flags.c_contiguous
+        fd_check(lambda ls: T.tsum(T.mul(T.affine(*ls), 0.5)), [x, w, b])
 
     def test_one_position_gradients(self):
         rng = np.random.default_rng(10)
@@ -254,6 +213,82 @@ class TestLog:
             assert np.isclose(x.grad[1], 2.0)
 
 
+class TestAttention:
+    """``T.attention`` on projected (B, T, d) queries and (B_kv, S, d) keys
+    and values; its bitwise oracle, the chain it replaced, is in
+    ``tests/test_model.py``."""
+
+    PADDING = np.array([[[0.0, 0.0, 0.0, -1e9]], [[0.0, -1e9, -1e9, 0.0]]])  # (B, 1, S)
+    CAUSAL = np.triu(np.full((3, 4), -1e9), k=2)  # (T, S), query i sees keys j <= i + 1
+    MASKS = {"none": None, "padding": PADDING, "causal": CAUSAL, "causal-plus-padding": CAUSAL + PADDING}
+
+    @staticmethod
+    def attend(q, k, v, mask=None, num_heads=1):
+        with T.precision("double"):
+            return T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask, num_heads).data
+
+    def test_one_key_returns_its_value(self):
+        # softmax over one key is exactly 1, whatever the query
+        rng = np.random.default_rng(40)
+        v = rng.standard_normal((2, 1, 4))
+        out = self.attend(rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 1, 4)), v, num_heads=2)
+        assert np.array_equal(out, np.broadcast_to(v, (2, 3, 4)))
+
+    def test_hand_case(self):
+        # two heads of width 1, so the scale is 1: head 0 scores [ln 3, 0] ->
+        # weights [3/4, 1/4]; head 1's query is 0 -> weights [1/2, 1/2]
+        q = np.array([[[np.log(3.0), 0.0]]])
+        k = np.array([[[1.0, 1.0], [0.0, 1.0]]])
+        v = np.array([[[4.0, 6.0], [8.0, 10.0]]])
+        assert np.allclose(self.attend(q, k, v, num_heads=2), [[[5.0, 8.0]]], atol=1e-12)
+        # masking the second key leaves the first key's value in both heads
+        assert np.allclose(self.attend(q, k, v, np.array([[0.0, -1e9]]), num_heads=2), [[[4.0, 6.0]]], atol=1e-12)
+
+    def test_zero_queries_average_the_values(self):
+        rng = np.random.default_rng(41)
+        v = rng.standard_normal((2, 5, 4))
+        out = self.attend(np.zeros((2, 3, 4)), rng.standard_normal((2, 5, 4)), v, num_heads=2)
+        assert np.allclose(out, np.broadcast_to(v.mean(axis=1, keepdims=True), (2, 3, 4)), atol=1e-12)
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4], ids=lambda h: f"H{h}")
+    @pytest.mark.parametrize("mask", list(MASKS), ids=str)
+    def test_gradients(self, mask, num_heads):
+        rng = np.random.default_rng(num_heads)
+        q, k, v = leaf(rng, 2, 3, 8), leaf(rng, 2, 4, 8), leaf(rng, 2, 4, 8)
+        with T.precision("double"):
+            w = T.Tensor(rng.standard_normal((2, 3, 8)))
+        fd_check(lambda ls: T.tsum(T.mul(T.attention(*ls, self.MASKS[mask], num_heads), w)), [q, k, v])
+
+    def test_shared_keys_and_values_gradients(self):
+        # one (1, S, d) memory serves every query row, as in beam search
+        rng = np.random.default_rng(42)
+        q, k, v = leaf(rng, 3, 2, 4), leaf(rng, 1, 5, 4), leaf(rng, 1, 5, 4)
+        with T.precision("double"):
+            w = T.Tensor(rng.standard_normal((3, 2, 4)))
+        fd_check(lambda ls: T.tsum(T.mul(T.attention(*ls, np.zeros((1, 1, 5)), 2), w)), [q, k, v])
+
+    def test_shape_errors(self):
+        q, kv = np.ones((2, 3, 4)), np.ones((2, 5, 4))
+        bad = [
+            (np.ones((2, 3, 6)), kv, kv, None, 2),  # query width differs
+            (q, np.ones((2, 5, 6)), np.ones((2, 5, 6)), None, 2),  # key and value width differ
+            (q, kv, np.ones((2, 5, 6)), None, 2),  # value width differs
+            (q, np.ones((3, 5, 4)), np.ones((3, 5, 4)), None, 2),  # batch neither 1 nor B
+            (q, np.ones((2, 0, 4)), np.ones((2, 0, 4)), None, 2),  # no keys
+            (np.ones((3, 4)), kv, kv, None, 2),  # not (B, T, d)
+            (q, kv, kv, None, 3),  # width not divisible by the heads
+            (q, kv, kv, None, 0),
+            (q, kv, kv, np.zeros((2, 3, 6)), 2),  # masks that do not broadcast to (B, T, S)
+            (q, kv, kv, np.zeros((3, 1, 5)), 2),
+            (q, kv, kv, np.zeros((4, 5)), 2),
+            (q, kv, kv, np.zeros((1, 2, 3, 5)), 2),
+        ]
+        for n, (q_, k_, v_, mask, heads) in enumerate(bad):
+            with pytest.raises(ShapeError):
+                T.attention(T.Tensor(q_), T.Tensor(k_), T.Tensor(v_), mask, heads)
+                pytest.fail(f"case {n} accepted")
+
+
 class TestLayerNorm:
     def test_hand_case(self):
         # [1, 3]: mean 2, var 1 -> normalized [-1, 1] / sqrt(1 + epsilon)
@@ -352,39 +387,6 @@ class TestShapeOps:
         rng = np.random.default_rng(19)
         a, b = leaf(rng, 2, 3), leaf(rng, 2, 2)
         fd_check(lambda ls: T.tsum(T.mul(T.concat(ls, axis=-1), T.concat(ls, axis=-1))), [a, b])
-
-    def test_transpose(self):
-        rng = np.random.default_rng(21)
-        with T.precision("double"):
-            x = T.Tensor(rng.standard_normal((2, 3, 4)))
-            assert np.array_equal(T.transpose(x, (0, 2, 1)).data, np.swapaxes(x.data, -1, -2))
-            w = T.Tensor(rng.standard_normal((3, 4, 2)))
-        a = leaf(rng, 3, 4)
-        fd_check(lambda ls: T.tsum(T.mul(T.transpose(ls[0], (1, 0)), T.transpose(ls[0], (1, 0)))), [a])
-        # (1, 2, 0) is not its own inverse, and the weights make every
-        # output position's gradient distinct
-        a = leaf(rng, 2, 3, 4)
-        fd_check(lambda ls: T.tsum(T.mul(T.transpose(ls[0], (1, 2, 0)), w)), [a])
-
-    def test_reshape_gradients(self):
-        rng = np.random.default_rng(24)
-        a = leaf(rng, 2, 3, 4)
-        with T.precision("double"):
-            w = T.Tensor(rng.standard_normal((6, 2, 2)))
-            assert np.array_equal(T.reshape(a, (6, 2, 2)).data, a.data.reshape(6, 2, 2))
-        fd_check(lambda ls: T.tsum(T.mul(T.reshape(ls[0], (6, 2, 2)), w)), [a])
-
-    def test_reshape_rejects_wrong_size(self):
-        a = T.Tensor(np.ones((2, 3)))
-        for shape in ((4, 2), (7,), (-1, 6), (3, -2)):
-            with pytest.raises(ShapeError):
-                T.reshape(a, shape)
-
-    def test_transpose_rejects_bad_axes(self):
-        a = T.Tensor(np.ones((2, 3, 4)))
-        for axes in ((0, 1), (0, 1, 1), (0, 1, 3), (2, 1, 0, 3), (-1, 0, 1)):
-            with pytest.raises(ShapeError):
-                T.transpose(a, axes)
 
 
 def test_primitive_table_matches_the_ops_produced():
@@ -489,7 +491,7 @@ class TestGraphMechanics:
         for _ in range(2):
             with T.precision("double"):
                 x = T.Tensor(data, requires_grad=True)
-                out = T.tsum(T.softmax(T.matmul(x, x)))
+                out = T.tsum(T.softmax(T.affine(x, x, T.Tensor(np.zeros(4)))))
                 T.backward(out)
                 results.append((out.data.copy(), x.grad.copy()))
         assert np.array_equal(results[0][0], results[1][0])
@@ -505,6 +507,18 @@ class TestGraphMechanics:
         with T.precision("double"):
             assert T.Tensor([1.0]).data.dtype == np.float64
         assert T.active_dtype() == np.float32
+
+    def test_constant_operands_get_no_gradient(self):
+        # backward skips a None gradient, so a constant's is never computed
+        x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        c = np.full((2, 3), 2.0)
+        g = np.ones((2, 3), dtype=np.float32)
+        for out in (T.add(x, c), T.mul(x, c), T.mean_square(x, c)):
+            gx, gc = out._backward(g if out._op != "mean_square" else g[:, 0])
+            assert gx.shape == (2, 3) and gc is None, out._op
+        for out in (T.add(c, x), T.mul(c, x), T.mean_square(c, x)):
+            gc, gx = out._backward(g if out._op != "mean_square" else g[:, 0])
+            assert gx.shape == (2, 3) and gc is None, out._op
 
     def test_grad_norm(self):
         with T.precision("double"):
