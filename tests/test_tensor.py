@@ -267,26 +267,39 @@ class TestAttention:
             w = T.Tensor(rng.standard_normal((3, 2, 4)))
         fd_check(lambda ls: T.tsum(T.mul(T.attention(*ls, np.zeros((1, 1, 5)), 2), w)), [q, k, v])
 
+    @staticmethod
+    def assert_all_rejected(bad):
+        for n, (q, k, v, mask, heads) in enumerate(bad):
+            with pytest.raises(ShapeError):
+                T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask, heads)
+                pytest.fail(f"case {n} accepted")
+
     def test_shape_errors(self):
         q, kv = np.ones((2, 3, 4)), np.ones((2, 5, 4))
-        bad = [
+        self.assert_all_rejected([
             (np.ones((2, 3, 6)), kv, kv, None, 2),  # query width differs
             (q, np.ones((2, 5, 6)), np.ones((2, 5, 6)), None, 2),  # key and value width differ
             (q, kv, np.ones((2, 5, 6)), None, 2),  # value width differs
             (q, np.ones((3, 5, 4)), np.ones((3, 5, 4)), None, 2),  # batch neither 1 nor B
             (q, np.ones((2, 0, 4)), np.ones((2, 0, 4)), None, 2),  # no keys
-            (np.ones((3, 4)), kv, kv, None, 2),  # not (B, T, d)
+        ])
+
+    def test_rejects_heads_that_do_not_split_the_width(self):
+        q, kv = np.ones((2, 3, 4)), np.ones((2, 5, 4))
+        self.assert_all_rejected([
             (q, kv, kv, None, 3),  # width not divisible by the heads
             (q, kv, kv, None, 0),
+        ])
+
+    def test_rejects_inputs_and_masks_of_the_wrong_rank(self):
+        q, kv = np.ones((2, 3, 4)), np.ones((2, 5, 4))
+        self.assert_all_rejected([
+            (np.ones((3, 4)), kv, kv, None, 2),  # not (B, T, d)
             (q, kv, kv, np.zeros((2, 3, 6)), 2),  # masks that do not broadcast to (B, T, S)
             (q, kv, kv, np.zeros((3, 1, 5)), 2),
             (q, kv, kv, np.zeros((4, 5)), 2),
             (q, kv, kv, np.zeros((1, 2, 3, 5)), 2),
-        ]
-        for n, (q_, k_, v_, mask, heads) in enumerate(bad):
-            with pytest.raises(ShapeError):
-                T.attention(T.Tensor(q_), T.Tensor(k_), T.Tensor(v_), mask, heads)
-                pytest.fail(f"case {n} accepted")
+        ])
 
 
 class TestLayerNorm:
