@@ -25,7 +25,7 @@ def main():
         def loss_value():
             h = T.relu(T.affine(x, w, b))
             p = T.softmax(h)
-            return T.mul(T.tsum(T.log(p, floor=1e-12)), -1.0 / p.data.size)
+            return T.mul(T.tsum(T.log(p)), -1.0 / p.data.size)
 
         loss = loss_value()
         T.backward(loss)

@@ -33,11 +33,11 @@ def main():
         g = greedy_decode(model, ex.history, cfg_greedy)
         b = beam_decode(model, ex.history, cfg_beam)
         print(f"  {' '.join(vocab.decode(ex.history))}")
-        print(f"    reference        : {' '.join(vocab.decode(ex.response, stop_at_eos=False))}")
+        print(f"    reference        : {' '.join(vocab.decode(ex.response))}")
         print(f"    greedy  [{g.score:+.3f}]: {' '.join(vocab.decode(g.token_ids))}")
         print(f"    beam(4) [{b.score:+.3f}]: {' '.join(vocab.decode(b.token_ids))}")
 
-    refs = [vocab.decode(ex.response, stop_at_eos=False) for ex in train]
+    refs = [vocab.decode(ex.response) for ex in train]
     gens = [
         vocab.decode(greedy_decode(model, ex.history, cfg_greedy).token_ids) for ex in train
     ]

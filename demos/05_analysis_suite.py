@@ -38,7 +38,7 @@ def main():
         print(f"   sigma {rec['sigma']:<5g} ppl {rec['mean_ppl']:>9.3f} "
               f"(+/- {rec['std_ppl']:.3f})")
 
-    refs = [vocab.decode(ex.response, stop_at_eos=False) for ex in held]
+    refs = [vocab.decode(ex.response) for ex in held]
     gens = [
         vocab.decode(greedy_decode(model, ex.history, DecodeConfig(max_length=10)).token_ids)
         for ex in held

@@ -8,12 +8,12 @@ import json
 
 import numpy as np
 
+from . import tensor as T
 from .corpus import batchify
 from .errors import ContractError
 from .metrics import corpus_ppl
 from .training import forward_batch
 
-_LOG_FLOOR = 1e-12
 BATCH_SIZE = 32  # examples scored per forward pass
 
 
@@ -93,7 +93,7 @@ def mean_teacher_student_kl(teacher, student, examples) -> float:
         for batch in batchify(examples, BATCH_SIZE, seed=None, include_future=True):
             q = forward_batch(teacher, batch).probabilities.data
             p = forward_batch(student, batch).probabilities.data
-            log_ratio = np.log(np.maximum(q, _LOG_FLOOR)) - np.log(np.maximum(p, _LOG_FLOOR))
+            log_ratio = T.floored_log(q) - T.floored_log(p)
             per_position = (q * log_ratio).sum(axis=-1)
             mask = np.asarray(batch.target_mask, dtype=np.float64)
             total += float((per_position * mask).sum())

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointFormatError
-from .model import ModelConfig, ParameterSet, TransformerModel, init_params
+from .model import ModelConfig, ParameterSet, TransformerModel, parameter_layout
 
 MAGIC = b"SDKD1"
 _PAYLOAD_DTYPE = np.dtype("<f4")
@@ -113,7 +113,7 @@ def save_model(model: TransformerModel, path, extra_configs: dict = None) -> Non
 def load_model(path):
     """Rebuild a TransformerModel; the stored variant drives assembly.
     Returns (model, configs). Tensor names and shapes are validated
-    against a fresh skeleton for the stored configuration."""
+    against the parameter layout of the stored configuration."""
     params, configs = load_checkpoint(path)
     if not isinstance(configs, dict) or "model" not in configs:
         raise CheckpointFormatError(f"{path}: header configs lack a 'model' section")
@@ -121,8 +121,7 @@ def load_model(path):
         config = ModelConfig(**configs["model"])
     except TypeError as exc:  # not a mapping, unknown fields, or mistyped values
         raise CheckpointFormatError(f"{path}: unreadable model config: {exc}") from exc
-    skeleton = init_params(config, seed=0)
-    expected = {name: t.data.shape for name, t in skeleton.items()}
+    expected = {name: shape for name, shape, _ in parameter_layout(config)}
     actual = {name: t.data.shape for name, t in params.items()}
     if expected != actual:
         missing = sorted(set(expected) - set(actual))

@@ -194,11 +194,12 @@ class Vocabulary:
     def encode(self, tokens: list) -> list:
         return [self._token_to_id.get(t, UNK_ID) for t in tokens]
 
-    def decode(self, ids, stop_at_eos: bool = True) -> list:
+    def decode(self, ids) -> list:
+        """The tokens of ``ids`` up to the first EOS, without pad and bos."""
         out = []
         for i in ids:
             i = int(i)
-            if stop_at_eos and i == EOS_ID:
+            if i == EOS_ID:
                 break
             if i in (PAD_ID, BOS_ID):
                 continue

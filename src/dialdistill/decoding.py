@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .corpus import BOS_ID, EOS_ID, PAD_ID
 from .errors import ContractError
 from .model import DecodeState, TransformerModel, key_padding_mask
-
-_LOG_FLOOR = 1e-12
 
 STRATEGIES = ("greedy", "beam")
 
@@ -83,7 +82,7 @@ def _step_logprobs(model, last_ids: np.ndarray, memory, memory_mask, state: Deco
     """Next-token log-probabilities for each row's newest token (A, 1),
     with pad and bos excluded from selection."""
     out = model.decode(last_ids, history_memory=memory, history_mask=memory_mask, state=state)
-    logp = np.log(np.maximum(out.probabilities.data[:, -1, :], _LOG_FLOOR))
+    logp = T.floored_log(out.probabilities.data[:, -1, :])
     logp[:, PAD_ID] = -np.inf
     logp[:, BOS_ID] = -np.inf
     return logp

@@ -41,24 +41,9 @@ class WordEmbeddings:
         self._vectors = {t: np.asarray(v, dtype=np.float64) for t, v in vectors.items()}
         self.dim = next(iter(dims))[0]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._vectors
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    def tokens(self):
-        return list(self._vectors)
-
     def vector(self, token: str):
         """The token's vector, or None when the token is unknown."""
         return self._vectors.get(token)
-
-    def similarity(self, a: str, b: str) -> float:
-        va, vb = self._vectors.get(a), self._vectors.get(b)
-        if va is None or vb is None:
-            return 0.0
-        return cosine(va, vb)
 
     def save(self, path) -> None:
         lines = [f"{len(self._vectors)} {self.dim}"]

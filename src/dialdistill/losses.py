@@ -25,30 +25,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, ShapeError
 
-# Probabilities are clamped from below at this floor before the log; the
-# clamp keeps gradients finite and is counted so callers can notice a
-# model collapsing onto zeros.
-LOG_FLOOR = 1e-12
-
-_clamp_events = {"count": 0}
-
-
-def clamp_warning_count() -> int:
-    """Number of unmasked positions whose probability hit the log floor."""
-    return _clamp_events["count"]
-
-
-def reset_clamp_warnings() -> None:
-    _clamp_events["count"] = 0
-
-
-def _note_clamps(probs_data: np.ndarray, mask: np.ndarray) -> None:
-    clamped = (probs_data < LOG_FLOOR) & (mask > 0)
-    n = int(clamped.sum())
-    if n:
-        _clamp_events["count"] += n
-
-
 def nll_sum(probabilities: T.Tensor, targets: np.ndarray, mask: np.ndarray) -> T.Tensor:
     """Sum over unmasked positions of -log p(gold token).
 
@@ -61,9 +37,7 @@ def nll_sum(probabilities: T.Tensor, targets: np.ndarray, mask: np.ndarray) -> T
         raise ShapeError(
             f"targets/mask shape {targets.shape}/{mask.shape} do not match distributions {(b, t)}"
         )
-    p_gold = T.pick(probabilities, targets)  # (B, T)
-    _note_clamps(p_gold.data, mask)
-    logp = T.log(p_gold, floor=LOG_FLOOR)
+    logp = T.log(T.pick(probabilities, targets))  # (B, T)
     return T.mul(T.tsum(T.mul(logp, mask)), -1.0)
 
 
@@ -79,7 +53,7 @@ def prediction_imitation_sum(
             f"teacher distributions {teacher_probs.shape} do not match "
             f"student {student_probs.data.shape}"
         )
-    logp = T.log(student_probs, floor=LOG_FLOOR)
+    logp = T.log(student_probs)
     per_pos = T.mul(T.tsum(T.mul(logp, teacher_probs), axis=-1), -1.0)  # (B, T)
     return T.tsum(T.mul(per_pos, mask))
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .corpus import batchify
 from .embeddings import WordEmbeddings, cosine
 from .errors import ContractError, DataError
 from .training import forward_batch
-
-_PPL_LOG_FLOOR = 1e-12
 
 LOWER_IS_BETTER = ("kl_unigram", "kl_bigram", "ppl")
 SCALAR_METRICS = (
@@ -94,7 +93,7 @@ def sentence_perplexities(model, batch) -> tuple:
     probs = out.probabilities.data
     rows, length = batch.response_target.shape
     picked = probs[np.arange(rows)[:, None], np.arange(length)[None, :], batch.response_target]
-    log_p = np.log(np.maximum(picked, _PPL_LOG_FLOOR))
+    log_p = T.floored_log(picked)
     mask = np.asarray(batch.target_mask, dtype=np.float64)
     counts = mask.sum(axis=1)
     ppls = []

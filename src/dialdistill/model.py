@@ -176,19 +176,17 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def init_params(config: ModelConfig, seed: int) -> ParameterSet:
-    """Draw every weight matrix i.i.d. from N(0, std 0.01); biases start at
-    zero and layer-norm gains at one. Deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    dt = T.active_dtype()
+def parameter_layout(config: ModelConfig) -> list:
+    """(name, shape, init) of every parameter in manifest order; ``init`` is
+    "normal", "zeros", "ones" or "positions" (the frozen sinusoidal table)."""
     d, v, f = config.model_dim, config.vocab_size, config.ffn_dim
-    ps = ParameterSet()
+    layout = []
 
     def weight(name, *shape):
-        ps.add(name, rng.normal(0.0, 0.01, size=shape).astype(dt))
+        layout.append((name, shape, "normal"))
 
     def zeros(name, *shape):
-        ps.add(name, np.zeros(shape, dtype=dt))
+        layout.append((name, shape, "zeros"))
 
     def attention_block(prefix):
         for proj in ("q", "k", "v", "o"):
@@ -196,7 +194,7 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
             zeros(f"{prefix}.b{proj}", d)
 
     def norm(prefix):
-        ps.add(f"{prefix}.gain", np.ones(d, dtype=dt))
+        layout.append((f"{prefix}.gain", (d,), "ones"))
         zeros(f"{prefix}.bias", d)
 
     def ffn(prefix):
@@ -209,11 +207,7 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     if has_encoder:
         weight("encoder_embedding", v, d)
     weight("decoder_embedding", v, d)
-    ps.add(
-        "positional_encoding",
-        sinusoidal_positions(config.max_sequence_length, d).astype(dt),
-        trainable=False,
-    )
+    layout.append(("positional_encoding", (config.max_sequence_length, d), "positions"))
 
     if has_encoder:
         for i in range(config.num_blocks):
@@ -236,6 +230,23 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
 
     weight("out_proj.w", d, v)
     zeros("out_proj.b", v)
+    return layout
+
+
+def init_params(config: ModelConfig, seed: int) -> ParameterSet:
+    """Draw every "normal" parameter i.i.d. from N(0, std 0.01) in layout
+    order; biases start at zero and layer-norm gains at one. Deterministic
+    given the seed."""
+    rng = np.random.default_rng(seed)
+    ps = ParameterSet()
+    for name, shape, init in parameter_layout(config):
+        if init == "normal":
+            array = rng.normal(0.0, 0.01, size=shape)
+        elif init == "positions":
+            array = sinusoidal_positions(*shape)
+        else:
+            array = np.full(shape, 1.0 if init == "ones" else 0.0)
+        ps.add(name, array.astype(T.active_dtype()), trainable=init != "positions")
     return ps
 
 

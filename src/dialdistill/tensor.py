@@ -11,11 +11,15 @@ and ``double`` (float64, used to verify analytic gradients against
 finite differences). ``precision(...)`` switches the dtype used when
 tensors are created; a computation should stay in one mode throughout.
 
+Every log of a probability, on the graph (``log``) or off it
+(``floored_log``), clamps its input from below at the one ``LOG_FLOOR``,
+so a zero probability gives a finite log and a finite gradient.
+
 Primitives do not scan their outputs for NaN/Inf; ``check_finite`` runs
 at boundaries instead: on ``Tensor(...)`` leaves (not on the constants
-``as_tensor`` wraps), on ``log``'s output, where finite inputs can turn
-into NaN, and where callers ask (the model's logits, the training loss).
-A failed check names the first primitive of the graph with a non-finite output.
+``as_tensor`` wraps) and where callers ask (the model's logits, the
+training loss). A failed check names the first primitive of the graph
+with a non-finite output.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ _state = {"mode": "single"}
 # kernel, which is fast and rounds differently from its blocked kernel
 _SMALL_GEMM = 100**3
 LAYER_NORM_EPSILON = 1e-5
+LOG_FLOOR = 1e-12
 
 
 def active_dtype():
@@ -242,25 +247,21 @@ def softmax(x) -> Tensor:
     return _make(y, (x,), bw, "softmax")
 
 
-def log(x, floor: float = 0.0) -> Tensor:
-    """Natural log. With ``floor`` > 0, inputs are clamped from below and the
-    gradient is zero at clamped entries."""
+def floored_log(a: np.ndarray) -> np.ndarray:
+    """``np.log`` of ``a`` clamped from below at ``LOG_FLOOR``, off the graph."""
+    return np.log(np.maximum(a, LOG_FLOOR))
+
+
+def log(x) -> Tensor:
+    """Natural log of ``x`` clamped from below at ``LOG_FLOOR``; the gradient
+    is zero at clamped entries."""
     x = as_tensor(x)
-    if floor > 0.0:
-        clamped = np.maximum(x.data, floor)
-        data = np.log(clamped)
+    clamped = np.maximum(x.data, LOG_FLOOR)
 
-        def bw(g):
-            return (np.where(x.data > floor, g / clamped, 0.0),)
+    def bw(g):
+        return (np.where(x.data > LOG_FLOOR, g / clamped, 0.0),)
 
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            data = np.log(x.data)
-
-        def bw(g):
-            return (g / x.data,)
-
-    return check_finite(_make(data, (x,), bw, "log"))
+    return _make(np.log(clamped), (x,), bw, "log")
 
 
 def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
@@ -269,7 +270,8 @@ def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
     broadcasts to (B, T, S), or none; head h reads features [h*d/H, (h+1)*d/H)
     and the heads are joined back to (B, T, d). Forward and backward run the
     numpy operations of the chain of primitives this node replaced, in order
-    and on the same layouts, so results are bitwise that chain's."""
+    and, but for the context gradient, on the same layouts, so results are
+    bitwise that chain's."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or k.data.shape != v.data.shape:
         raise ShapeError(f"attention needs (B, T, d) queries and equal (B, S, d) keys and values, "
@@ -299,9 +301,10 @@ def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
 
     def bw(g):
         # each step hands on its gradient as the chain's backward kept it: a
-        # strided view copied C-ordered, so later products see its layouts
+        # strided view copied C-ordered, so later products see its layouts;
+        # only the context gradient stays a view, as its products round alike
         kept = np.ascontiguousarray
-        gctx = kept(np.transpose(kept(g.reshape(b, t, h, dh)), (0, 2, 1, 3)))
+        gctx = np.transpose(kept(g.reshape(b, t, h, dh)), (0, 2, 1, 3))
         gp = kept(gctx @ np.swapaxes(vh, -1, -2))
         gvh = kept(_unbroadcast(np.swapaxes(p, -1, -2) @ gctx, vh.shape))
         gs = kept((gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale)

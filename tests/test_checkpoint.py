@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from dialdistill import checkpoint, model as model_module
 from dialdistill.checkpoint import (
     MAGIC,
     checkpoint_digest,
@@ -15,7 +16,7 @@ from dialdistill.checkpoint import (
     save_model,
 )
 from dialdistill.errors import CheckpointFormatError
-from dialdistill.model import ModelConfig, TransformerModel
+from dialdistill.model import ModelConfig, ParameterSet, TransformerModel
 
 
 def small_config(variant="scenario-based"):
@@ -51,6 +52,17 @@ class TestRoundTrip:
         assert params.frozen == {"encoder_embedding"}
         assert configs["model"] == model.config.to_dict()
         assert configs["training"] == {"seed": 3}
+
+    def test_load_draws_no_parameters(self, saved, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model must not initialise a model")
+
+        monkeypatch.setattr(model_module, "init_params", refuse)
+        monkeypatch.setattr(checkpoint, "init_params", refuse, raising=False)
+        model, path = saved
+        loaded, _ = load_model(path)
+        for name, tensor in model.params.items():
+            assert np.array_equal(loaded.params[name].data, tensor.data), name
 
     def test_loaded_model_forwards_identically(self, saved):
         model, path = saved
@@ -174,6 +186,25 @@ class TestCorruption:
         save_checkpoint(params, {"model": model_config}, forged)
         with pytest.raises(CheckpointFormatError, match="model config"):
             load_model(forged)
+
+    def test_mismatch_lists_missing_surplus_and_resized_tensors(self, saved, tmp_path):
+        _, path = saved
+        params, configs = load_checkpoint(path)
+        kept = ParameterSet()
+        for name, tensor in params.items():
+            if name == "out_proj.b":
+                kept.add(name, np.zeros(3, dtype=np.float32))
+            elif name != "dec.0.ffn.w1":
+                kept.add(name, tensor.data)
+        kept.add("extra", np.zeros(2, dtype=np.float32))
+        forged = tmp_path / "forged.ckpt"
+        save_checkpoint(kept, configs, forged)
+        with pytest.raises(CheckpointFormatError) as info:
+            load_model(forged)
+        assert str(info.value) == (
+            f"{forged}: parameters do not fit the stored configuration "
+            "(missing=['dec.0.ffn.w1'], surplus=['extra'], shape-mismatch=['out_proj.b'])"
+        )
 
     def test_wrong_parameter_names_for_config_rejected(self, saved, tmp_path):
         model, path = saved

@@ -18,6 +18,7 @@ from dialdistill.model import (
     desk_config,
     dual_context_attention,
     init_params,
+    parameter_layout,
     key_padding_mask,
     paper_config,
 )
@@ -115,6 +116,15 @@ class TestInit:
         ps = init_params(tiny(), seed=0)
         assert not ps.is_trainable("positional_encoding")
         assert "positional_encoding" not in dict(ps.update_targets())
+
+    @pytest.mark.parametrize("variant", ["conventional", "scenario-based", "language-model"])
+    def test_parameters_follow_the_layout(self, variant):
+        ps = init_params(tiny(variant), seed=0)
+        layout = parameter_layout(tiny(variant))
+        assert [(n, t.data.shape) for n, t in ps.items()] == [(n, shape) for n, shape, _ in layout]
+        for name, _, init in layout:
+            if init in ("zeros", "ones"):
+                assert np.all(ps[name].data == (init == "ones")), name
 
 
 class TestEncoder:

@@ -205,12 +205,11 @@ class TestLog:
 
     def test_floor_clamps_and_zeroes_grad(self):
         with T.precision("double"):
-            x = T.Tensor([1e-20, 0.5], requires_grad=True)
-            out = T.log(x, floor=1e-12)
-            assert out.data[0] == np.log(1e-12)
+            x = T.Tensor([1e-20, 0.5, 0.0, -2.0], requires_grad=True)
+            out = T.log(x)
+            assert np.array_equal(out.data, np.log([T.LOG_FLOOR, 0.5, T.LOG_FLOOR, T.LOG_FLOOR]))
             T.backward(T.tsum(out))
-            assert x.grad[0] == 0.0
-            assert np.isclose(x.grad[1], 2.0)
+            assert np.array_equal(x.grad, [0.0, 2.0, 0.0, 0.0])
 
 
 class TestAttention:
@@ -511,8 +510,8 @@ class TestGraphMechanics:
         assert np.array_equal(results[0][1], results[1][1])
 
     def test_nan_detection(self):
-        with pytest.raises(NumericError):
-            T.log(T.Tensor([-1.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            T.check_finite(T.mul(T.Tensor([0.0]), np.inf))
 
     def test_precision_modes(self):
         with T.precision("single"):
