@@ -43,8 +43,9 @@ def perturbation_analysis(
     if samples_per_sigma < 1:
         raise ContractError(f"samples_per_sigma must be >= 1, got {samples_per_sigma}")
 
-    trainable = [(name, t) for name, t in model.params.items() if model.params.is_trainable(name)]
-    originals = {name: t.data for name, t in trainable}
+    params = model.params
+    trainable = [t for name, t in params.items() if params.is_trainable(name)]
+    originals = params.values.copy()
     records = []
     try:
         for i, sigma in enumerate(sigmas):
@@ -55,10 +56,10 @@ def perturbation_analysis(
             ppls = []
             for sample in range(samples_per_sigma):
                 rng = np.random.default_rng([seed, 13, i, sample])
-                for name, tensor in trainable:
-                    noise = rng.normal(0.0, sigma, size=tensor.data.shape)
-                    tensor.data = (originals[name] + noise).astype(originals[name].dtype)
+                for tensor in trainable:
+                    tensor.data[...] += rng.normal(0.0, sigma, size=tensor.data.shape)
                 ppls.append(corpus_ppl(model, examples, BATCH_SIZE).value)
+                params.values[...] = originals
             records.append(
                 {
                     "sigma": sigma,
@@ -67,8 +68,7 @@ def perturbation_analysis(
                 }
             )
     finally:
-        for name, tensor in trainable:
-            tensor.data = originals[name]
+        params.values[...] = originals
     return records
 
 

@@ -2,8 +2,9 @@
 
 Binary layout: 5-byte magic ``SDKD1``, a little-endian uint32 header
 length, a UTF-8 JSON header ``{"configs": ..., "manifest": [{"name",
-"shape", "trainable"}, ...], "frozen": [...]}``, then each tensor's raw
-IEEE-754 single-precision little-endian values in manifest order.
+"shape", "trainable"}, ...], "frozen": [...]}``, then the parameter set's
+flat ``values`` as raw IEEE-754 single-precision little-endian numbers,
+which holds each tensor's values in manifest order.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import struct
 
 import numpy as np
 
-from . import tensor as T
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, ContractError, NumericError
 from .model import ModelConfig, ParameterSet, TransformerModel, parameter_layout
 
 MAGIC = b"SDKD1"
@@ -23,17 +23,10 @@ _PAYLOAD_DTYPE = np.dtype("<f4")
 
 
 def save_checkpoint(params: ParameterSet, configs: dict, path) -> None:
-    manifest = []
-    blobs = []
-    for name, tensor in params.items():
-        manifest.append(
-            {
-                "name": name,
-                "shape": list(tensor.data.shape),
-                "trainable": params.is_trainable(name),
-            }
-        )
-        blobs.append(np.ascontiguousarray(tensor.data, dtype=_PAYLOAD_DTYPE).tobytes())
+    manifest = [
+        {"name": name, "shape": list(tensor.data.shape), "trainable": params.is_trainable(name)}
+        for name, tensor in params.items()
+    ]
     header = json.dumps(
         {"configs": configs, "manifest": manifest, "frozen": sorted(params.frozen)},
         sort_keys=True,
@@ -42,8 +35,7 @@ def save_checkpoint(params: ParameterSet, configs: dict, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(params.values.astype(_PAYLOAD_DTYPE, copy=False).tobytes())
 
 
 def _entry_shape(path, entry) -> tuple:
@@ -81,21 +73,19 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"{path}: manifest is not a list")
     shapes = [_entry_shape(path, entry) for entry in header["manifest"]]
 
-    payload = raw[header_start + header_len :]
+    payload_start = header_start + header_len
     expected = sum(int(np.prod(shape, dtype=np.int64)) for shape in shapes) * _PAYLOAD_DTYPE.itemsize
-    if len(payload) != expected:
+    if len(raw) - payload_start != expected:
         raise CheckpointFormatError(
-            f"{path}: payload is {len(payload)} bytes, manifest promises {expected}"
+            f"{path}: payload is {len(raw) - payload_start} bytes, manifest promises {expected}"
         )
-
-    params = ParameterSet()
-    offset = 0
-    for entry, shape in zip(header["manifest"], shapes):
-        size = int(np.prod(shape, dtype=np.int64)) * _PAYLOAD_DTYPE.itemsize
-        flat = np.frombuffer(payload[offset : offset + size], dtype=_PAYLOAD_DTYPE)
-        offset += size
-        array = np.asarray(flat.reshape(shape), dtype=T.active_dtype())
-        params.add(entry["name"], array.copy(), trainable=bool(entry.get("trainable", True)))
+    params = ParameterSet(
+        (entry["name"], shape, bool(entry.get("trainable", True)))
+        for entry, shape in zip(header["manifest"], shapes)
+    )
+    params.values[...] = np.frombuffer(raw, dtype=_PAYLOAD_DTYPE, offset=payload_start)
+    if not np.isfinite(params.values).all():
+        raise NumericError(f"{path}: non-finite parameter values")
     frozen = header.get("frozen", [])
     if not (isinstance(frozen, list) and all(isinstance(n, str) and n in params for n in frozen)):
         raise CheckpointFormatError(f"{path}: 'frozen' must list manifest tensors, got {frozen!r}")
@@ -119,7 +109,7 @@ def load_model(path):
         raise CheckpointFormatError(f"{path}: header configs lack a 'model' section")
     try:
         config = ModelConfig(**configs["model"])
-    except TypeError as exc:  # not a mapping, unknown fields, or mistyped values
+    except (TypeError, ContractError) as exc:  # not a mapping, unknown fields, or bad values
         raise CheckpointFormatError(f"{path}: unreadable model config: {exc}") from exc
     expected = {name: shape for name, shape, _ in parameter_layout(config)}
     actual = {name: t.data.shape for name, t in params.items()}

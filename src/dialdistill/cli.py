@@ -285,7 +285,7 @@ def _finalize_training(result, out_path: Path, tcfg, vocab) -> None:
     """Persist the best-validation parameters (final ones when no
     validation ran), with the vocabulary and training recipe embedded."""
     if result.best_state is not None:
-        result.model.params.load_state(result.best_state)
+        result.model.params.values[...] = result.best_state
     extras = {"training": tcfg.to_dict(), "vocab": vocab.content_tokens()}
     save_model(result.model, out_path, extra_configs=extras)
 

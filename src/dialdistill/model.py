@@ -31,6 +31,7 @@ VARIANTS = ("conventional", "scenario-based", "language-model")
 # that can realistically appear, which is what makes the causality and
 # pad-invariance guarantees exact rather than approximate.
 MASKED = -1e9
+SIZE_FIELDS = ("vocab_size", "model_dim", "num_blocks", "num_heads", "ffn_dim", "max_sequence_length")
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,10 @@ class ModelConfig:
     variant: str = "conventional"
 
     def __post_init__(self):
+        for name in SIZE_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
         if self.variant not in VARIANTS:
             raise ContractError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.model_dim % self.num_heads != 0:
@@ -53,7 +58,7 @@ class ModelConfig:
             )
         if self.vocab_size < 5:
             raise ContractError("vocab_size must cover the four reserved ids plus content")
-        for name in ("model_dim", "num_blocks", "num_heads", "ffn_dim", "max_sequence_length"):
+        for name in SIZE_FIELDS[1:]:
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -93,24 +98,39 @@ def paper_config(vocab_size: int, variant: str = "conventional", **overrides) ->
 
 
 class ParameterSet:
-    """Named tensors in a fixed insertion order.
+    """Named tensors over one flat array, ``values``, in manifest order.
 
-    Order matters twice: parameter initialization draws from one RNG
-    stream in this order, and checkpoints serialize tensors in this
-    order. ``frozen`` names are excluded from optimizer updates (used by
-    hard transfer) but still saved.
+    Built from a ``(name, shape, trainable)`` layout, zero-filled. Every
+    tensor's ``data`` is a view of ``values``, so every parameter write
+    (Adam, checkpoint loads, hard transfer, snapshots, perturbation)
+    goes into ``values`` in place. Order matters twice: parameter
+    initialization draws from one RNG stream in this order, and
+    checkpoints serialize ``values`` as it is. ``frozen`` names are
+    excluded from optimizer updates (used by hard transfer) but still
+    saved.
     """
 
-    def __init__(self):
-        self._tensors: dict[str, T.Tensor] = {}
-        self._trainable: dict[str, bool] = {}
+    def __init__(self, layout):
+        layout = [(name, tuple(shape), trainable) for name, shape, trainable in layout]
+        self._spans: dict[str, slice] = {}
+        start = 0
+        for name, shape, _ in layout:
+            if name in self._spans:
+                raise ContractError(f"duplicate parameter name {name!r}")
+            size = int(np.prod(shape, dtype=np.int64))
+            self._spans[name] = slice(start, start + size)
+            start += size
+        self.values = np.zeros(start, dtype=T.active_dtype())
+        self._tensors: dict[str, T.Tensor] = {
+            name: T.Tensor(self.values[self._spans[name]].reshape(shape), requires_grad=trainable, check=False)
+            for name, shape, trainable in layout
+        }
+        self._trainable: dict[str, bool] = {name: trainable for name, _, trainable in layout}
         self.frozen: set[str] = set()
 
-    def add(self, name: str, array: np.ndarray, trainable: bool = True) -> None:
-        if name in self._tensors:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        self._tensors[name] = T.Tensor(array, requires_grad=trainable)
-        self._trainable[name] = trainable
+    def span(self, name: str) -> slice:
+        """``name``'s slice of ``values`` (and of any array laid out like it)."""
+        return self._spans[name]
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self._tensors[name]
@@ -157,15 +177,6 @@ class ParameterSet:
         finally:
             for n, t in self._tensors.items():
                 t.requires_grad = saved[n]
-
-    def load_state(self, arrays: dict) -> None:
-        for n, t in self._tensors.items():
-            if n not in arrays:
-                raise ContractError(f"missing tensor {n!r} in state")
-            src = np.asarray(arrays[n])
-            if src.shape != t.data.shape:
-                raise ShapeError(f"tensor {n!r}: expected {t.data.shape}, got {src.shape}")
-            t.data = src.astype(t.data.dtype)
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -238,15 +249,15 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     order; biases start at zero and layer-norm gains at one. Deterministic
     given the seed."""
     rng = np.random.default_rng(seed)
-    ps = ParameterSet()
-    for name, shape, init in parameter_layout(config):
+    layout = parameter_layout(config)
+    ps = ParameterSet([(name, shape, init != "positions") for name, shape, init in layout])
+    for name, shape, init in layout:
         if init == "normal":
-            array = rng.normal(0.0, 0.01, size=shape)
+            ps[name].data[...] = rng.normal(0.0, 0.01, size=shape)
         elif init == "positions":
-            array = sinusoidal_positions(*shape)
-        else:
-            array = np.full(shape, 1.0 if init == "ones" else 0.0)
-        ps.add(name, array.astype(T.active_dtype()), trainable=init != "positions")
+            ps[name].data[...] = sinusoidal_positions(*shape)
+        elif init == "ones":
+            ps[name].data[...] = 1.0
     return ps
 
 

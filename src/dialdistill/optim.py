@@ -1,11 +1,10 @@
-"""Adam with global gradient-norm clipping.
+"""Adam with global gradient-norm clipping, in place over a ParameterSet's
+flat ``values``.
 
-Clipping happens first, through :func:`clip_gradients`: if the L2 norm
-over all update targets exceeds ``clip_norm``, every gradient is scaled
-in place by ``clip_norm / norm``. The Adam update then runs with bias
-correction and the fixed constants ``BETA1`` = 0.9, ``BETA2`` = 0.999
-and ``EPSILON`` = 1e-8; only the learning rate and the clip norm are
-set per optimizer.
+Each step copies the update targets' gradients into one flat buffer and,
+if their L2 norm exceeds ``clip_norm``, scales it by ``clip_norm / norm``.
+The update then writes the flat moments and ``values`` in place, with bias
+correction and the fixed constants ``BETA1``, ``BETA2`` and ``EPSILON``.
 """
 
 from __future__ import annotations
@@ -19,66 +18,66 @@ from .errors import NumericError
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+# elements per pass of the update: its dozen passes then stay in cache
+CHUNK = 1 << 16
 
 
 class Adam:
-    """Owns moment state for a fixed list of (name, tensor) targets.
+    """Owns flat moments ``m``, ``v`` and gradient ``grad``, laid out like
+    ``values``; the slices of tensors that are not update targets stay zero.
+    A target whose ``grad`` is None on a step keeps its moments and values."""
 
-    Tensors whose ``grad`` is None are treated as having exactly zero
-    gradient: their moments stay zero and their values do not move.
-    """
-
-    def __init__(self, targets, learning_rate: float = 0.001, clip_norm: float = 2.0):
-        self.targets = list(targets)
+    def __init__(self, params, learning_rate: float = 0.001, clip_norm: float = 2.0):
+        self.params = params
+        self.targets = [(n, t, params.span(n)) for n, t in params.update_targets()]
         self.learning_rate = learning_rate
         self.clip_norm = clip_norm
         self.step_count = 0
-        self._m = {}
-        self._v = {}
+        self.m, self.v, self.grad = (np.zeros_like(params.values) for _ in range(3))
+        # float64: one target's squared gradient, or the update's two chunks
+        largest = max((span.stop - span.start for _, _, span in self.targets), default=0)
+        self._scratch = np.empty(max(largest, 2 * CHUNK), dtype=np.float64)
 
     def step(self) -> float:
-        """Apply one update; returns the pre-clip global gradient norm. The
-        targets' ``grad`` arrays are left clipped. A non-finite gradient
-        aborts the step before any parameter or moment changes."""
-        norm = clip_gradients([t for _, t in self.targets], self.clip_norm)
-        if not math.isfinite(norm):
-            # clipping keeps non-finite entries non-finite (inf * 0 is NaN);
-            # a finite set of float64 gradients can also overflow the norm
-            for name, t in self.targets:
-                if t.grad is not None and not np.all(np.isfinite(t.grad)):
-                    raise NumericError(f"non-finite gradient for {name!r}; step aborted")
-
-        self.step_count += 1
-        b1, b2 = BETA1, BETA2
-        bc1 = 1.0 - b1 ** self.step_count
-        bc2 = 1.0 - b2 ** self.step_count
-        for name, t in self.targets:
+        """Apply one update; returns the pre-clip global gradient norm and
+        leaves the clipped gradient in ``grad``. A non-finite gradient aborts
+        the step before any parameter or moment changes."""
+        runs, total = [], 0.0  # runs: [start, stop) of adjacent targets with a grad
+        for _, t, span in self.targets:
             if t.grad is None:
                 continue
-            g = t.grad
-            if name not in self._m:
-                self._m[name], self._v[name] = np.zeros_like(t.data), np.zeros_like(t.data)
-            # the moments update in place; t.data is rebound instead, since a
-            # caller may hold the old array (as perturbation_analysis does)
-            m, v = self._m[name], self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            t.data = t.data - self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+            np.copyto(self.grad[span].reshape(t.data.shape), t.grad)
+            # a float64 sum per target, equal to (grad.astype(np.float64) ** 2).sum()
+            wide = self._scratch[: span.stop - span.start]
+            total += float(np.square(self.grad[span], out=wide, dtype=np.float64).sum())
+            if runs and runs[-1][1] == span.start:
+                runs[-1][1] = span.stop
+            else:
+                runs.append([span.start, span.stop])
+        norm = math.sqrt(total)
+        if not math.isfinite(norm):
+            # a non-finite entry stays so when clipped; finite squares can overflow
+            for name, t, span in self.targets:
+                if t.grad is not None and not np.isfinite(self.grad[span]).all():
+                    raise NumericError(f"non-finite gradient for {name!r}; step aborted")
+        if 0 < self.clip_norm < norm:
+            self.grad *= self.clip_norm / norm
+
+        self.step_count += 1
+        bc1, bc2 = 1.0 - BETA1**self.step_count, 1.0 - BETA2**self.step_count
+        chunks = self._scratch.view(self.m.dtype)
+        for a, b in runs:
+            for lo in range(a, b, CHUNK):
+                hi = min(lo + CHUNK, b)
+                m, v, g = self.m[lo:hi], self.v[lo:hi], self.grad[lo:hi]
+                s, u = chunks[: hi - lo], chunks[CHUNK : CHUNK + hi - lo]
+                m *= BETA1
+                m += np.multiply(g, 1.0 - BETA1, out=s)
+                v *= BETA2
+                v += np.multiply(np.multiply(g, g, out=s), 1.0 - BETA2, out=s)
+                # values -= lr * (m / bc1) / (sqrt(v / bc2) + EPSILON), in that order
+                np.sqrt(np.divide(v, bc2, out=s), out=s)
+                s += EPSILON
+                np.multiply(np.divide(m, bc1, out=u), self.learning_rate, out=u)
+                self.params.values[lo:hi] -= np.divide(u, s, out=u)
         return norm
-
-
-def clip_gradients(tensors, clip_norm: float) -> float:
-    """Global-norm clip (in place); returns the pre-clip norm."""
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
-    if clip_norm > 0 and norm > clip_norm:
-        factor = clip_norm / norm
-        for t in tensors:
-            if t.grad is not None:
-                t.grad = t.grad * factor
-    return norm

@@ -79,7 +79,7 @@ class TrainResult:
     model: TransformerModel
     log: list = field(default_factory=list)
     best_val_loss: float = None
-    best_state: dict = None  # parameter arrays at the best validation point
+    best_state: np.ndarray = None  # a copy of ``params.values`` at the best validation point
     steps: int = 0
 
     def write_log(self, path) -> None:
@@ -118,10 +118,6 @@ def validation_nll(model: TransformerModel, val_batches) -> float:
     return total / count if count else 0.0
 
 
-def _snapshot(params: ParameterSet) -> dict:
-    return {n: t.data.copy() for n, t in params.items()}
-
-
 def _train_loop(
     model: TransformerModel,
     train_examples: list,
@@ -135,11 +131,7 @@ def _train_loop(
     (scalar loss node, LossBreakdown)."""
     if not train_examples:
         raise DataError("training example list is empty")
-    opt = Adam(
-        model.params.update_targets(),
-        learning_rate=tcfg.learning_rate,
-        clip_norm=tcfg.grad_clip_norm,
-    )
+    opt = Adam(model.params, learning_rate=tcfg.learning_rate, clip_norm=tcfg.grad_clip_norm)
     val_batches = (
         batchify(val_examples, tcfg.batch_size, seed=None, include_future=include_future)
         if val_examples
@@ -160,6 +152,7 @@ def _train_loop(
             T.check_finite(loss)
             model.params.zero_grads()
             T.backward(loss)
+            del loss  # else the graph stays alive through Adam and the next forward
             grad_norm = opt.step()
 
             record = None
@@ -172,7 +165,7 @@ def _train_loop(
                 record["val_loss"] = val
                 if best_val is None or val < best_val:
                     best_val = val
-                    result.best_state = _snapshot(model.params)
+                    result.best_state = model.params.values.copy()
             if record is not None:
                 record["grad_norm"] = grad_norm
                 record["clipped"] = 0 < tcfg.grad_clip_norm < grad_norm
@@ -262,13 +255,10 @@ def hard_transfer_init(
     for n in names:
         if n not in student_params or n not in teacher_params:
             raise ContractError(f"hard transfer: tensor {n!r} missing (configs must match)")
-        src = teacher_params[n].data
-        dst = student_params[n]
-        if src.shape != dst.data.shape:
-            raise ContractError(
-                f"hard transfer: {n!r} shape {src.shape} != student {dst.data.shape}"
-            )
-        dst.data = src.astype(dst.data.dtype).copy()
+        src, dst = teacher_params[n].data, student_params[n].data
+        if src.shape != dst.shape:
+            raise ContractError(f"hard transfer: {n!r} shape {src.shape} != student {dst.shape}")
+        dst[...] = src
     student_params.freeze(names)
     return names
 
@@ -321,8 +311,7 @@ def train_student(
             teacher_hiddens = [h.data for h in t_out.hidden_states]
         if use_lm:
             with lm_teacher.params.inference():
-                lm_out = lm_teacher.forward(_empty_history(batch.size), batch.response_in)
-            lm_probs = lm_out.probabilities.data
+                lm_probs = forward_batch(lm_teacher, batch).probabilities.data
         out = forward_batch(m, batch, train=True, rng=rng)
         return total_loss(
             out.probabilities,

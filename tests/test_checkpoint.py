@@ -15,8 +15,8 @@ from dialdistill.checkpoint import (
     save_checkpoint,
     save_model,
 )
-from dialdistill.errors import CheckpointFormatError
-from dialdistill.model import ModelConfig, ParameterSet, TransformerModel
+from dialdistill.errors import CheckpointFormatError, NumericError
+from dialdistill.model import SIZE_FIELDS, ModelConfig, ParameterSet, TransformerModel
 
 
 def small_config(variant="scenario-based"):
@@ -52,6 +52,14 @@ class TestRoundTrip:
         assert params.frozen == {"encoder_embedding"}
         assert configs["model"] == model.config.to_dict()
         assert configs["training"] == {"seed": 3}
+
+    def test_payload_is_read_into_the_flat_values(self, saved):
+        model, path = saved
+        params, _ = load_checkpoint(path)
+        raw = path.read_bytes()
+        assert params.values.tobytes() == raw[len(raw) - params.values.nbytes :]
+        for _, tensor in params.items():
+            assert np.shares_memory(tensor.data, params.values)
 
     def test_load_draws_no_parameters(self, saved, monkeypatch):
         def refuse(*args, **kwargs):
@@ -187,16 +195,37 @@ class TestCorruption:
         with pytest.raises(CheckpointFormatError, match="model config"):
             load_model(forged)
 
+    @pytest.mark.parametrize("field", SIZE_FIELDS)
+    def test_non_integer_model_size_rejected(self, saved, tmp_path, field):
+        # a float size would load and become a float buffer size
+        _, path = saved
+        params, configs = load_checkpoint(path)
+        configs["model"][field] = float(configs["model"][field])
+        forged = tmp_path / "forged.ckpt"
+        save_checkpoint(params, configs, forged)
+        with pytest.raises(CheckpointFormatError, match="unreadable model config"):
+            load_model(forged)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, saved, bad):
+        _, path = saved
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([bad], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NumericError, match="non-finite"):
+            load_model(path)
+
     def test_mismatch_lists_missing_surplus_and_resized_tensors(self, saved, tmp_path):
         _, path = saved
         params, configs = load_checkpoint(path)
-        kept = ParameterSet()
+        kept = ParameterSet(
+            [(name, (3,) if name == "out_proj.b" else tensor.data.shape, True)
+             for name, tensor in params.items() if name != "dec.0.ffn.w1"]
+            + [("extra", (2,), True)]
+        )
         for name, tensor in params.items():
-            if name == "out_proj.b":
-                kept.add(name, np.zeros(3, dtype=np.float32))
-            elif name != "dec.0.ffn.w1":
-                kept.add(name, tensor.data)
-        kept.add("extra", np.zeros(2, dtype=np.float32))
+            if name in kept and name != "out_proj.b":
+                kept[name].data[...] = tensor.data
         forged = tmp_path / "forged.ckpt"
         save_checkpoint(kept, configs, forged)
         with pytest.raises(CheckpointFormatError) as info:

@@ -58,7 +58,7 @@ class ScriptedModel:
         self.table = {tuple(k): np.asarray(v, dtype=np.float64) for k, v in table.items()}
         self.vocab_size = vocab_size
         self.config = _ScriptedConfig()
-        self.params = ParameterSet()
+        self.params = ParameterSet([])
 
     def encode(self, history):
         return None

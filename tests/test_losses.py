@@ -8,7 +8,8 @@ import pytest
 
 from dialdistill import losses, tensor as T
 from dialdistill.errors import ContractError, NumericError, ShapeError
-from dialdistill.optim import BETA1, BETA2, EPSILON, Adam, clip_gradients
+from dialdistill.model import ParameterSet
+from dialdistill.optim import BETA1, BETA2, EPSILON, Adam
 
 
 @pytest.fixture(autouse=True)
@@ -18,14 +19,32 @@ def double_precision():
         yield
 
 
-class RebindingAdam(Adam):
-    """``Adam.step`` as it was before the moments were updated in place."""
+class RebindingAdam:
+    """Adam as it was before the flat buffer: a moment dict per tensor,
+    clipping that rebinds ``grad`` and an update that rebinds ``data``."""
+
+    def __init__(self, targets, learning_rate: float, clip_norm: float = 2.0):
+        self.targets = list(targets)
+        self.learning_rate = learning_rate
+        self.clip_norm = clip_norm
+        self.step_count = 0
+        self._m = {}
+        self._v = {}
 
     def step(self) -> float:
         for name, t in self.targets:
             if t.grad is not None and not np.all(np.isfinite(t.grad)):
                 raise NumericError(f"non-finite gradient for {name!r}; step aborted")
-        norm = clip_gradients([t for _, t in self.targets], self.clip_norm)
+        total = 0.0
+        for _, t in self.targets:
+            if t.grad is not None:
+                total += float((t.grad.astype(np.float64) ** 2).sum())
+        norm = math.sqrt(total)
+        if self.clip_norm > 0 and norm > self.clip_norm:
+            factor = self.clip_norm / norm
+            for _, t in self.targets:
+                if t.grad is not None:
+                    t.grad = t.grad * factor
         self.step_count += 1
         b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** self.step_count
@@ -315,83 +334,90 @@ class TestCombined:
         assert bd.total == 0.0 and bd.token_count == 0.0
 
 
-def make_param(values):
-    t = T.Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
-    return t
+def param_set(**values):
+    """A ParameterSet of trainable tensors holding ``values``, in that order."""
+    arrays = {name: np.asarray(v, dtype=T.active_dtype()) for name, v in values.items()}
+    ps = ParameterSet([(name, a.shape, True) for name, a in arrays.items()])
+    for name, a in arrays.items():
+        ps[name].data[...] = a
+    return ps
 
 
 class TestAdam:
     def test_clip_example(self):
         # gradient (3, 4) has norm 5; clip 2 scales it to (1.2, 1.6)
-        t = make_param([0.0, 0.0])
-        t.grad = np.array([3.0, 4.0])
-        norm = clip_gradients([t], 2.0)
+        ps = param_set(w=[0.0, 0.0])
+        ps["w"].grad = np.array([3.0, 4.0])
+        opt = Adam(ps, clip_norm=2.0)
+        norm = opt.step()
         assert abs(norm - 5.0) < 1e-12
-        assert np.allclose(t.grad, [1.2, 1.6], atol=1e-12)
+        assert np.allclose(opt.grad, [1.2, 1.6], atol=1e-12)
 
     def test_no_clip_below_threshold(self):
-        t = make_param([0.0])
-        t.grad = np.array([1.0])
-        clip_gradients([t], 2.0)
-        assert t.grad[0] == 1.0
+        ps = param_set(w=[0.0])
+        ps["w"].grad = np.array([1.0])
+        opt = Adam(ps, clip_norm=2.0)
+        opt.step()
+        assert opt.grad[0] == 1.0
 
     def test_first_step_closed_form(self):
         # g = 1, lr = 0.001: bias-corrected update is -lr * 1/(1 + eps)
-        t = make_param([0.5])
-        t.grad = np.array([1.0])
-        opt = Adam([("w", t)], learning_rate=0.001, clip_norm=2.0)
+        ps = param_set(w=[0.5])
+        ps["w"].grad = np.array([1.0])
+        opt = Adam(ps, learning_rate=0.001, clip_norm=2.0)
         opt.step()
-        assert abs((t.data[0] - 0.5) + 0.001) < 1e-9
+        assert abs((ps["w"].data[0] - 0.5) + 0.001) < 1e-9
 
     def test_zero_grads_fixpoint(self):
-        t = make_param([1.0, 2.0])
-        t.grad = np.zeros(2)
-        opt = Adam([("w", t)])
+        ps = param_set(w=[1.0, 2.0])
+        ps["w"].grad = np.zeros(2)
+        opt = Adam(ps)
         opt.step()
-        assert np.array_equal(t.data, [1.0, 2.0])
-        assert np.all(opt._m["w"] == 0.0) and np.all(opt._v["w"] == 0.0)
+        assert np.array_equal(ps["w"].data, [1.0, 2.0])
+        assert np.all(opt.m == 0.0) and np.all(opt.v == 0.0)
 
     def test_none_grad_untouched(self):
-        t = make_param([1.0])
-        opt = Adam([("w", t)])
+        ps = param_set(w=[1.0])
+        opt = Adam(ps)
         opt.step()
-        assert t.data[0] == 1.0
-        assert "w" not in opt._m
+        assert ps["w"].data[0] == 1.0
+        assert not opt.m.any() and not opt.v.any()
 
     def test_nan_grad_aborts(self):
-        t = make_param([1.0])
-        t.grad = np.array([np.nan])
-        opt = Adam([("w", t)])
+        ps = param_set(w=[1.0])
+        ps["w"].grad = np.array([np.nan])
+        opt = Adam(ps)
         with pytest.raises(NumericError):
             opt.step()
-        assert t.data[0] == 1.0
+        assert ps["w"].data[0] == 1.0
 
     def test_inf_grad_aborts_naming_the_tensor_before_any_update(self):
-        a, b = make_param([1.0]), make_param([2.0, 3.0])
-        a.grad, b.grad = np.array([5.0]), np.array([1.0, np.inf])
-        opt = Adam([("a", a), ("b", b)], clip_norm=2.0)
+        ps = param_set(a=[1.0], b=[2.0, 3.0])
+        ps["a"].grad, ps["b"].grad = np.array([5.0]), np.array([1.0, np.inf])
+        opt = Adam(ps, clip_norm=2.0)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="for 'b'; step aborted"):
             opt.step()
-        assert a.data[0] == 1.0 and b.data[1] == 3.0
-        assert opt.step_count == 0 and not opt._m
+        assert ps["a"].data[0] == 1.0 and ps["b"].data[1] == 3.0
+        assert opt.step_count == 0 and not opt.m.any() and not opt.v.any()
 
     def test_norm_overflow_with_finite_grads_still_steps(self):
         # float64 squares overflow, so the norm is inf although every
         # gradient is finite: no tensor to name, the clip zeroes the step
-        t = make_param([1.0])
-        t.grad = np.array([1e200])
-        opt = Adam([("w", t)])
+        ps = param_set(w=[1.0])
+        ps["w"].grad = np.array([1e200])
+        opt = Adam(ps)
         with np.errstate(over="ignore"):
             assert opt.step() == np.inf
-        assert t.data[0] == 1.0 and opt.step_count == 1
+        assert ps["w"].data[0] == 1.0 and opt.step_count == 1
 
     def test_matches_reference_implementation(self):
         # independent re-derivation of Adam with clipping, 10 steps on a
         # quadratic bowl f(w) = 0.5 ||w||^2 (gradient = w)
         rng = np.random.default_rng(6)
         w0 = rng.standard_normal(4) * 3
-        t = make_param(w0.copy())
-        opt = Adam([("w", t)], learning_rate=0.01, clip_norm=2.0)
+        ps = param_set(w=w0)
+        t = ps["w"]
+        opt = Adam(ps, learning_rate=0.01, clip_norm=2.0)
 
         ref = w0.copy()
         m = np.zeros(4)
@@ -413,14 +439,17 @@ class TestAdam:
     def test_in_place_moments_bitwise_equal_to_rebinding_ones(self):
         # float32, as in training; clipping fires on some steps, and one
         # tensor has no gradient on some steps
-        def params():
-            rng = np.random.default_rng(21)
-            with T.precision("single"):
-                return [(f"p{i}", T.Tensor(rng.standard_normal(shape), requires_grad=True))
-                        for i, shape in enumerate([(5, 3), (3,), (4, 2, 2)])]
-
-        got, want = params(), params()
-        opt, ref = Adam(got, learning_rate=0.01), RebindingAdam(want, learning_rate=0.01)
+        shapes = [(5, 3), (3,), (4, 2, 2)]
+        rng = np.random.default_rng(21)
+        with T.precision("single"):
+            ps = ParameterSet([(f"p{i}", shape, True) for i, shape in enumerate(shapes)])
+            want = []
+            for name, t in ps.items():
+                t.data[...] = rng.standard_normal(t.data.shape)
+                want.append((name, T.Tensor(t.data.copy(), requires_grad=True)))
+        got = list(ps.items())
+        opt, ref = Adam(ps, learning_rate=0.01), RebindingAdam(want, learning_rate=0.01)
+        m0, v0, p0 = opt.m, opt.v, ps["p0"].data
         rng = np.random.default_rng(22)
         for step in range(20):
             for (_, a), (_, b) in zip(got, want):
@@ -428,26 +457,44 @@ class TestAdam:
                 a.grad, b.grad = g.copy(), g.copy()
             if step % 3 == 1:
                 got[1][1].grad = want[1][1].grad = None
-            snapshot = got[0][1].data
             assert opt.step() == ref.step()
-            assert not np.shares_memory(got[0][1].data, snapshot)  # t.data is rebound
-            if step == 0:
-                m0, v0 = opt._m["p0"], opt._v["p0"]
-            assert opt._m["p0"] is m0 and opt._v["p0"] is v0  # the moments are updated in place
+            # the values and the moments are written in place
+            assert ps["p0"].data is p0 and np.shares_memory(p0, ps.values)
+            assert opt.m is m0 and opt.v is v0
             for (name, a), (_, b) in zip(got, want):
+                span = ps.span(name)
                 assert a.data.dtype == np.float32
                 assert np.array_equal(a.data, b.data), (step, name)
-                assert np.array_equal(opt._m[name], ref._m[name]), (step, name)
-                assert np.array_equal(opt._v[name], ref._v[name]), (step, name)
+                assert np.array_equal(opt.m[span], ref._m[name].ravel()), (step, name)
+                assert np.array_equal(opt.v[span], ref._v[name].ravel()), (step, name)
+
+    def test_non_targets_never_move(self):
+        # a frozen tensor and a non-trainable one keep their values bitwise,
+        # and their slices of the gradient and the moments stay zero, even
+        # when they carry a gradient
+        ps = ParameterSet([("a", (2,), True), ("table", (3,), False), ("frozen", (2,), True)])
+        for name, t in ps.items():
+            t.data[...] = np.arange(t.data.size) - 0.25
+        ps.freeze(["frozen"])
+        before = ps.values.copy()
+        opt = Adam(ps)
+        for _ in range(3):
+            for _, t in ps.items():
+                t.grad = np.ones(t.data.shape)
+            opt.step()
+        for name in ("table", "frozen"):
+            span = ps.span(name)
+            assert np.array_equal(ps.values[span], before[span]), name
+            assert not opt.grad[span].any() and not opt.m[span].any() and not opt.v[span].any()
+        assert not np.array_equal(ps["a"].data, before[ps.span("a")])
 
     def test_clip_is_global_across_tensors(self):
-        a = make_param([3.0])
-        b = make_param([4.0])
-        a.grad = np.array([3.0])
-        b.grad = np.array([4.0])
-        opt = Adam([("a", a), ("b", b)], learning_rate=0.001, clip_norm=2.0)
+        ps = param_set(a=[3.0], b=[4.0])
+        ps["a"].grad = np.array([3.0])
+        ps["b"].grad = np.array([4.0])
+        opt = Adam(ps, learning_rate=0.001, clip_norm=2.0)
         norm = opt.step()
         assert abs(norm - 5.0) < 1e-12
         # both moved by the same bias-corrected unit step (sign aside),
         # because Adam normalizes per-parameter scale
-        assert a.data[0] < 3.0 and b.data[0] < 4.0
+        assert ps["a"].data[0] < 3.0 and ps["b"].data[0] < 4.0

@@ -8,9 +8,11 @@ from dialdistill.corpus import EncodedExample, make_batch
 from dialdistill.errors import ContractError
 from dialdistill.losses import nll_sum
 from dialdistill.model import (
+    SIZE_FIELDS,
     DecodeOutput,
     DecodeState,
     ModelConfig,
+    ParameterSet,
     TransformerModel,
     _attend,
     _project_kv,
@@ -50,6 +52,12 @@ class TestConfig:
         with pytest.raises(ContractError):
             tiny(variant="bidirectional")
 
+    @pytest.mark.parametrize("value", [8.0, True, "8", None])
+    def test_sizes_must_be_integers(self, value):
+        for field in SIZE_FIELDS:
+            with pytest.raises(ContractError, match=f"{field} must be an integer"):
+                tiny(**{field: value})
+
     def test_presets(self):
         d = desk_config(100)
         assert (d.num_blocks, d.num_heads, d.model_dim, d.ffn_dim) == (2, 2, 64, 128)
@@ -67,6 +75,15 @@ class TestInit:
         sample = ps["encoder_embedding"].data.reshape(-1)[:10_000]
         assert 0.009 <= sample.std() <= 0.011
         assert abs(sample.mean()) < 0.001
+
+    def test_tensors_view_one_flat_array_in_layout_order(self):
+        ps = init_params(tiny("scenario-based"), seed=7)
+        assert ps.values.dtype == T.active_dtype()
+        assert np.array_equal(ps.values, np.concatenate([t.data.ravel() for _, t in ps.items()]))
+        for name, t in ps.items():
+            assert np.shares_memory(t.data, ps.values[ps.span(name)]), name
+        with pytest.raises(ContractError, match="duplicate"):
+            ParameterSet([("w", (2,), True), ("w", (3,), True)])
 
     def test_same_seed_bitwise(self):
         a = init_params(tiny(), seed=7)

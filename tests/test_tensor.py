@@ -9,8 +9,8 @@ import pytest
 
 from dialdistill import losses, tensor as T
 from dialdistill.errors import ContractError, NumericError, ShapeError, VocabularyError
-from dialdistill.model import TransformerModel, desk_config, paper_config
-from dialdistill.optim import clip_gradients
+from dialdistill.model import ParameterSet, TransformerModel, desk_config, paper_config
+from dialdistill.optim import Adam
 
 STEP = 1e-5
 TOL = 1e-6
@@ -534,12 +534,13 @@ class TestGraphMechanics:
 
     def test_grad_norm(self):
         with T.precision("double"):
-            x = T.Tensor([3.0], requires_grad=True)
-            y = T.Tensor([4.0], requires_grad=True)
+            ps = ParameterSet([("x", (1,), True), ("y", (1,), True)])
+            x, y = ps["x"], ps["y"]
+            x.data[...], y.data[...] = 3.0, 4.0
             out = T.tsum(T.add(T.mul(x, x), T.mul(y, y)))
             T.backward(out)
             # grads are 6 and 8 -> norm 10
-            assert np.isclose(clip_gradients([x, y], 0.0), 10.0)
+            assert np.isclose(Adam(ps, clip_norm=0.0).step(), 10.0)
 
 
 def backward_copying_views(loss):
