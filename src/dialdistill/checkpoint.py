@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections import Counter
 
 import numpy as np
 
@@ -72,6 +73,9 @@ def load_checkpoint(path):
     if not isinstance(header["manifest"], list):
         raise CheckpointFormatError(f"{path}: manifest is not a list")
     shapes = [_entry_shape(path, entry) for entry in header["manifest"]]
+    repeated = sorted(n for n, count in Counter(e["name"] for e in header["manifest"]).items() if count > 1)
+    if repeated:
+        raise CheckpointFormatError(f"{path}: manifest lists {repeated} more than once")
 
     payload_start = header_start + header_len
     expected = sum(int(np.prod(shape, dtype=np.int64)) for shape in shapes) * _PAYLOAD_DTYPE.itemsize

@@ -36,7 +36,8 @@ from .corpus import (
     tokenize,
     window_dialogues,
 )
-from .decoding import DecodeConfig, decode as decode_one
+# bench/tracing.py times generation through the name decode_one
+from .decoding import DecodeConfig, decode_many as decode_one
 from .embeddings import WordEmbeddings, train_word_embeddings
 from .errors import ContractError, DataError, DialDistillError
 from .informativeness import STRATEGIES as INFORMATIVENESS_STRATEGIES
@@ -308,14 +309,10 @@ def _embedding_table(cfg: RunConfig, data_dir: Path) -> WordEmbeddings:
 
 def _generate_token_responses(model, vocab, histories, decode_cfg):
     """Greedy/beam responses as token-string lists, one per history token list."""
-    outputs = []
-    for history in histories:
-        history_ids = vocab.encode(history)
-        if not history_ids:
-            raise DataError("cannot generate from an empty history")
-        result = decode_one(model, history_ids, decode_cfg)
-        outputs.append(vocab.decode(result.token_ids))
-    return outputs
+    history_ids = [vocab.encode(history) for history in histories]
+    if not all(history_ids):
+        raise DataError("cannot generate from an empty history")
+    return [vocab.decode(r.token_ids) for r in decode_one(model, history_ids, decode_cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +445,14 @@ def cmd_generate(cfg: RunConfig) -> int:
     out_path = cfg.require_path("out")
     dialogues = read_dialogues(input_path)
     histories = [[tok for turn in turns for tok in tokenize(turn)] for turns in dialogues]
+    marks = [time.perf_counter()]
     responses = _generate_token_responses(model, vocab, histories, cfg.decode_config())
+    marks.append(time.perf_counter())
     lines = [" ".join(tokens) for tokens in responses]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     print(f"wrote {len(lines)} responses to {out_path}")
+    _print_timings(("generation",), marks)
     return 0
 
 
@@ -564,9 +564,12 @@ def cmd_analyze_wordfreq(cfg: RunConfig) -> int:
     if not examples:
         raise DataError(f"split {split!r} in {data_dir} is empty")
     histories = [ex.history_tokens for ex in examples]
+    marks = [time.perf_counter()]
     generated = _generate_token_responses(model, vocab, histories, cfg.decode_config())
+    marks.append(time.perf_counter())
     references = [ex.response for ex in examples]
     similarity = word_distribution_similarity(generated, references, top_k=top_k)
+    marks.append(time.perf_counter())
     payload = {
         "top_k": top_k,
         "similarity": similarity,
@@ -576,6 +579,7 @@ def cmd_analyze_wordfreq(cfg: RunConfig) -> int:
     }
     Path(out_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"word-frequency cosine over top-{top_k}: {similarity:.4f} -> {out_path}")
+    _print_timings(("generation", "similarity"), marks)
     return 0
 
 

@@ -8,15 +8,19 @@ final hypothesis. Pad and begin-of-sequence ids are never emitted. With
 ``beam_width == 1`` and no penalty, beam search reproduces greedy
 decoding token for token, tie-breaks included.
 
-Decoding is incremental: each step feeds the decoder only every row's
-newest token, against a :class:`~dialdistill.model.DecodeState` caching
-the keys and values of earlier positions and of the encoded history.
-Beam search reorders the cached rows by each kept hypothesis's parent.
+Histories are decoded ``CHUNK`` at a time, right-padded with the pad id
+and encoded once; a single history is a batch of one. Decoding is
+incremental: each step feeds the decoder only every row's newest token,
+against a :class:`~dialdistill.model.DecodeState` caching the keys and
+values of earlier positions and of the encoded histories. Greedy search
+steps one row per history; beam search steps every active hypothesis of
+every history still searching, and reorders the cached rows by each kept
+hypothesis's parent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .errors import ContractError
 from .model import DecodeState, TransformerModel, key_padding_mask
 
 STRATEGIES = ("greedy", "beam")
+CHUNK = 32  # histories decoded together: the paper's batch size
 
 
 @dataclass(frozen=True)
@@ -59,17 +64,22 @@ class DecodeResult:
     truncated: bool
 
 
-def _history(model: TransformerModel, history_ids) -> np.ndarray:
-    """``history_ids`` as a (1, T) array, once both it and the model can decode."""
+def _batch(model: TransformerModel, histories) -> np.ndarray:
+    """``histories``, each one non-empty token sequence, right-padded with
+    the pad id into one (N, T) array, once the model can decode."""
     if model.config.variant != "conventional":
         raise ContractError(
             "generation needs a history-only (conventional) checkpoint; "
             f"got variant {model.config.variant!r}"
         )
-    history = np.atleast_2d(np.asarray(history_ids))
-    if history.size == 0:
-        raise ContractError("cannot decode from an empty history")
-    return history
+    rows = [np.atleast_2d(np.asarray(h)) for h in histories]
+    for row in rows:
+        if row.size == 0 or row.shape[0] != 1:
+            raise ContractError(f"a history must be one non-empty token sequence, got shape {row.shape}")
+    batch = np.full((len(rows), max(row.shape[1] for row in rows)), PAD_ID, dtype=np.int64)
+    for i, row in enumerate(rows):
+        batch[i, : row.shape[1]] = row[0]
+    return batch
 
 
 def _normalize(score: float, length: int, penalty: float) -> float:
@@ -83,8 +93,7 @@ def _step_logprobs(model, last_ids: np.ndarray, memory, memory_mask, state: Deco
     with pad and bos excluded from selection."""
     out = model.decode(last_ids, history_memory=memory, history_mask=memory_mask, state=state)
     logp = T.floored_log(out.probabilities.data[:, -1, :])
-    logp[:, PAD_ID] = -np.inf
-    logp[:, BOS_ID] = -np.inf
+    logp[:, [PAD_ID, BOS_ID]] = -np.inf
     return logp
 
 
@@ -96,103 +105,105 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-scores[candidates], kind="stable")][:k]
 
 
-def greedy_decode(
-    model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig()
-) -> DecodeResult:
-    """Argmax token per step until end-of-sequence or the length cap."""
-    history = _history(model, history_ids)
-    with model.params.inference():
-        memory = model.encode(history)
-        mask = key_padding_mask(history)
-        state = DecodeState()
-        k = BOS_ID
-        tokens = []
-        score = 0.0
-        while len(tokens) < config.max_length:
-            logp = _step_logprobs(model, np.array([[k]]), memory, mask, state)[0]
-            k = int(np.argmax(logp))
-            tokens.append(k)
-            score += float(logp[k])
-            if k == EOS_ID:
-                break
-    truncated = not tokens or tokens[-1] != EOS_ID
-    return DecodeResult(
-        token_ids=tokens,
-        score=score,
-        normalized_score=_normalize(score, len(tokens), config.length_penalty),
-        truncated=truncated,
-    )
+def _result(ids, score: float, penalty: float) -> DecodeResult:
+    return DecodeResult(list(ids), score, _normalize(score, len(ids), penalty), not ids or ids[-1] != EOS_ID)
 
 
-def beam_decode(
-    model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig(strategy="beam")
-) -> DecodeResult:
-    """Beam search over log-probabilities.
+def _greedy(model: TransformerModel, history: np.ndarray, config: DecodeConfig) -> list:
+    """Argmax token per step for every row until each has emitted
+    end-of-sequence or the length cap is reached. A finished row is still
+    stepped with the others, and its later tokens are dropped."""
+    memory, mask, state = model.encode(history), key_padding_mask(history), DecodeState()
+    live = list(range(len(history)))
+    last, tokens, scores = np.full((len(live), 1), BOS_ID), [[] for _ in live], [0.0] * len(live)
+    for _ in range(config.max_length):
+        logp = _step_logprobs(model, last, memory, mask, state)
+        ids = np.argmax(logp, axis=1)
+        last, ids = ids[:, None], ids.tolist()
+        for r in live:  # plain Python: a numpy call on these few values costs more than its work
+            tokens[r].append(ids[r])
+            scores[r] += float(logp[r, ids[r]])
+        live = [r for r in live if ids[r] != EOS_ID]
+        if not live:
+            break
+    return [_result(ids, score, config.length_penalty) for ids, score in zip(tokens, scores)]
+
+
+def _beam(model: TransformerModel, history: np.ndarray, config: DecodeConfig) -> list:
+    """Beam search over log-probabilities, each history on its own.
 
     Each step expands every active hypothesis over the vocabulary and
-    keeps the ``beam_width`` best extensions overall (deterministic
-    tie-break: earlier hypothesis, then lower token id). Extensions
-    ending in end-of-sequence move to a completed pool that is never
-    pruned. The search stops when the best completed raw score cannot be
-    beaten by any active hypothesis (log-probabilities never raise a
-    score) or at ``max_length``.
+    keeps the ``beam_width`` best extensions of each history overall
+    (deterministic tie-break: earlier hypothesis, then lower token id).
+    Extensions ending in end-of-sequence move to the history's completed
+    pool, which is never pruned. A history's search stops when its best
+    completed raw score cannot be beaten by any of its active hypotheses
+    (log-probabilities never raise a score) or at ``max_length``; its rows
+    then leave the batch.
     """
-    history = _history(model, history_ids)
-    with model.params.inference():
-        memory = model.encode(history)
-        mask = key_padding_mask(history)
-        state = DecodeState()
-        active = [((), 0.0)]  # (token tuple, raw score)
-        completed = []
-        for _ in range(config.max_length):
-            last_ids = np.array([[ids[-1] if ids else BOS_ID] for ids, _ in active], dtype=np.int64)
-            logp = _step_logprobs(model, last_ids, memory, mask, state)  # (A, V)
-            scores = np.array([s for _, s in active])[:, None] + logp
-            flat = scores.reshape(-1)
+    memory, mask, state = model.encode(history), key_padding_mask(history), DecodeState()
+    active, completed = [[((), 0.0)] for _ in history], [[] for _ in history]  # (token tuple, raw score)s
+    searching = list(range(len(history)))  # in row order
+    for _ in range(config.max_length):
+        last_ids = np.array([[ids[-1] if ids else BOS_ID] for h in searching for ids, _ in active[h]])
+        logp = _step_logprobs(model, last_ids, memory, mask, state)  # (rows, V)
+        parents, still, first = [], [], 0
+        for h in searching:
+            hyps = active[h]
+            flat = (np.array([s for _, s in hyps])[:, None] + logp[first : first + len(hyps)]).reshape(-1)
             # ties keep (hypothesis index, token id) order, matching greedy's
             # lowest-id argmax at width 1
-            order = top_k(flat, config.beam_width)
-            next_active = []
-            parents = []
-            vocab = logp.shape[1]
-            for f in order:
-                a, k = divmod(int(f), vocab)
-                hyp = (active[a][0] + (k,), float(flat[f]))
+            kept, rows = [], []
+            for f in top_k(flat, config.beam_width):
+                a, k = divmod(int(f), logp.shape[1])
+                hyp = (hyps[a][0] + (k,), float(flat[f]))
                 if not np.isfinite(hyp[1]):
                     continue
                 if k == EOS_ID:
-                    completed.append(hyp)
+                    completed[h].append(hyp)
                 else:
-                    next_active.append(hyp)
-                    parents.append(a)
-            active = next_active
-            state.select_rows(parents)
-            if not active:
-                break
-            if completed:
-                best_done = max(s for _, s in completed)
-                best_active = max(s for _, s in active)
-                if best_done >= best_active:
-                    break
+                    kept.append(hyp)
+                    rows.append(first + a)
+            first += len(hyps)
+            active[h] = kept
+            if kept and not (completed[h] and max(s for _, s in completed[h]) >= max(s for _, s in kept)):
+                still.append(h)
+                parents += rows
+        searching = still
+        if not searching:
+            break
+        state.select_rows(parents)
 
-    pool = completed if completed else active
-    truncated = not completed
-    ranked = sorted(
-        pool,
-        key=lambda h: (-_normalize(h[1], len(h[0]), config.length_penalty), len(h[0]), h[0]),
-    )
-    ids, raw = ranked[0]
-    return DecodeResult(
-        token_ids=list(ids),
-        score=raw,
-        normalized_score=_normalize(raw, len(ids), config.length_penalty),
-        truncated=truncated,
-    )
+    def rank(hyp):
+        return -_normalize(hyp[1], len(hyp[0]), config.length_penalty), len(hyp[0]), hyp[0]
+
+    return [
+        _result(*min(done or left, key=rank), config.length_penalty)
+        for done, left in zip(completed, active)
+    ]
 
 
-def decode(
-    model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig()
-) -> DecodeResult:
-    if config.strategy == "beam":
-        return beam_decode(model, history_ids, config)
-    return greedy_decode(model, history_ids, config)
+def decode_many(model: TransformerModel, histories: list, config: DecodeConfig = DecodeConfig()) -> list:
+    """One :class:`DecodeResult` per history, in order, by ``config.strategy``.
+    Histories run ``CHUNK`` at a time: padded, encoded once and decoded
+    together."""
+    search = _beam if config.strategy == "beam" else _greedy
+    results = []
+    with model.params.inference():
+        for start in range(0, len(histories), CHUNK):
+            results += search(model, _batch(model, histories[start : start + CHUNK]), config)
+    return results
+
+
+def greedy_decode(model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig()) -> DecodeResult:
+    """Argmax token per step until end-of-sequence or the length cap."""
+    return decode_many(model, [history_ids], replace(config, strategy="greedy"))[0]
+
+
+def beam_decode(model: TransformerModel, history_ids, config=DecodeConfig(strategy="beam")) -> DecodeResult:
+    """Beam search of ``config.beam_width`` over one history (see ``_beam``)."""
+    return decode_many(model, [history_ids], replace(config, strategy="beam"))[0]
+
+
+def decode(model: TransformerModel, history_ids, config: DecodeConfig = DecodeConfig()) -> DecodeResult:
+    return decode_many(model, [history_ids], config)[0]

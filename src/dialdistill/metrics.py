@@ -186,8 +186,17 @@ def _extrema_vector(vectors) -> np.ndarray:
     return stack[idx, np.arange(stack.shape[1])]
 
 
-def _greedy_directed(a_vecs, b_vecs) -> float:
-    return float(np.mean([max(cosine(a, b) for b in b_vecs) for a in a_vecs]))
+def _unit_rows(vecs) -> np.ndarray:
+    """``vecs`` stacked as float64 rows scaled to unit length; zero rows stay zero."""
+    m = np.asarray(vecs, dtype=np.float64)
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
+
+
+def _greedy_matching(a_vecs, b_vecs) -> float:
+    """Each token's best cosine on the other side, averaged per side, then over both sides."""
+    sims = _unit_rows(a_vecs) @ _unit_rows(b_vecs).T
+    return 0.5 * (float(np.mean(sims.max(axis=1))) + float(np.mean(sims.max(axis=0))))
 
 
 def embedding_metrics(references, candidates, embeddings: WordEmbeddings) -> EmbeddingMetrics:
@@ -213,9 +222,7 @@ def embedding_metrics(references, candidates, embeddings: WordEmbeddings) -> Emb
             extremas.append(0.0)
             continue
         averages.append(cosine(np.mean(ref_vecs, axis=0), np.mean(cand_vecs, axis=0)))
-        greedys.append(
-            0.5 * (_greedy_directed(ref_vecs, cand_vecs) + _greedy_directed(cand_vecs, ref_vecs))
-        )
+        greedys.append(_greedy_matching(ref_vecs, cand_vecs))
         extremas.append(cosine(_extrema_vector(ref_vecs), _extrema_vector(cand_vecs)))
     if not averages:
         return EmbeddingMetrics(0.0, 0.0, 0.0, skipped)

@@ -273,14 +273,16 @@ class DecodeOutput:
 @dataclass
 class DecodeState:
     """What an incremental :meth:`TransformerModel.decode` carries between
-    calls: the number of response positions processed and, per decoder
-    block, their self-attention keys and values (rows, length, d) and the
-    history memory's cross-attention keys and values (1, history length, d),
-    which serve every row."""
+    calls: the number of response positions processed; per decoder block,
+    their self-attention keys and values (rows, length, d); and, taken on
+    the first call, the history memory's cross-attention keys and values
+    (rows, history length, d) and its padding mask (rows, 1, history
+    length). A memory of one row serves every row."""
 
     length: int = 0
     self_kv: dict = field(default_factory=dict)
     cross_kv: list = field(default_factory=list)
+    cross_mask: np.ndarray = None
 
     def extend(self, block: int, kv) -> tuple:
         """Append new positions' keys and values to ``block``'s; returns all."""
@@ -290,8 +292,16 @@ class DecodeState:
         return kv
 
     def select_rows(self, rows) -> None:
-        """Keep the self-attention rows ``rows``, in order: a beam step's parents."""
-        self.self_kv = {b: tuple(T.as_tensor(t.data[rows]) for t in kv) for b, kv in self.self_kv.items()}
+        """Keep the rows ``rows``, in order (a beam step's parents), with
+        the memory rows they read."""
+        def take(kv):
+            return tuple(T.as_tensor(t.data[rows]) for t in kv)
+
+        self.self_kv = {b: take(kv) for b, kv in self.self_kv.items()}
+        if self.cross_kv and len(self.cross_kv[0][0].data) > 1:
+            self.cross_kv = [take(kv) for kv in self.cross_kv]
+            if self.cross_mask is not None and len(self.cross_mask) > 1:
+                self.cross_mask = self.cross_mask[rows]
 
 
 def key_padding_mask(token_ids: np.ndarray) -> np.ndarray:
@@ -448,7 +458,8 @@ class TransformerModel:
         With a ``state`` (conventional variant, inference only) the call is
         incremental: ``response_in`` and the outputs hold only the positions
         from ``state.length`` on, which attend to the cached keys and values
-        and extend them. The memory's projections are cached on the first call.
+        and extend them. The memory's projections and mask are cached on the
+        first call; ``state.select_rows`` reorders rows between calls.
         """
         cfg = self.config
         p = self.params
@@ -474,6 +485,7 @@ class TransformerModel:
         if state is not None and not state.cross_kv:
             state.cross_kv = [_project_kv(p, f"dec.{i}.cross_attn", history_memory)
                               for i in range(cfg.num_blocks)]
+            state.cross_mask = history_mask
         hidden = []
         for i in range(cfg.num_blocks):
             prefix = f"dec.{i}.self_attn"
@@ -488,8 +500,8 @@ class TransformerModel:
                         history_mask, future_mask, cfg.num_heads,
                     )
                 else:
-                    kv = None if state is None else state.cross_kv[i]
-                    ctx = _attend(p, prefix, x, history_memory, history_mask, cfg.num_heads, kv)
+                    kv, mask = (None, history_mask) if state is None else (state.cross_kv[i], state.cross_mask)
+                    ctx = _attend(p, prefix, x, history_memory, mask, cfg.num_heads, kv)
                 c = T.affine(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
                 x = self._residual(x, c, f"dec.{i}.ln_cross", train, rng)
             f = self._ffn(x, f"dec.{i}.ffn")

@@ -205,9 +205,11 @@ def affine(x, w, b) -> Tensor:
     shape, k = x.data.shape, w.data.shape[0]
     if shape[-1] != k:
         raise ShapeError(f"affine dimension mismatch: {x.data.shape} @ {w.data.shape}")
-    # one GEMM over all positions beats one per sequence, except for decode
-    # steps (one position) and small per-sequence products
-    flat = len(shape) > 2 and shape[-2] > 1 and shape[-2] * k * w.data.shape[-1] > _SMALL_GEMM
+    # one GEMM over all positions beats one per sequence, except for small
+    # per-sequence products; a decode step (one position per row) is judged
+    # by the product over all of its rows instead
+    m = shape[-2] if shape[-2] > 1 else x.data.size // k
+    flat = len(shape) > 2 and m > 1 and m * k * w.data.shape[-1] > _SMALL_GEMM
     if flat:
         data = (x.data.reshape(-1, k) @ w.data).reshape(*shape[:-1], -1) + b.data
     else:

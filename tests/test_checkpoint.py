@@ -180,6 +180,12 @@ class TestCorruption:
         entry = {"name": "w", "shape": [-2, -2], "trainable": True}
         self._load_header(tmp_path, {"configs": {}, "manifest": [entry]}, np.zeros(4, "<f4").tobytes())
 
+    def test_manifest_naming_a_tensor_twice_rejected(self, tmp_path):
+        entry = {"name": "w", "shape": [2], "trainable": True}
+        self._load_header(tmp_path, {"configs": {}, "manifest": [entry, entry]},
+                          np.zeros(4, "<f4").tobytes(),
+                          match=r"bad\.ckpt: manifest lists \['w'\] more than once")
+
     @pytest.mark.parametrize("frozen", [3, ["no.such.tensor"], [["encoder_embedding"]]])
     def test_bad_frozen_list_rejected(self, tmp_path, frozen):
         entry = {"name": "w", "shape": [2], "trainable": True}

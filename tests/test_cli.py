@@ -264,6 +264,15 @@ class TestTrainingCommands:
         assert "scenario-based" in capsys.readouterr().err
 
 
+def timing_stages(stdout: str) -> dict:
+    """The stages and seconds of the one ``timing (s):`` line a command prints."""
+    timing = [line for line in stdout.splitlines() if line.startswith("timing (s): ")]
+    assert len(timing) == 1
+    stages = {name: float(v) for name, v in (item.split(" ") for item in timing[0][len("timing (s): "):].split(", "))}
+    assert all(v >= 0.0 for v in stages.values())
+    return stages
+
+
 class TestGenerate:
     def test_one_response_per_history(self, pipeline, tmp_path):
         out = tmp_path / "responses.txt"
@@ -308,6 +317,19 @@ class TestGenerate:
         )
         assert rc == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 4
+
+    def test_prints_generation_timing_outside_the_output(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "responses.txt"
+        rc = main(
+            [
+                "generate", "--checkpoint", str(pipeline["student"]),
+                "--input", str(pipeline["histories"]), "--out", str(out),
+                "--max-length", "6",
+            ]
+        )
+        assert rc == 0
+        assert list(timing_stages(capsys.readouterr().out)) == ["generation"]
+        assert "timing" not in out.read_text(encoding="utf-8")
 
     def test_scenario_checkpoint_rejected(self, pipeline, tmp_path, capsys):
         rc = main(
@@ -366,11 +388,7 @@ class TestEvaluate:
             ]
         )
         assert rc == 0
-        timing = [line for line in capsys.readouterr().out.splitlines() if line.startswith("timing (s): ")]
-        assert len(timing) == 1
-        stages = dict(item.split(" ") for item in timing[0][len("timing (s): "):].split(", "))
-        assert list(stages) == ["generation", "perplexity", "embeddings", "metrics"]
-        assert all(float(v) >= 0.0 for v in stages.values())
+        assert list(timing_stages(capsys.readouterr().out)) == ["generation", "perplexity", "embeddings", "metrics"]
         assert json.loads(out.read_text()).keys() == json.loads(report_path.read_text()).keys()
 
 
@@ -404,6 +422,19 @@ class TestAnalysisCommands:
         assert payload["top_k"] == 50
         assert -1.0 <= payload["similarity"] <= 1.0
         assert payload["split"] == "test"
+
+    def test_wordfreq_prints_stage_timings_outside_the_report(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "wordfreq.json"
+        rc = main(
+            [
+                "analyze-wordfreq", "--checkpoint", str(pipeline["student"]),
+                "--data", str(pipeline["data"]), "--out", str(out),
+                "--top-k", "50", "--max-length", "5",
+            ]
+        )
+        assert rc == 0
+        assert list(timing_stages(capsys.readouterr().out)) == ["generation", "similarity"]
+        assert set(json.loads(out.read_text())) == {"top_k", "similarity", "examples", "split", "run_config"}
 
     def test_classify_exact_match_partition(self, pipeline, tmp_path):
         out_dir = tmp_path / "parts"

@@ -12,11 +12,13 @@ import pytest
 import dialdistill.tensor as T
 from dialdistill.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
 from dialdistill.decoding import (
+    CHUNK,
     DecodeConfig,
     STRATEGIES,
     DecodeResult,
     beam_decode,
     decode,
+    decode_many,
     greedy_decode,
     top_k,
 )
@@ -27,6 +29,7 @@ from dialdistill.model import (
     ModelConfig,
     ParameterSet,
     TransformerModel,
+    desk_config,
     key_padding_mask,
 )
 
@@ -46,33 +49,44 @@ class _ScriptedConfig:
 
 class ScriptedModel:
     """Duck-typed model whose step distribution depends only on the
-    generated prefix so far. Unlisted prefixes fall back to uniform.
+    generated prefix so far and, through ``by_history``, on the first
+    token of the row's history. Unlisted prefixes fall back to uniform.
 
     Decoding is incremental, so each call sees only every row's newest
     token. The rows' whole prefixes ride in the decode state as its one
     self-attention pair, laid out (rows, length, 1) like a real model's
-    cached keys and values, so beam search's row reordering applies to
-    them exactly as it does to those."""
+    cached keys and values, and the histories' first tokens as its
+    cross-attention memory, so beam search's row reordering applies to
+    them exactly as it does to a real model's."""
 
-    def __init__(self, table, vocab_size=6):
-        self.table = {tuple(k): np.asarray(v, dtype=np.float64) for k, v in table.items()}
+    def __init__(self, table, vocab_size=6, by_history=None):
+        def tables(t):
+            return {tuple(k): np.asarray(v, dtype=np.float64) for k, v in t.items()}
+
+        self.table = tables(table)
+        self.by_history = {h: tables(t) for h, t in (by_history or {}).items()}
         self.vocab_size = vocab_size
         self.config = _ScriptedConfig()
         self.params = ParameterSet([])
 
     def encode(self, history):
-        return None
+        return np.asarray(history)
 
     def decode(self, response_in, history_memory=None, history_mask=None, state=None):
+        if not state.cross_kv:
+            first = T.Tensor(history_memory[:, :1, None])
+            state.cross_kv = [(first, first)]
         new = T.Tensor(response_in[:, :, None])
         prefixes = state.extend(0, (new, new))[0].data[:, :, 0].astype(np.int64)
         state.length += response_in.shape[1]
         rows, length = response_in.shape
+        owners = np.broadcast_to(state.cross_kv[0][0].data[:, 0, 0], (rows,)).astype(np.int64)
         probs = np.full((rows, length, self.vocab_size), 1.0 / self.vocab_size)
         for r in range(rows):
+            table = self.by_history.get(int(owners[r]), self.table)
             prefix = tuple(int(t) for t in prefixes[r, 1:])  # strip bos
-            if prefix in self.table:
-                probs[r, -1, :] = self.table[prefix]
+            if prefix in table:
+                probs[r, -1, :] = table[prefix]
         return DecodeOutput(probabilities=T.Tensor(probs), hidden_states=[])
 
 
@@ -293,23 +307,29 @@ def reference_beam(model, history, width, max_length):
     return list(min(completed or active, key=lambda h: (-h[1], len(h[0]), h[0]))[0])
 
 
+def peaked_model():
+    """A float64 model whose weights are scaled up so its distributions are
+    peaked, and whose responses end at several lengths."""
+    config = ModelConfig(
+        vocab_size=16, model_dim=8, num_blocks=2, num_heads=2, ffn_dim=16,
+        dropout_rate=0.0, max_sequence_length=32, variant="conventional",
+    )
+    with T.precision("double"):
+        model = TransformerModel.build(config, seed=31)
+    for _, t in model.params.items():
+        if t.requires_grad and t.data.ndim == 2:
+            t.data = t.data * 20.0
+    model.params["out_proj.b"].data[EOS_ID] = 1.0
+    return model
+
+
 class TestIncrementalAgainstFullPrefix:
     """Cached decoding against full-prefix decoding, in float64 on a
     model whose weights are scaled up so its distributions are peaked."""
 
     @pytest.fixture(scope="class")
     def model(self):
-        config = ModelConfig(
-            vocab_size=16, model_dim=8, num_blocks=2, num_heads=2, ffn_dim=16,
-            dropout_rate=0.0, max_sequence_length=32, variant="conventional",
-        )
-        with T.precision("double"):
-            model = TransformerModel.build(config, seed=31)
-        for _, t in model.params.items():
-            if t.requires_grad and t.data.ndim == 2:
-                t.data = t.data * 20.0
-        model.params["out_proj.b"].data[EOS_ID] = 1.0  # responses end at several lengths
-        return model
+        return peaked_model()
 
     def contexts(self):
         rng = np.random.default_rng(2024)
@@ -356,6 +376,78 @@ class TestIncrementalAgainstFullPrefix:
         assert len(fits.token_ids) == 6
         with pytest.raises(ContractError):
             decode(model, [[4, 5, 6]], DecodeConfig(strategy, width, max_length=7))
+
+
+class TestBatchedScripted:
+    """Several histories in one call, each with its own script: every row's
+    result is the one it gets alone, whenever the other rows finish."""
+
+    FORCED = {(): dist(a=0.9), (A_ID,): dist(b=0.9), (A_ID, B_ID): dist(eos=0.9)}
+
+    def test_greedy_rows_finish_independently(self):
+        # history b finishes at step 1, history a at step 3, unk never
+        model = ScriptedModel({}, by_history={A_ID: self.FORCED, B_ID: {(): dist(eos=0.8)}})
+        histories = [[[A_ID]], [[B_ID, A_ID]], [[UNK_ID]], [[A_ID, A_ID, B_ID]]]
+        results = decode_many(model, histories, DecodeConfig(max_length=5))
+        assert [r.token_ids for r in results] == [
+            [A_ID, B_ID, EOS_ID], [EOS_ID], [UNK_ID] * 5, [A_ID, B_ID, EOS_ID]]
+        assert abs(results[0].score - 3 * np.log(0.9)) < 1e-12
+        assert abs(results[1].score - np.log(0.8)) < 1e-12
+        assert [r.truncated for r in results] == [False, False, True, False]
+        assert results == [greedy_decode(model, h, DecodeConfig(max_length=5)) for h in histories]
+
+    def test_beam_histories_keep_their_own_pools(self):
+        # a: the delayed-reward script, stops after step 2; b: the row-swap
+        # script, stops after step 3; unk: a completion drops one of its rows
+        model = ScriptedModel({}, by_history={
+            A_ID: {(): dist(a=0.6, b=0.4), (A_ID,): dist(eos=0.5, a=0.5), (B_ID,): dist(eos=0.95, a=0.05)},
+            B_ID: {(): dist(a=0.6, b=0.4), (A_ID,): dist(b=0.5, a=0.3, eos=0.2), (B_ID,): dist(b=0.9, eos=0.1),
+                   (B_ID, B_ID): dist(eos=0.5, a=0.5), (A_ID, B_ID): dist(eos=0.9, a=0.1)},
+            UNK_ID: {(): dist(b=0.6, a=0.4), (B_ID,): dist(eos=0.55, a=0.45), (A_ID,): dist(b=0.9),
+                     (A_ID, B_ID): dist(eos=0.95)},
+        })
+        histories = [[[B_ID]], [[A_ID]], [[UNK_ID]], [[B_ID]]]
+        cfg = DecodeConfig(strategy="beam", beam_width=2)
+        results = decode_many(model, histories, cfg)
+        assert [r.token_ids for r in results] == [
+            [A_ID, B_ID, EOS_ID], [B_ID, EOS_ID], [A_ID, B_ID, EOS_ID], [A_ID, B_ID, EOS_ID]]
+        assert abs(results[0].score - np.log(0.6 * 0.5 * 0.9)) < 1e-12
+        assert abs(results[1].score - np.log(0.4 * 0.95)) < 1e-12
+        assert abs(results[2].score - np.log(0.4 * 0.9 * 0.95)) < 1e-12
+        assert results == [beam_decode(model, h, cfg) for h in histories]
+
+
+class TestBatchedAgainstPerHistory:
+    """One call over many histories against one call per history."""
+
+    @staticmethod
+    def histories(rng, vocab_size, longest):
+        lengths = list(range(1, longest + 1)) + [int(n) for n in rng.integers(1, longest + 1, size=40 - longest)]
+        return [[int(t) for t in rng.integers(4, vocab_size, size=n)] for n in lengths]
+
+    @pytest.mark.parametrize("strategy, width", [("greedy", 1), ("beam", 1), ("beam", 3)])
+    def test_float64_same_ids_and_scores(self, strategy, width):
+        model = peaked_model()
+        histories = self.histories(np.random.default_rng(7), 16, 24)  # lengths 1 to 24
+        assert len(histories) > CHUNK  # crosses a chunk boundary
+        cfg = DecodeConfig(strategy, width, max_length=10)
+        batched = decode_many(model, histories, cfg)
+        assert len(batched) == len(histories)
+        for i, (h, got) in enumerate(zip(histories, batched)):
+            want = decode(model, h, cfg)
+            assert got.token_ids == want.token_ids, i
+            assert abs(got.score - want.score) <= 1e-9, i
+            assert got.truncated == want.truncated, i
+        assert len({len(r.token_ids) for r in batched}) > 1  # rows finished at different steps
+
+    @pytest.mark.parametrize("strategy, width", [("greedy", 1), ("beam", 3)])
+    def test_float32_same_ids_on_a_desk_model(self, strategy, width):
+        with T.precision("single"):
+            model = TransformerModel.build(desk_config(200, dropout_rate=0.0), seed=3)
+            histories = self.histories(np.random.default_rng(8), 200, 30)
+            cfg = DecodeConfig(strategy, width, max_length=8)
+            batched = decode_many(model, histories, cfg)
+            assert [r.token_ids for r in batched] == [decode(model, h, cfg).token_ids for h in histories]
 
 
 class TestAgainstRealModel:
@@ -457,6 +549,13 @@ class TestContracts:
             for empty in ([], [[]]):
                 with pytest.raises(ContractError):
                     decode(real_model, empty, DecodeConfig(strategy=strategy))
+
+    def test_decode_many_takes_one_sequence_per_history(self, real_model):
+        assert decode_many(real_model, [], DecodeConfig()) == []
+        with pytest.raises(ContractError):
+            decode_many(real_model, [[4, 5], [[4, 5], [6, 7]]], DecodeConfig())
+        with pytest.raises(ContractError):
+            decode_many(real_model, [[4, 5], []], DecodeConfig(strategy="beam", beam_width=2))
 
     def test_config_round_trips_through_dict(self):
         cfg = DecodeConfig(strategy="beam", beam_width=4, max_length=12, length_penalty=0.5)

@@ -10,7 +10,7 @@ import pytest
 
 import dialdistill.tensor as T
 from dialdistill.corpus import EncodedExample, make_batch
-from dialdistill.embeddings import WordEmbeddings
+from dialdistill.embeddings import WordEmbeddings, cosine
 from dialdistill.errors import ContractError, DataError
 from dialdistill.metrics import (
     EmbeddingMetrics,
@@ -404,6 +404,21 @@ class TestEmbeddingMetrics:
         with_unk = embedding_metrics(sentences("r1 zzz"), sentences("r1"), table)
         without = embedding_metrics(sentences("r1"), sentences("r1"), table)
         assert with_unk == without
+
+    def test_greedy_matches_per_pair_cosine_loop(self):
+        def directed(a_vecs, b_vecs):
+            return float(np.mean([max(cosine(a, b) for b in b_vecs) for a in a_vecs]))
+
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(30)]
+        vectors = {w: rng.standard_normal(6) for w in words}
+        vectors["w0"] = np.zeros(6)  # scores 0 against every word
+        table = WordEmbeddings(vectors)
+        for _ in range(200):
+            ref, cand = ([str(w) for w in rng.choice(words, size=int(rng.integers(1, 9)))] for _ in "rc")
+            r_vecs, c_vecs = [vectors[w] for w in ref], [vectors[w] for w in cand]
+            expected = 0.5 * (directed(r_vecs, c_vecs) + directed(c_vecs, r_vecs))
+            assert abs(embedding_metrics([ref], [cand], table).greedy - expected) <= 1e-12
 
     def test_pair_with_no_known_tokens_is_skipped(self):
         table = hand_table()

@@ -505,6 +505,23 @@ class TestDecodeState:
         full = self._decode(np.concatenate([prefixes[rows], new], axis=1)).probabilities.data[:, -1]
         assert np.max(np.abs(step - full)) < 1e-12
 
+    def test_select_rows_carries_a_multi_row_memory(self):
+        # three padded histories; each row keeps reading its own history
+        hist = np.array([[4, 5, 6, 7, PAD], [8, 9, PAD, PAD, PAD], [10, 11, 4, PAD, PAD]])
+        mem, mask = self.m.encode(hist), key_padding_mask(hist)
+        prefixes = np.array([[2, 4, 5], [2, 6, 7], [2, 8, 9]])
+        state = DecodeState()
+        self.m.decode(prefixes, history_memory=mem, history_mask=mask, state=state)
+        rows = [2, 0, 0]
+        state.select_rows(rows)
+        assert [[t.data.shape for t in kv] for kv in state.cross_kv] == [[(3, 5, 8)] * 2] * 2
+        assert np.array_equal(state.cross_mask, mask[rows])
+        new = np.array([[10], [11], [4]])
+        step = self.m.decode(new, history_memory=mem, history_mask=mask, state=state).probabilities.data[:, -1]
+        full = self.m.decode(np.concatenate([prefixes[rows], new], axis=1), history_memory=T.Tensor(mem.data[rows]),
+                             history_mask=mask[rows]).probabilities.data[:, -1]
+        assert np.max(np.abs(step - full)) < 1e-12
+
     def test_length_cap_counts_cached_positions(self):
         state = DecodeState()
         self._decode(np.array([[2, 4, 5, 6, 7, 8]]), state)

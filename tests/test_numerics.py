@@ -7,8 +7,8 @@ import pytest
 
 from dialdistill import tensor as T
 from dialdistill import training
-from dialdistill.corpus import batchify, encode_example
-from dialdistill.decoding import DecodeConfig, decode
+from dialdistill.corpus import PAD_ID, batchify, encode_example
+from dialdistill.decoding import DecodeConfig, decode, decode_many
 from dialdistill.errors import NumericError
 from dialdistill.metrics import corpus_ppl
 from dialdistill.model import DecodeState, ModelConfig, TransformerModel, key_padding_mask
@@ -130,6 +130,14 @@ class TestModelBoundaries:
         with pytest.raises(NumericError, match=f"primitive '{op}'"):
             decode(model, examples[0].history, DecodeConfig(strategy, width, max_length=4))
 
+    @pytest.mark.parametrize("strategy,width", [("greedy", 1), ("beam", 3)])
+    @pytest.mark.parametrize("name,op", POISONS)
+    def test_decode_many(self, examples, strategy, width, name, op):
+        model = poison(TransformerModel.build(config("conventional"), 6), name)
+        histories = [ex.history for ex in examples[:5]]
+        with pytest.raises(NumericError, match=f"primitive '{op}'"):
+            decode_many(model, histories, DecodeConfig(strategy, width, max_length=4))
+
     @pytest.mark.parametrize("name,op", POISONS)
     def test_validation_nll(self, examples, name, op):
         model = poison(TransformerModel.build(config("conventional"), 6), name)
@@ -155,15 +163,17 @@ class TestCheckCount:
         monkeypatch.setattr(T, "check_finite", lambda x: calls.append(x) or check(x))
         return calls
 
-    def decode_step_checks(self, count, examples, num_blocks):
+    def decode_step_checks(self, count, examples, num_blocks, rows):
         model = TransformerModel.build(config("conventional", num_blocks), 1)
-        history = np.asarray([examples[0].history])
+        # ``rows`` histories of different lengths, right-padded as decoding pads them
+        width = max(len(ex.history) for ex in examples[:rows])
+        history = np.array([ex.history + [PAD_ID] * (width - len(ex.history)) for ex in examples[:rows]])
         with model.params.inference():
             memory = model.encode(history)
             state = DecodeState()
-            model.decode(np.array([[1]]), memory, history_mask=key_padding_mask(history), state=state)
+            model.decode(np.full((rows, 1), 1), memory, history_mask=key_padding_mask(history), state=state)
             count.clear()
-            model.decode(np.array([[7]]), memory, history_mask=key_padding_mask(history), state=state)
+            model.decode(np.full((rows, 1), 7), memory, history_mask=key_padding_mask(history), state=state)
         return len(count)
 
     def train_step_checks(self, count, examples, num_blocks):
@@ -178,8 +188,8 @@ class TestCheckCount:
         return per_run[1] - per_run[0]
 
     def test_cached_greedy_decode_step(self, count, examples):
-        checks = [self.decode_step_checks(count, examples, n) for n in (1, 3)]
-        assert checks == [1, 1]
+        checks = [self.decode_step_checks(count, examples, n, rows) for n in (1, 3) for rows in (1, 5)]
+        assert checks == [1, 1, 1, 1]
 
     def test_desk_training_step(self, count, examples):
         checks = [self.train_step_checks(count, examples, n) for n in (1, 3)]

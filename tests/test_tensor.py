@@ -133,13 +133,45 @@ class TestAffine:
             assert np.array_equal(y.data[i], x.data[i] @ w.data + b.data), i
             assert np.array_equal(x.grad[i], g[i] @ w.data.T), i
 
-    def test_one_position_input_keeps_the_batched_product(self):
-        # decode steps: a beam's (W, 1, d) rows, not one (W, d) GEMM
+    def test_decode_step_gradients_through_the_flat_gemm(self, monkeypatch):
+        # a decode step's rows, (rows, 1, k), taken as one (rows, k) GEMM
+        monkeypatch.setattr(T, "_SMALL_GEMM", 0)
+        rng = np.random.default_rng(13)
+        x, w, b = leaf(rng, 3, 1, 4), leaf(rng, 4, 2), leaf(rng, 2)
+        fd_check(lambda ls: T.tsum(T.mul(T.affine(*ls), T.affine(*ls))), [x, w, b])
+
+    def test_decode_step_flat_gemm_equals_per_row_products(self):
+        # above the threshold, in float64: the flat GEMM's rows agree with
+        # one product per row, forward and backward, to rounding
+        rng = np.random.default_rng(14)
+        with T.precision("double"):
+            x = T.Tensor(rng.standard_normal((8, 1, 256)), requires_grad=True)
+            w = T.Tensor(rng.standard_normal((256, 1024)) * 0.05, requires_grad=True)
+            b = T.Tensor(rng.standard_normal(1024), requires_grad=True)
+            g = rng.standard_normal((8, 1, 1024))
+            y = T.affine(x, w, b)
+            T.backward(T.tsum(T.mul(y, T.Tensor(g))))
+        assert 8 * 256 * 1024 > T._SMALL_GEMM
+        assert np.array_equal(y.data[:, 0], x.data[:, 0] @ w.data + b.data)  # the flat GEMM ran
+        for i in range(8):
+            assert np.allclose(y.data[i], x.data[i] @ w.data + b.data, rtol=0, atol=1e-12), i
+            assert np.allclose(x.grad[i], g[i] @ w.data.T, rtol=0, atol=1e-12), i
+
+    # decode steps, one position per row: one GEMM over the rows once they are
+    # two or more and their product exceeds _SMALL_GEMM (a paper-width beam's
+    # output head and FFN), else one product per row (a single history, and
+    # every desk-width product)
+    @pytest.mark.parametrize("rows, k, n, flat", [
+        (4, 256, 5000, True), (32, 256, 1024, True), (1, 256, 5000, False), (4, 256, 256, False),
+        (4, 64, 2000, False), (7, 64, 150, False), (32, 64, 128, False)])
+    def test_decode_step_products(self, rows, k, n, flat):
         rng = np.random.default_rng(12)
-        x = T.Tensor(rng.standard_normal((4, 1, 256)))
-        w = T.Tensor(rng.standard_normal((256, 5000)) * 0.05)
-        b = T.Tensor(np.zeros(5000))
-        assert np.array_equal(T.affine(x, w, b).data, x.data @ w.data + b.data)
+        x = T.Tensor(rng.standard_normal((rows, 1, k)))
+        w = T.Tensor(rng.standard_normal((k, n)) * 0.05)
+        b = T.Tensor(rng.standard_normal(n))
+        per_row = x.data @ w.data + b.data
+        flat_gemm = (x.data[:, 0] @ w.data + b.data)[:, None]
+        assert np.array_equal(T.affine(x, w, b).data, flat_gemm if flat else per_row)
 
 
 class TestSoftmax:
