@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from . import tensor as T
-from .corpus import batchify
+from .corpus import atomic_write, batchify
 from .errors import ContractError
 from .metrics import corpus_ppl
 from .training import forward_batch
@@ -74,7 +74,7 @@ def perturbation_analysis(
 
 def write_perturbation_series(records: list, path) -> None:
     """One JSON object per line: sigma, mean_ppl, std_ppl."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -16,6 +16,7 @@ from collections import Counter
 
 import numpy as np
 
+from .corpus import atomic_write
 from .errors import CheckpointFormatError, ContractError, NumericError
 from .model import ModelConfig, ParameterSet, TransformerModel, parameter_layout
 
@@ -32,7 +33,7 @@ def save_checkpoint(params: ParameterSet, configs: dict, path) -> None:
         {"configs": configs, "manifest": manifest, "frozen": sorted(params.frozen)},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)

@@ -4,11 +4,18 @@ Subcommands: prepare-data, train-teacher, train-student, train-lm,
 generate, evaluate, analyze-robustness, analyze-wordfreq,
 classify-informative.
 
-Configuration merges three layers, later winning: built-in defaults
-(per preset), a JSON config file of flat dotted keys
-(``{"training.lambda1": 2.0}``), then command-line flags. One ``--seed``
-governs every random draw. Exit codes: 0 success, 2 usage error,
-1 any other failure (with a diagnostic on stderr).
+Every option is one row of one table, ``COMMANDS``: its flag aliases,
+its dotted config key, its type, its default, its help and its choices,
+grouped under the subcommands that take it. ``build_parser``, the key
+check and typing of ``RunConfig.apply`` and every default are read from
+that table.
+
+Configuration merges three layers, later winning: the table's defaults
+(a preset's for model sizes and batch size), a JSON config file of flat
+dotted keys (``{"training.lambda1": 2.0}``), then command-line flags. A
+config file may set any key of the table; a null means the default. One
+``--seed`` governs every random draw. Exit codes: 0 success, 2 usage
+error, 1 any other failure (with a diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -20,12 +27,14 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .analysis import perturbation_analysis, write_perturbation_series
 from .checkpoint import load_model, save_model
 from .corpus import (
     DialogueExample,
     Vocabulary,
+    atomic_write,
     build_vocabulary,
     corpus_token_stream,
     encode_example,
@@ -58,85 +67,63 @@ from .training import TrainingConfig, train_nll, train_student
 PRESETS = ("desk", "paper")
 PRESET_BATCH = {"desk": 16, "paper": 128}
 
-_MODEL_KEYS = frozenset(ModelConfig.__dataclass_fields__) - {"variant", "vocab_size"}
-_TRAINING_KEYS = frozenset(TrainingConfig.__dataclass_fields__) - {"seed"}
-_DECODE_KEYS = frozenset(DecodeConfig.__dataclass_fields__)
-_PATH_KEYS = frozenset(
-    ("corpus", "data", "out", "checkpoint", "teacher", "lm_teacher", "embeddings", "input", "log")
-)
-_RUN_KEYS = frozenset(
-    (
-        "split",
-        "sigmas",
-        "samples_per_sigma",
-        "top_k",
-        "strategy",
-        "val_fraction",
-        "test_fraction",
-        "stride",
-        "max_vocab",
-        "embedding_dim",
-    )
-)
 
-_RUN_DEFAULTS = {
-    "sigmas": "0,0.01,0.05,0.1",
-    "samples_per_sigma": 5,
-    "top_k": 2350,
-    "strategy": "exact-match",
-    "val_fraction": 0.1,
-    "test_fraction": 0.1,
-    "stride": 1,
-    "max_vocab": 20000,
-    "embedding_dim": 64,
-}
+@dataclass(frozen=True)
+class Option:
+    """One row of the option table: a command-line flag and the config key
+    it sets. ``type`` reads a flag's string or a config file's value; with
+    none, a flag gives its string and a config file its raw JSON value. A
+    default of None leaves the value to the preset or the config class."""
+
+    flags: str  # space-separated aliases
+    key: str
+    type: type = None
+    default: object = None
+    help: str = None
+    choices: tuple = None
+
+
+@dataclass(frozen=True)
+class Command:
+    run: Callable
+    help: str
+    options: tuple
+
+
+def _defaults(options) -> dict:
+    return {option.key: option.default for option in options}
 
 
 @dataclass
 class RunConfig:
-    """Everything a subcommand needs, resolved from defaults, the JSON
-    config file, then flags."""
+    """Everything a subcommand needs: the values a JSON config file, then
+    flags, set, by dotted key, over the subcommand's table defaults."""
 
-    preset: str = "desk"
-    seed: int = 0
-    model: dict = field(default_factory=dict)  # overrides onto the preset
-    training: dict = field(default_factory=dict)
-    decode: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
-    run: dict = field(default_factory=dict)  # command-specific knobs
+    values: dict = field(default_factory=dict)
+    defaults: dict = field(default_factory=lambda: _defaults(COMMON))
 
     def apply(self, dotted: str, value) -> None:
-        if dotted == "preset":
-            if value not in PRESETS:
-                raise ContractError(f"unknown preset {value!r}; expected one of {PRESETS}")
-            self.preset = value
-            return
-        if dotted == "seed":
-            self.seed = _typed(dotted, value, int)
-            return
-        section, _, key = dotted.partition(".")
-        allowed = {
-            "model": _MODEL_KEYS,
-            "training": _TRAINING_KEYS,
-            "decode": _DECODE_KEYS,
-            "paths": _PATH_KEYS,
-            "run": _RUN_KEYS,
-        }.get(section)
-        if allowed is None or key not in allowed:
-            hint = ""
-            if dotted in ("model.variant",):
-                hint = " (the subcommand chooses the variant)"
-            if dotted in ("training.seed",):
-                hint = " (use the top-level 'seed')"
+        option = OPTIONS.get(dotted)
+        if option is None:
+            hint = {
+                "model.variant": " (the subcommand chooses the variant)",
+                "training.seed": " (use the top-level 'seed')",
+            }.get(dotted, "")
             raise ContractError(f"unknown configuration key {dotted!r}{hint}")
-        kind = _FLAG_TYPES.get(dotted)
-        if kind is not None and value is not None:  # null keeps a default of None (max_steps)
-            value = _typed(dotted, value, kind)
-        getattr(self, section)[key] = value
+        if value is not None:  # null means the default
+            try:  # read the way the flag reads its string
+                value = value if option.type is None else option.type(str(value))
+            except ValueError as exc:
+                raise ContractError(
+                    f"configuration key {dotted!r} needs {option.type.__name__}, got {value!r}"
+                ) from exc
+            if option.choices is not None and value not in option.choices:
+                raise ContractError(f"unknown {dotted} {value!r}; expected one of {option.choices}")
+        self.values[dotted] = value
 
     @classmethod
-    def from_sources(cls, config_path, overrides: dict) -> "RunConfig":
-        cfg = cls()
+    def from_sources(cls, config_path, overrides: dict, defaults: dict = None) -> "RunConfig":
+        cfg = cls() if defaults is None else cls(defaults=defaults)
         if config_path is not None:
             path = Path(config_path)
             if not path.is_file():
@@ -154,54 +141,43 @@ class RunConfig:
                 cfg.apply(dotted, value)
         return cfg
 
+    def get(self, dotted: str):
+        value = self.values.get(dotted)
+        return self.defaults.get(dotted) if value is None else value
+
+    def section(self, name: str) -> dict:
+        """The values set under ``name.``, by field name, nulls left out."""
+        prefix = name + "."
+        return {key[len(prefix):]: value for key, value in self.values.items()
+                if key.startswith(prefix) and value is not None}
+
     def to_flat(self) -> dict:
-        flat = {"preset": self.preset, "seed": self.seed}
-        for section in ("model", "training", "decode", "paths", "run"):
-            for key, value in sorted(getattr(self, section).items()):
-                flat[f"{section}.{key}"] = value
-        return flat
+        """Every value set, with the preset and seed in use, by sorted key."""
+        return dict(sorted({**self.values, "preset": self.get("preset"), "seed": self.get("seed")}.items()))
 
     # ---- resolution ------------------------------------------------------
 
     def model_config(self, vocab_size: int, variant: str) -> ModelConfig:
-        factory = desk_config if self.preset == "desk" else paper_config
-        return factory(vocab_size, variant=variant, **self.model)
+        factory = desk_config if self.get("preset") == "desk" else paper_config
+        return factory(vocab_size, variant=variant, **self.section("model"))
 
     def training_config(self) -> TrainingConfig:
-        merged = {"batch_size": PRESET_BATCH[self.preset]}
-        merged.update(self.training)
-        merged["seed"] = self.seed
-        return TrainingConfig(**merged)
+        return TrainingConfig(**{"batch_size": PRESET_BATCH[self.get("preset")],
+                                 **self.section("training"), "seed": self.get("seed")})
 
     def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(**self.decode)
+        return DecodeConfig(**self.section("decode"))
 
-    def run_value(self, key: str, command_default=None):
-        if key in self.run:
-            return self.run[key]
-        if key in _RUN_DEFAULTS:
-            return _RUN_DEFAULTS[key]
-        return command_default
-
-    def path(self, key: str, default=None):
-        value = self.paths.get(key, default)
+    def path(self, name: str):
+        value = self.get(f"paths.{name}")
         return None if value is None else Path(value)
 
-    def require_path(self, key: str) -> Path:
-        value = self.path(key)
+    def require_path(self, name: str) -> Path:
+        value = self.path(name)
         if value is None:
-            raise ContractError(f"missing required path 'paths.{key}' (flag --{key.replace('_', '-')})")
+            flag = OPTIONS[f"paths.{name}"].flags.split()[0]
+            raise ContractError(f"missing required path 'paths.{name}' (flag {flag})")
         return value
-
-
-def _typed(dotted: str, value, kind):
-    """``value`` read as ``kind`` the way its command-line flag reads it."""
-    try:
-        return kind(str(value))
-    except ValueError as exc:
-        raise ContractError(
-            f"configuration key {dotted!r} needs {kind.__name__}, got {value!r}"
-        ) from exc
 
 
 def _require_file(path: Path) -> Path:
@@ -221,20 +197,10 @@ def _require_dir(path: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _example_record(ex: DialogueExample) -> dict:
-    return {
-        "history": ex.history,
-        "response": ex.response,
-        "future": ex.future,
-        "dialogue_index": ex.dialogue_index,
-        "window_offset": ex.window_offset,
-    }
-
-
 def _write_examples(examples, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ex in examples:
-            fh.write(json.dumps(_example_record(ex)) + "\n")
+            fh.write(json.dumps(vars(ex)) + "\n")  # the fields, in declaration order
 
 
 def load_prepared_examples(data_dir: Path, split: str) -> list:
@@ -268,10 +234,6 @@ def load_prepared_examples(data_dir: Path, split: str) -> list:
     return out
 
 
-def _load_vocab(data_dir: Path) -> Vocabulary:
-    return Vocabulary.load(_require_file(Path(data_dir) / "vocab.txt"))
-
-
 def _encode_all(examples, vocab: Vocabulary) -> list:
     return [encode_example(ex, vocab) for ex in examples]
 
@@ -300,11 +262,22 @@ def _embedding_table(cfg: RunConfig, data_dir: Path) -> WordEmbeddings:
     train_examples = load_prepared_examples(data_dir, "train")
     sentences = list(corpus_token_stream(train_examples))
     table = train_word_embeddings(
-        sentences, dim=cfg.run_value("embedding_dim"), seed=cfg.seed
+        sentences, dim=cfg.get("run.embedding_dim"), seed=cfg.get("seed")
     )
     if emb_path is not None:
         table.save(emb_path)
     return table
+
+
+def _configured_split(cfg: RunConfig):
+    """The prepared-data directory, the configured split's name and its
+    examples, which must not be empty."""
+    data_dir = _require_dir(cfg.require_path("data"))
+    split = cfg.get("run.split")
+    examples = load_prepared_examples(data_dir, split)
+    if not examples:
+        raise DataError(f"split {split!r} in {data_dir} is empty")
+    return data_dir, split, examples
 
 
 def _generate_token_responses(model, vocab, histories, decode_cfg):
@@ -325,19 +298,19 @@ def cmd_prepare_data(cfg: RunConfig) -> int:
     out_dir = cfg.require_path("out")
     dialogues = read_dialogues(corpus_path)
     tokenized = [[tokenize(turn) for turn in turns] for turns in dialogues]
-    windows = window_dialogues(tokenized, stride=cfg.run_value("stride"))
+    windows = window_dialogues(tokenized, stride=cfg.get("run.stride"))
     kept = length_filter(windows)
     if not kept:
         raise DataError("no usable windows after length filtering")
     train, val, test = split_examples(
         kept,
-        cfg.run_value("val_fraction"),
-        cfg.run_value("test_fraction"),
-        cfg.seed,
+        cfg.get("run.val_fraction"),
+        cfg.get("run.test_fraction"),
+        cfg.get("seed"),
     )
     if not train:
         raise DataError("train split is empty; lower the val/test fractions")
-    vocab = build_vocabulary(corpus_token_stream(train), cfg.run_value("max_vocab"))
+    vocab = build_vocabulary(corpus_token_stream(train), cfg.get("run.max_vocab"))
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(out_dir / "vocab.txt")
     for name, split in (("train", train), ("val", val), ("test", test)):
@@ -352,7 +325,8 @@ def cmd_prepare_data(cfg: RunConfig) -> int:
         "vocab_size": len(vocab),
         "run_config": cfg.to_flat(),
     }
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    with atomic_write(out_dir / "meta.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(
         f"prepared {len(kept)} windows from {len(dialogues)} dialogues -> "
         f"train {len(train)} / val {len(val)} / test {len(test)}, vocab {len(vocab)}"
@@ -362,10 +336,10 @@ def cmd_prepare_data(cfg: RunConfig) -> int:
 
 def _training_inputs(cfg: RunConfig):
     data_dir = _require_dir(cfg.require_path("data"))
-    vocab = _load_vocab(data_dir)
+    vocab = Vocabulary.load(_require_file(data_dir / "vocab.txt"))
     train = _encode_all(load_prepared_examples(data_dir, "train"), vocab)
     val = _encode_all(load_prepared_examples(data_dir, "val"), vocab)
-    return data_dir, vocab, train, val
+    return vocab, train, val
 
 
 def _report_training(kind: str, result, out_path: Path) -> None:
@@ -375,11 +349,11 @@ def _report_training(kind: str, result, out_path: Path) -> None:
 
 def cmd_train_nll(cfg: RunConfig, variant: str, kind: str) -> int:
     """train-teacher and train-lm: fit ``variant`` on response NLL alone."""
-    _, vocab, train, val = _training_inputs(cfg)
+    vocab, train, val = _training_inputs(cfg)
     out_path = cfg.require_path("out")
     tcfg = cfg.training_config()
     config = cfg.model_config(len(vocab), variant)
-    log_path = cfg.path("log", default=f"{out_path}.log.jsonl")
+    log_path = cfg.path("log") or Path(f"{out_path}.log.jsonl")
     result = train_nll(train, val, config, tcfg, log_path=log_path)
     _finalize_training(result, out_path, tcfg, vocab)
     _report_training(kind, result, out_path)
@@ -396,7 +370,7 @@ def _student_config(cfg: RunConfig, teacher, vocab_size: int) -> ModelConfig:
         )
     derived = dict(teacher.config.to_dict())
     derived["variant"] = "conventional"
-    for key, value in cfg.model.items():
+    for key, value in cfg.section("model").items():
         if derived.get(key) != value:
             raise ContractError(
                 f"model override {key}={value!r} conflicts with the teacher's "
@@ -406,7 +380,7 @@ def _student_config(cfg: RunConfig, teacher, vocab_size: int) -> ModelConfig:
 
 
 def cmd_train_student(cfg: RunConfig) -> int:
-    _, vocab, train, val = _training_inputs(cfg)
+    vocab, train, val = _training_inputs(cfg)
     out_path = cfg.require_path("out")
     teacher, _ = load_model(_require_file(cfg.require_path("teacher")))
     if teacher.config.variant != "scenario-based":
@@ -419,7 +393,7 @@ def cmd_train_student(cfg: RunConfig) -> int:
         lm_teacher, _ = load_model(_require_file(lm_path))
     tcfg = cfg.training_config()
     config = _student_config(cfg, teacher, len(vocab))
-    log_path = cfg.path("log", default=f"{out_path}.log.jsonl")
+    log_path = cfg.path("log") or Path(f"{out_path}.log.jsonl")
     result = train_student(
         train, val, teacher, config, tcfg, lm_teacher=lm_teacher, log_path=log_path
     )
@@ -449,7 +423,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     responses = _generate_token_responses(model, vocab, histories, cfg.decode_config())
     marks.append(time.perf_counter())
     lines = [" ".join(tokens) for tokens in responses]
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     print(f"wrote {len(lines)} responses to {out_path}")
     _print_timings(("generation",), marks)
@@ -458,12 +432,8 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     model, vocab, ckpt_path = _history_only_model(cfg)
-    data_dir = _require_dir(cfg.require_path("data"))
-    split = cfg.run_value("split", "test")
-    out_path = cfg.path("out", default="report.json")
-    examples = load_prepared_examples(data_dir, split)
-    if not examples:
-        raise DataError(f"split {split!r} in {data_dir} is empty")
+    data_dir, split, examples = _configured_split(cfg)
+    out_path = cfg.path("out")
     decode_cfg = cfg.decode_config()
 
     references = [ex.response for ex in examples]
@@ -535,18 +505,14 @@ def cmd_analyze_robustness(cfg: RunConfig) -> int:
     path = _require_file(cfg.require_path("checkpoint"))
     model, configs = load_model(path)
     vocab = _vocab_from_checkpoint(configs, path)
-    data_dir = _require_dir(cfg.require_path("data"))
-    split = cfg.run_value("split", "val")
-    out_path = cfg.path("out", default="robustness.jsonl")
-    examples = _encode_all(load_prepared_examples(data_dir, split), vocab)
-    if not examples:
-        raise DataError(f"split {split!r} in {data_dir} is empty")
+    _, _, examples = _configured_split(cfg)
+    out_path = cfg.path("out")
     records = perturbation_analysis(
         model,
-        examples,
-        _parse_sigmas(cfg.run_value("sigmas")),
-        samples_per_sigma=cfg.run_value("samples_per_sigma"),
-        seed=cfg.seed,
+        _encode_all(examples, vocab),
+        _parse_sigmas(cfg.get("run.sigmas")),
+        samples_per_sigma=cfg.get("run.samples_per_sigma"),
+        seed=cfg.get("seed"),
     )
     write_perturbation_series(records, out_path)
     summary = ", ".join(f"σ={r['sigma']:g}: {r['mean_ppl']:.2f}" for r in records)
@@ -556,13 +522,9 @@ def cmd_analyze_robustness(cfg: RunConfig) -> int:
 
 def cmd_analyze_wordfreq(cfg: RunConfig) -> int:
     model, vocab, _ = _history_only_model(cfg)
-    data_dir = _require_dir(cfg.require_path("data"))
-    split = cfg.run_value("split", "test")
-    out_path = cfg.path("out", default="wordfreq.json")
-    top_k = cfg.run_value("top_k")
-    examples = load_prepared_examples(data_dir, split)
-    if not examples:
-        raise DataError(f"split {split!r} in {data_dir} is empty")
+    _, split, examples = _configured_split(cfg)
+    out_path = cfg.path("out")
+    top_k = cfg.get("run.top_k")
     histories = [ex.history_tokens for ex in examples]
     marks = [time.perf_counter()]
     generated = _generate_token_responses(model, vocab, histories, cfg.decode_config())
@@ -577,25 +539,18 @@ def cmd_analyze_wordfreq(cfg: RunConfig) -> int:
         "split": split,
         "run_config": cfg.to_flat(),
     }
-    Path(out_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(out_path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"word-frequency cosine over top-{top_k}: {similarity:.4f} -> {out_path}")
     _print_timings(("generation", "similarity"), marks)
     return 0
 
 
 def cmd_classify_informative(cfg: RunConfig) -> int:
-    data_dir = _require_dir(cfg.require_path("data"))
-    split = cfg.run_value("split", "train")
-    out_dir = cfg.path("out", default=data_dir)
-    strategy = cfg.run_value("strategy")
-    if strategy not in INFORMATIVENESS_STRATEGIES:
-        raise ContractError(
-            f"unknown strategy {strategy!r}; expected one of {INFORMATIVENESS_STRATEGIES}"
-        )
     marks = [time.perf_counter()]
-    examples = load_prepared_examples(data_dir, split)
-    if not examples:
-        raise DataError(f"split {split!r} in {data_dir} is empty")
+    data_dir, _, examples = _configured_split(cfg)
+    out_dir = cfg.path("out") or data_dir
+    strategy = cfg.get("run.strategy")
     table = _embedding_table(cfg, data_dir) if strategy == "sentence-cluster" else None
     marks.append(time.perf_counter())
     uninformative, other = classify_uninformative(examples, strategy, table)
@@ -615,76 +570,120 @@ def cmd_classify_informative(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# The option table
 # ---------------------------------------------------------------------------
 
-_MODEL_FLAGS = (
-    ("--model-dim", "model.model_dim", int),
-    ("--num-blocks", "model.num_blocks", int),
-    ("--num-heads", "model.num_heads", int),
-    ("--ffn-dim", "model.ffn_dim", int),
-    ("--dropout", "model.dropout_rate", float),
-    ("--max-sequence-length", "model.max_sequence_length", int),
+
+def _path(name: str, help_text: str, default=None) -> Option:
+    return Option(f"--{name.replace('_', '-')}", f"paths.{name}", str, default, help_text)
+
+
+def _split(default: str) -> Option:
+    return Option("--split", "run.split", default=default)
+
+
+COMMON = (
+    Option("--preset", "preset", default="desk", choices=PRESETS),
+    Option("--seed", "seed", int, 0),
 )
-_TRAINING_FLAGS = (
-    ("--learning-rate", "training.learning_rate", float),
-    ("--grad-clip-norm", "training.grad_clip_norm", float),
-    ("--batch-size", "training.batch_size", int),
-    ("--alpha", "training.alpha", float),
-    ("--lambda1", "training.lambda1", float),
-    ("--lambda-lm", "training.lambda_lm", float),
-    ("--epochs", "training.epochs", int),
-    ("--max-steps", "training.max_steps", int),
-    ("--hard-transfer-scope", "training.hard_transfer_scope", str),
-    ("--val-every", "training.val_every", int),
-    ("--log-every", "training.log_every", int),
+DATA = Option("--data --corpus", "paths.data", str, help="prepared-data directory (from prepare-data)")
+HISTORY_ONLY = _path("checkpoint", "history-only checkpoint")
+EMBEDDING_DIM = Option("--embedding-dim", "run.embedding_dim", int, 64)
+MODEL = (
+    Option("--model-dim", "model.model_dim", int),
+    Option("--num-blocks", "model.num_blocks", int),
+    Option("--num-heads", "model.num_heads", int),
+    Option("--ffn-dim", "model.ffn_dim", int),
+    Option("--dropout", "model.dropout_rate", float),
+    Option("--max-sequence-length", "model.max_sequence_length", int),
 )
-_DECODE_FLAGS = (
-    ("--decode-strategy", "decode.strategy", str),
-    ("--beam-width", "decode.beam_width", int),
-    ("--max-length", "decode.max_length", int),
-    ("--length-penalty", "decode.length_penalty", float),
+TRAINING = (
+    Option("--learning-rate", "training.learning_rate", float),
+    Option("--grad-clip-norm", "training.grad_clip_norm", float),
+    Option("--batch-size", "training.batch_size", int),
+    Option("--alpha", "training.alpha", float),
+    Option("--lambda1", "training.lambda1", float),
+    Option("--lambda-lm", "training.lambda_lm", float),
+    Option("--epochs", "training.epochs", int),
+    Option("--max-steps", "training.max_steps", int),
+    Option("--hard-transfer-scope", "training.hard_transfer_scope", str),
+    Option("--val-every", "training.val_every", int),
+    Option("--log-every", "training.log_every", int),
 )
-_PREPARE_FLAGS = (
-    ("--stride", "run.stride", int),
-    ("--max-vocab", "run.max_vocab", int),
-    ("--val-fraction", "run.val_fraction", float),
-    ("--test-fraction", "run.test_fraction", float),
+TRAIN_COMMAND = (
+    DATA,
+    _path("out", "checkpoint output path"),
+    _path("log", "training log path (JSONL)"),
+    *MODEL,
+    *TRAINING,
 )
-_EMBEDDING_FLAG = ("--embedding-dim", "run.embedding_dim", int)
-_SAMPLES_FLAG = ("--samples", "run.samples_per_sigma", int)
-_TOP_K_FLAG = ("--top-k", "run.top_k", int)
-# a config-file value is read as the type its flag declares; path flags read strings
-_FLAG_TYPES = {dotted: kind for _, dotted, kind in _MODEL_FLAGS + _TRAINING_FLAGS + _DECODE_FLAGS
-               + _PREPARE_FLAGS + (_EMBEDDING_FLAG, _SAMPLES_FLAG, _TOP_K_FLAG)}
-_FLAG_TYPES.update((f"paths.{key}", str) for key in _PATH_KEYS)
+DECODE = (
+    Option("--decode-strategy", "decode.strategy", str),
+    Option("--beam-width", "decode.beam_width", int),
+    Option("--max-length", "decode.max_length", int),
+    Option("--length-penalty", "decode.length_penalty", float),
+)
 
-
-def _add_flags(parser, specs):
-    for flag, dotted, kind in specs:
-        parser.add_argument(flag, dest=dotted, type=kind, default=None, metavar=dotted)
-
-
-def _add_path_flag(parser, name, help_text):
-    parser.add_argument(
-        f"--{name.replace('_', '-')}", dest=f"paths.{name}", default=None, help=help_text
-    )
-
-
-def _add_data_flag(parser):
-    parser.add_argument(
-        "--data",
-        "--corpus",
-        dest="paths.data",
-        default=None,
-        help="prepared-data directory (from prepare-data)",
-    )
-
-
-def _add_common(parser):
-    parser.add_argument("--config", default=None, help="JSON file of flat dotted keys")
-    parser.add_argument("--preset", dest="preset", choices=PRESETS, default=None)
-    parser.add_argument("--seed", dest="seed", type=int, default=None)
+COMMANDS = {
+    "prepare-data": Command(cmd_prepare_data, "window, filter, split, and build the vocabulary", (
+        _path("corpus", "raw dialogue corpus (format A or B)"),
+        _path("out", "output directory for splits and vocab"),
+        Option("--stride", "run.stride", int, 1),
+        Option("--max-vocab", "run.max_vocab", int, 20000),
+        Option("--val-fraction", "run.val_fraction", float, 0.1),
+        Option("--test-fraction", "run.test_fraction", float, 0.1),
+    )),
+    "train-teacher": Command(partial(cmd_train_nll, variant="scenario-based", kind="teacher"),
+                             "fit the future-aware teacher", TRAIN_COMMAND),
+    "train-lm": Command(partial(cmd_train_nll, variant="language-model", kind="language model"),
+                        "fit the response language model", TRAIN_COMMAND),
+    "train-student": Command(cmd_train_student, "distill a history-only student from the teacher", (
+        *TRAIN_COMMAND,
+        _path("teacher", "teacher checkpoint"),
+        _path("lm_teacher", "optional language-model checkpoint"),
+    )),
+    "generate": Command(cmd_generate, "decode one response per input history", (
+        HISTORY_ONLY,
+        _path("input", "histories file (format A or B)"),
+        _path("out", "output file, one response per line"),
+        *DECODE,
+    )),
+    "evaluate": Command(cmd_evaluate, "full metric battery over a prepared split", (
+        HISTORY_ONLY,
+        DATA,
+        _path("embeddings", "embedding text file (trained if absent)"),
+        _path("out", "metrics report path", "report.json"),
+        _split("test"),
+        EMBEDDING_DIM,
+        *DECODE,
+    )),
+    "analyze-robustness": Command(cmd_analyze_robustness, "perplexity under parameter noise", (
+        _path("checkpoint", "checkpoint to perturb"),
+        DATA,
+        _path("out", "output series (JSONL)", "robustness.jsonl"),
+        _split("val"),
+        Option("--sigmas", "run.sigmas", None, "0,0.01,0.05,0.1", "comma-separated, e.g. 0,0.01,0.1"),
+        Option("--samples", "run.samples_per_sigma", int, 5),
+    )),
+    "analyze-wordfreq": Command(cmd_analyze_wordfreq, "generated-vs-reference word-frequency cosine", (
+        HISTORY_ONLY,
+        DATA,
+        _path("out", "output JSON path", "wordfreq.json"),
+        _split("test"),
+        Option("--top-k", "run.top_k", int, 2350),
+        *DECODE,
+    )),
+    "classify-informative": Command(cmd_classify_informative, "partition a split into uninformative/other", (
+        DATA,
+        _path("embeddings", "embedding file for sentence-cluster"),
+        _path("out", "output directory for the two partition files"),
+        _split("train"),
+        Option("--strategy", "run.strategy", default="exact-match", choices=INFORMATIVENESS_STRATEGIES),
+        EMBEDDING_DIM,
+    )),
+}
+# the rows of one key agree on everything but default and help
+OPTIONS = {option.key: option for command in COMMANDS.values() for option in COMMON + command.options}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -693,105 +692,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate future-aware dialogue teachers and distilled students.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prepare-data", help="window, filter, split, and build the vocabulary")
-    _add_common(p)
-    _add_path_flag(p, "corpus", "raw dialogue corpus (format A or B)")
-    _add_path_flag(p, "out", "output directory for splits and vocab")
-    _add_flags(p, _PREPARE_FLAGS)
-    p.set_defaults(func=cmd_prepare_data)
-
-    for name, variant, kind, help_text in (
-        ("train-teacher", "scenario-based", "teacher", "fit the future-aware teacher"),
-        ("train-lm", "language-model", "language model", "fit the response language model"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        _add_data_flag(p)
-        _add_path_flag(p, "out", "checkpoint output path")
-        _add_path_flag(p, "log", "training log path (JSONL)")
-        _add_flags(p, _MODEL_FLAGS)
-        _add_flags(p, _TRAINING_FLAGS)
-        p.set_defaults(func=partial(cmd_train_nll, variant=variant, kind=kind))
-
-    p = sub.add_parser("train-student", help="distill a history-only student from the teacher")
-    _add_common(p)
-    _add_data_flag(p)
-    _add_path_flag(p, "out", "checkpoint output path")
-    _add_path_flag(p, "log", "training log path (JSONL)")
-    _add_path_flag(p, "teacher", "teacher checkpoint")
-    _add_path_flag(p, "lm_teacher", "optional language-model checkpoint")
-    _add_flags(p, _MODEL_FLAGS)
-    _add_flags(p, _TRAINING_FLAGS)
-    p.set_defaults(func=cmd_train_student)
-
-    p = sub.add_parser("generate", help="decode one response per input history")
-    _add_common(p)
-    _add_path_flag(p, "checkpoint", "history-only checkpoint")
-    _add_path_flag(p, "input", "histories file (format A or B)")
-    _add_path_flag(p, "out", "output file, one response per line")
-    _add_flags(p, _DECODE_FLAGS)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("evaluate", help="full metric battery over a prepared split")
-    _add_common(p)
-    _add_path_flag(p, "checkpoint", "history-only checkpoint")
-    _add_data_flag(p)
-    _add_path_flag(p, "embeddings", "embedding text file (trained if absent)")
-    _add_path_flag(p, "out", "metrics report path")
-    p.add_argument("--split", dest="run.split", default=None)
-    _add_flags(p, (_EMBEDDING_FLAG,))
-    _add_flags(p, _DECODE_FLAGS)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("analyze-robustness", help="perplexity under parameter noise")
-    _add_common(p)
-    _add_path_flag(p, "checkpoint", "checkpoint to perturb")
-    _add_data_flag(p)
-    _add_path_flag(p, "out", "output series (JSONL)")
-    p.add_argument("--split", dest="run.split", default=None)
-    p.add_argument("--sigmas", dest="run.sigmas", default=None, help="comma-separated, e.g. 0,0.01,0.1")
-    _add_flags(p, (_SAMPLES_FLAG,))
-    p.set_defaults(func=cmd_analyze_robustness)
-
-    p = sub.add_parser("analyze-wordfreq", help="generated-vs-reference word-frequency cosine")
-    _add_common(p)
-    _add_path_flag(p, "checkpoint", "history-only checkpoint")
-    _add_data_flag(p)
-    _add_path_flag(p, "out", "output JSON path")
-    p.add_argument("--split", dest="run.split", default=None)
-    _add_flags(p, (_TOP_K_FLAG,))
-    _add_flags(p, _DECODE_FLAGS)
-    p.set_defaults(func=cmd_analyze_wordfreq)
-
-    p = sub.add_parser("classify-informative", help="partition a split into uninformative/other")
-    _add_common(p)
-    _add_data_flag(p)
-    _add_path_flag(p, "embeddings", "embedding file for sentence-cluster")
-    _add_path_flag(p, "out", "output directory for the two partition files")
-    p.add_argument("--split", dest="run.split", default=None)
-    p.add_argument(
-        "--strategy", dest="run.strategy", choices=INFORMATIVENESS_STRATEGIES, default=None
-    )
-    _add_flags(p, (_EMBEDDING_FLAG,))
-    p.set_defaults(func=cmd_classify_informative)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON file of flat dotted keys")
+        for option in COMMON + command.options:
+            p.add_argument(*option.flags.split(), dest=option.key, type=option.type,
+                           choices=option.choices, help=option.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        key: value for key, value in vars(args).items() if "." in key or key in ("preset", "seed")
-    }
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
+    options = COMMON + command.options
+    overrides = {option.key: getattr(args, option.key) for option in options}
     try:
-        cfg = RunConfig.from_sources(args.config, overrides)
-        return args.func(cfg)
-    except DialDistillError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        cfg = RunConfig.from_sources(args.config, overrides, _defaults(options))
+        return command.run(cfg)
+    except (DialDistillError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

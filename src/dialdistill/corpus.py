@@ -20,9 +20,12 @@ inclusive ``RESPONSE_LENGTH`` and ``CONTEXT_LENGTH`` bounds).
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -66,6 +69,25 @@ def read_lines(path):
             yield from fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A file handle (UTF-8 text, or bytes for ``"wb"``) whose contents
+    replace ``path`` only once all of them are written and synced, so a
+    reader sees the old file or the new one. The data goes to a temporary
+    file beside ``path``, which an error, or an interrupt, removes."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_dialogues_format_a(path) -> list:
@@ -210,7 +232,7 @@ class Vocabulary:
         return self._id_to_token[len(RESERVED):]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for tok in self.content_tokens():
                 fh.write(tok + "\n")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import read_lines
+from .corpus import atomic_write, read_lines
 from .errors import DataError
 
 MIN_CORPUS_TOKENS = 100
@@ -51,7 +51,7 @@ class WordEmbeddings:
             if not token or any(ch.isspace() for ch in token):
                 raise DataError(f"token {token!r} cannot be written to a space-separated file")
             lines.append(token + " " + " ".join(f"{x:.8g}" for x in vec))
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corpus import batchify
+from .corpus import atomic_write, batchify
 from .embeddings import WordEmbeddings, cosine
 from .errors import ContractError, DataError
 from .training import forward_batch
@@ -295,7 +295,7 @@ class MetricsReport:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_json() + "\n")
 
 

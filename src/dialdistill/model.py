@@ -277,12 +277,15 @@ class DecodeState:
     their self-attention keys and values (rows, length, d); and, taken on
     the first call, the history memory's cross-attention keys and values
     (rows, history length, d) and its padding mask (rows, 1, history
-    length). A memory of one row serves every row."""
+    length). A memory of one row serves every row; for a larger one,
+    ``memory_rows`` gives the memory row that each row reads once rows
+    have been selected."""
 
     length: int = 0
     self_kv: dict = field(default_factory=dict)
     cross_kv: list = field(default_factory=list)
     cross_mask: np.ndarray = None
+    memory_rows: np.ndarray = None
 
     def extend(self, block: int, kv) -> tuple:
         """Append new positions' keys and values to ``block``'s; returns all."""
@@ -293,15 +296,20 @@ class DecodeState:
 
     def select_rows(self, rows) -> None:
         """Keep the rows ``rows``, in order (a beam step's parents), with
-        the memory rows they read."""
+        the memory rows they read. The memory's cached keys, values and
+        mask are gathered only when some row reads another memory row than
+        the row it replaces, so a steady beam step copies none of them."""
         def take(kv):
             return tuple(T.as_tensor(t.data[rows]) for t in kv)
 
         self.self_kv = {b: take(kv) for b, kv in self.self_kv.items()}
         if self.cross_kv and len(self.cross_kv[0][0].data) > 1:
-            self.cross_kv = [take(kv) for kv in self.cross_kv]
-            if self.cross_mask is not None and len(self.cross_mask) > 1:
-                self.cross_mask = self.cross_mask[rows]
+            held = np.arange(len(self.cross_kv[0][0].data)) if self.memory_rows is None else self.memory_rows
+            self.memory_rows = held[rows]
+            if not np.array_equal(self.memory_rows, held):
+                self.cross_kv = [take(kv) for kv in self.cross_kv]
+                if self.cross_mask is not None and len(self.cross_mask) > 1:
+                    self.cross_mask = self.cross_mask[rows]
 
 
 def key_padding_mask(token_ids: np.ndarray) -> np.ndarray:

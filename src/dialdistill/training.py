@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corpus import batchify
+from .corpus import atomic_write, batchify
 from .errors import ContractError, DataError
 from .losses import nll_sum, total_loss
 from .model import ModelConfig, ParameterSet, TransformerModel
@@ -83,7 +83,7 @@ class TrainResult:
     steps: int = 0
 
     def write_log(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for rec in self.log:
                 fh.write(json.dumps(rec) + "\n")
 

@@ -6,13 +6,21 @@ against those artifacts and check the files they leave behind.
 """
 
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dialdistill.checkpoint import MAGIC, load_model
 from dialdistill.cli import (
+    COMMANDS,
+    COMMON,
+    OPTIONS,
     PRESET_BATCH,
     RunConfig,
     _parse_sigmas,
@@ -21,6 +29,7 @@ from dialdistill.cli import (
     main,
 )
 from dialdistill.corpus import Vocabulary, encode_example
+from dialdistill.decoding import DecodeConfig
 from dialdistill.errors import ContractError, DataError
 from dialdistill.informativeness import classify_uninformative
 from dialdistill.metrics import MetricsReport
@@ -539,8 +548,8 @@ class TestConfigLayer:
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"training.lambda1": 0.5, "decode.max_length": 4}))
         cfg = RunConfig.from_sources(cfg_file, {"training.lambda1": 1.5})
-        assert cfg.training["lambda1"] == 1.5
-        assert cfg.decode["max_length"] == 4
+        assert cfg.get("training.lambda1") == 1.5
+        assert cfg.get("decode.max_length") == 4
 
     def test_unknown_keys_rejected(self, tmp_path):
         for key in ("model.variant", "training.seed", "nonsense", "run.bogus"):
@@ -590,6 +599,99 @@ class TestConfigLayer:
     def test_corpus_alias_for_data(self):
         args = build_parser().parse_args(["evaluate", "--corpus", "somewhere"])
         assert getattr(args, "paths.data") == "somewhere"
+
+
+def sample_value(option):
+    """A value ``option`` accepts: as its flag's text and as a config file's JSON value."""
+    if option.choices:
+        return option.choices[-1], option.choices[-1]
+    if option.type is int:
+        return "3", 3
+    if option.type is float:
+        return "0.25", 0.25
+    return "somewhere", "somewhere"
+
+
+def first_command_with(key):
+    return next(name for name, command in COMMANDS.items()
+                if any(option.key == key for option in COMMON + command.options))
+
+
+class TestOptionTable:
+    """Every row of ``cli.COMMANDS`` reaches ``RunConfig`` the same way from
+    its flag and from its config key."""
+
+    def test_rows_of_one_key_agree(self):
+        for command in COMMANDS.values():
+            for option in COMMON + command.options:
+                shared = OPTIONS[option.key]
+                assert (option.flags, option.type, option.choices) == (
+                    shared.flags, shared.type, shared.choices), option.key
+
+    def test_types_agree_with_defaults_and_config_classes(self):
+        for key, option in OPTIONS.items():
+            default = option.default
+            assert default is None or type(default) is (option.type or str), key
+        for section, cls, chosen_elsewhere in (("model", ModelConfig, {"variant", "vocab_size"}),
+                                              ("training", TrainingConfig, {"seed"}),
+                                              ("decode", DecodeConfig, set())):
+            fields = {name: f.type for name, f in cls.__dataclass_fields__.items()
+                      if name not in chosen_elsewhere}
+            table = {key.partition(".")[2]: option.type.__name__
+                     for key, option in OPTIONS.items() if key.startswith(section + ".")}
+            assert table == {name: getattr(t, "__name__", t) for name, t in fields.items()}
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_flag_and_config_key_give_the_same_value(self, name, tmp_path):
+        options = COMMON + COMMANDS[name].options
+        config = tmp_path / "run.json"
+        for option in options:
+            text, value = sample_value(option)
+            config.write_text(json.dumps({option.key: value}), encoding="utf-8")
+            by_key = RunConfig.from_sources(config, {})
+            for flag in option.flags.split():
+                args = build_parser().parse_args([name, flag, text])
+                by_flag = RunConfig.from_sources(None, {o.key: getattr(args, o.key) for o in options})
+                assert by_flag.get(option.key) == by_key.get(option.key) == value, flag
+                assert type(by_flag.get(option.key)) is type(value), flag
+                assert by_flag.to_flat() == by_key.to_flat()
+
+    @pytest.mark.parametrize(
+        "key", sorted(key for key, option in OPTIONS.items() if option.type in (int, float))
+    )
+    def test_numeric_key_rejects_text_naming_the_key(self, key, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: "x"}), encoding="utf-8")
+        assert main([first_command_with(key), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
+    def test_null_means_the_default(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": None, "preset": None, "training.max_steps": None,
+                                      "model.model_dim": None}), encoding="utf-8")
+        cfg = RunConfig.from_sources(config, {})
+        assert (cfg.get("seed"), cfg.get("preset")) == (0, "desk")
+        assert cfg.training_config().max_steps is None
+        assert cfg.model_config(50, "conventional").model_dim == 64
+        assert cfg.to_flat()["training.max_steps"] is None
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_help_lists_every_flag(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([name, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        flags = ["--config"] + [f for o in COMMON + COMMANDS[name].options for f in o.flags.split()]
+        assert [f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", out)] == []
+
+    def test_module_entry_point_lists_the_subcommands(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run([sys.executable, "-m", "dialdistill", "--help"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert all(name in run.stdout for name in COMMANDS)
 
 
 class TestUsageErrors:

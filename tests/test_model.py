@@ -522,6 +522,36 @@ class TestDecodeState:
                              history_mask=mask[rows]).probabilities.data[:, -1]
         assert np.max(np.abs(step - full)) < 1e-12
 
+    def test_select_rows_gathers_the_memory_only_when_a_row_changes_history(self):
+        hist = np.array([[4, 5, 6, 7, PAD], [8, 9, PAD, PAD, PAD]])
+        mem, mask = self.m.encode(hist), key_padding_mask(hist)
+        state = DecodeState()
+
+        def step(ids):
+            return self.m.decode(np.array(ids)[:, None], history_memory=mem, history_mask=mask,
+                                 state=state).probabilities.data[:, -1]
+
+        def full(prefixes, memory_rows):
+            return self.m.decode(np.array(prefixes), history_memory=T.Tensor(mem.data[memory_rows]),
+                                 history_mask=mask[memory_rows]).probabilities.data[:, -1]
+
+        step([2, 2])
+        state.select_rows([0, 0, 1, 1])  # two hypotheses per history: the memory is gathered
+        assert np.array_equal(state.memory_rows, [0, 0, 1, 1])
+        step([5, 6, 9, 10])
+        cached = [t for kv in state.cross_kv for t in kv] + [state.cross_mask]
+        state.select_rows([1, 0, 3, 3])  # a steady step: every row keeps its history
+        assert all(a is b for a, b in zip(cached, [t for kv in state.cross_kv for t in kv] + [state.cross_mask]))
+        steady = step([7, 4, 11, 8])
+        expected = full([[2, 6, 7], [2, 5, 4], [2, 10, 11], [2, 10, 8]], [0, 0, 1, 1])
+        assert np.max(np.abs(steady - expected)) < 1e-12
+        state.select_rows([0, 1, 1, 2])  # the third row moves to the first history
+        assert np.array_equal(state.memory_rows, [0, 0, 0, 1])
+        assert np.array_equal(state.cross_mask, mask[[0, 0, 0, 1]])
+        moved = step([4, 5, 6, 7])
+        expected = full([[2, 6, 7, 4], [2, 5, 4, 5], [2, 5, 4, 6], [2, 10, 11, 7]], [0, 0, 0, 1])
+        assert np.max(np.abs(moved - expected)) < 1e-12
+
     def test_length_cap_counts_cached_positions(self):
         state = DecodeState()
         self._decode(np.array([[2, 4, 5, 6, 7, 8]]), state)
