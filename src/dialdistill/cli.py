@@ -342,9 +342,9 @@ def _training_inputs(cfg: RunConfig):
     return vocab, train, val
 
 
-def _report_training(kind: str, result, out_path: Path) -> None:
+def _report_training(kind: str, result, out_path: Path, note: str = "") -> None:
     best = "n/a" if result.best_val_loss is None else f"{result.best_val_loss:.4f}"
-    print(f"{kind}: {result.steps} steps, best val loss {best}, checkpoint {out_path}")
+    print(f"{kind}: {result.steps} steps, best val loss {best}, checkpoint {out_path}{note}")
 
 
 def cmd_train_nll(cfg: RunConfig, variant: str, kind: str) -> int:
@@ -398,7 +398,8 @@ def cmd_train_student(cfg: RunConfig) -> int:
         train, val, teacher, config, tcfg, lm_teacher=lm_teacher, log_path=log_path
     )
     _finalize_training(result, out_path, tcfg, vocab)
-    _report_training("student", result, out_path)
+    _report_training("student", result, out_path, f", teacher targets kept for "
+                     f"{result.cached_examples} examples ({result.cache_bytes} bytes)")
     return 0
 
 

@@ -298,6 +298,7 @@ class Batch:
     response_target: np.ndarray  # (B, Tr) int
     target_mask: np.ndarray  # (B, Tr) float
     future: np.ndarray = None  # (B, Tf) int, scenario training only
+    index: np.ndarray = None  # (B,) each row's position in the list batchify was given
 
     @property
     def size(self) -> int:
@@ -344,8 +345,9 @@ def batchify(
         order = np.random.default_rng(seed).permutation(len(examples))
     out = []
     for start in range(0, len(examples), batch_size):
-        chunk = [examples[i] for i in order[start : start + batch_size]]
-        out.append(make_batch(chunk, include_future=include_future))
+        index = order[start : start + batch_size]
+        out.append(make_batch([examples[i] for i in index], include_future=include_future))
+        out[-1].index = index
     return out
 
 

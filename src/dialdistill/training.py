@@ -33,6 +33,7 @@ from .optim import Adam
 
 TRANSFER_SCOPES = ("none", "word-emb", "encoder")
 WORD_EMB_TENSORS = ("encoder_embedding", "decoder_embedding")
+TARGET_CACHE_BYTES = 256 << 20  # the most a student run keeps of its frozen teachers' targets
 
 
 @dataclass
@@ -81,6 +82,8 @@ class TrainResult:
     best_val_loss: float = None
     best_state: np.ndarray = None  # a copy of ``params.values`` at the best validation point
     steps: int = 0
+    cached_examples: int = 0  # training examples whose teacher targets a student run kept
+    cache_bytes: int = 0
 
     def write_log(self, path) -> None:
         with atomic_write(path) as fh:
@@ -263,6 +266,38 @@ def hard_transfer_init(
     return names
 
 
+class _TargetCache:
+    """A frozen model's last ``blocks`` hidden states on each training
+    example at the response's true positions, kept from the first batch
+    that holds it; ``offsets[i]:offsets[i + 1]`` index example ``i``'s rows."""
+
+    def __init__(self, model: TransformerModel, offsets: np.ndarray, blocks: int):
+        self.model = model
+        self.offsets = offsets
+        self.layers = [np.empty((offsets[-1], model.config.model_dim), T.active_dtype())
+                       for _ in range(blocks)]
+        self.filled = np.zeros(len(offsets) - 1, dtype=bool)
+
+    def outputs(self, batch):
+        """(probabilities, hidden states) on ``batch``, dropout off. A batch
+        of kept examples is rebuilt from the rows, zeros at pad positions,
+        and only the output head runs; the hidden states are the kept ones."""
+        mask = batch.target_mask > 0
+        rows = np.concatenate([np.arange(self.offsets[i], self.offsets[i + 1]) for i in batch.index])
+        with self.model.params.inference():
+            if self.layers and self.filled[batch.index].all():
+                hidden = [np.zeros(mask.shape + layer.shape[1:], layer.dtype) for layer in self.layers]
+                for h, layer in zip(hidden, self.layers):
+                    h[mask] = layer[rows]
+                return self.model._output_head(hidden[-1], hidden).probabilities.data, hidden
+            out = forward_batch(self.model, batch)
+        hidden = [h.data for h in out.hidden_states]
+        for h, layer in zip(hidden[len(hidden) - len(self.layers):], self.layers):
+            layer[rows] = h[mask]
+        self.filled[batch.index] = True
+        return out.probabilities.data, hidden
+
+
 def train_student(
     train_examples,
     val_examples,
@@ -274,10 +309,12 @@ def train_student(
 ) -> TrainResult:
     """Distill the teacher into a history-only student.
 
-    Per batch: the teacher runs forward-only on (history, future) to
-    produce target distributions and hidden states; the student runs on
-    the history alone; the combined loss imitates both. The teacher (and
-    LM teacher) parameters are never touched. When ``lambda1 == 0`` the
+    Per batch: the teacher (forward-only on (history, future)) gives target
+    distributions and hidden states; the student runs on the history
+    alone; the combined loss imitates both. The frozen teachers run once
+    per training example while the whole set's targets fit
+    ``TARGET_CACHE_BYTES`` (see :class:`_TargetCache`), else once per
+    batch. Their parameters are never touched. When ``lambda1 == 0`` the
     teacher is not even consulted and the run reduces to the baseline.
     """
     if config.variant != "conventional":
@@ -301,17 +338,19 @@ def train_student(
 
     use_teacher = tcfg.lambda1 > 0.0
     use_lm = lm_teacher is not None and tcfg.lambda_lm > 0.0
+    frozen = ([(teacher, teacher.config.num_blocks)] if use_teacher else []) + [(lm_teacher, 1)] * use_lm
+    offsets = np.cumsum([0] + [len(ex.response) + 1 for ex in train_examples])
+    cache_bytes = int(offsets[-1]) * np.dtype(T.active_dtype()).itemsize * sum(
+        m.config.model_dim * blocks for m, blocks in frozen)
+    keep = cache_bytes <= TARGET_CACHE_BYTES
+    caches = [_TargetCache(m, offsets, blocks * keep) for m, blocks in frozen]
 
     def batch_loss(m, batch, rng):
         teacher_probs = teacher_hiddens = lm_probs = None
         if use_teacher:
-            with teacher.params.inference():
-                t_out = forward_batch(teacher, batch)
-            teacher_probs = t_out.probabilities.data
-            teacher_hiddens = [h.data for h in t_out.hidden_states]
+            teacher_probs, teacher_hiddens = caches[0].outputs(batch)
         if use_lm:
-            with lm_teacher.params.inference():
-                lm_probs = forward_batch(lm_teacher, batch).probabilities.data
+            lm_probs = caches[-1].outputs(batch)[0]
         out = forward_batch(m, batch, train=True, rng=rng)
         return total_loss(
             out.probabilities,
@@ -326,4 +365,7 @@ def train_student(
             lambda_lm=tcfg.lambda_lm,
         )
 
-    return _train_loop(model, train_examples, val_examples, tcfg, batch_loss, True, log_path)
+    result = _train_loop(model, train_examples, val_examples, tcfg, batch_loss, True, log_path)
+    if keep and caches:
+        result.cached_examples, result.cache_bytes = int(caches[0].filled.sum()), cache_bytes
+    return result

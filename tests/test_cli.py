@@ -213,6 +213,26 @@ class TestTrainingCommands:
         records = [json.loads(l) for l in log_path.read_text().splitlines() if l.strip()]
         assert all("lm_prediction" in rec for rec in records)
 
+    def test_student_summary_reports_kept_teacher_targets(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "s.ckpt"
+        rc = main(
+            [
+                "train-student", "--data", str(pipeline["data"]), "--out", str(out),
+                "--teacher", str(pipeline["teacher"]), "--lm-teacher", str(pipeline["lm"]),
+            ]
+            + MODEL_FLAGS + TRAIN_FLAGS
+        )
+        assert rc == 0
+        train = load_prepared_examples(pipeline["data"], "train")
+        # 3 steps of 4 examples; rows of width 16 for the teacher's one block and the LM's
+        rows = sum(len(ex.response) + 1 for ex in train)
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("student: 3 steps, best val loss ")
+        assert line.endswith(
+            f", checkpoint {out}, teacher targets kept for {min(12, len(train))} examples "
+            f"({rows * 16 * 4 * 2} bytes)"
+        )
+
     def test_student_rejects_model_override_mismatch(self, pipeline, tmp_path, capsys):
         rc = main(
             [

@@ -3,17 +3,20 @@ hard transfer, and logging."""
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dialdistill import tensor as T
-from dialdistill.corpus import encode_example
+from dialdistill import training
+from dialdistill.corpus import EncodedExample, batchify, encode_example
 from dialdistill.errors import ContractError, DataError
-from dialdistill.model import ModelConfig, TransformerModel, desk_config
+from dialdistill.model import ModelConfig, TransformerModel, desk_config, paper_config
 from dialdistill.synthetic import future_marker_corpus, marker_vocabulary
 from dialdistill.training import (
     TrainingConfig,
+    forward_batch,
     hard_transfer_init,
     train_conventional,
     train_lm_teacher,
@@ -204,6 +207,157 @@ class TestStudentTraining:
         expected = rec["nll"] + 2.0 * (rec["il_prediction"] + rec["il_representation"])
         expected += 0.5 * rec["lm_prediction"]
         assert abs(rec["total"] - expected) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def lm_teacher(data):
+    train, val, _ = data
+    return train_lm_teacher(train, val, small_config("language-model"), tcfg(max_steps=20)).model
+
+
+def _step_batches(examples, cfg: TrainingConfig) -> list:
+    """The batch of every step of a ``max_steps`` run, drawn as the trainer draws them."""
+    out, epoch = [], 0
+    while len(out) < cfg.max_steps:
+        out += batchify(examples, cfg.batch_size, seed=[cfg.seed, 7, epoch])
+        epoch += 1
+    return out[: cfg.max_steps]
+
+
+def _spy_targets(monkeypatch) -> list:
+    """Record the (teacher probabilities, teacher hiddens, LM probabilities)
+    that every student step hands to ``total_loss``."""
+    seen = []
+    real = training.total_loss
+
+    def spy(*args, **kw):
+        seen.append((kw["teacher_probs"], kw["teacher_hiddens"], kw["lm_probs"]))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(training, "total_loss", spy)
+    return seen
+
+
+def _count_forwards(monkeypatch, **models) -> dict:
+    calls = dict.fromkeys(models, 0)
+    for name, model in models.items():
+        def counted(*args, _name=name, _real=model.forward, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(model, "forward", counted)
+    return calls
+
+
+def _fresh(model, batch):
+    with model.params.inference():
+        return forward_batch(model, batch)
+
+
+def _variable_length_examples(n: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+
+    def ids(lo, hi):
+        return [int(t) for t in rng.integers(4, 30, size=int(rng.integers(lo, hi + 1)))]
+
+    return [EncodedExample(history=ids(3, 12), response=ids(2, 9), future=ids(3, 12)) for _ in range(n)]
+
+
+class TestTeacherTargetCache:
+    """The frozen teachers run once per example; later epochs rebuild
+    their targets from the rows the first epoch kept."""
+
+    def test_every_step_sees_a_fresh_forwards_targets_bitwise(self, data, teacher, lm_teacher, monkeypatch):
+        train, _, _ = data
+        seen = _spy_targets(monkeypatch)
+        calls = _count_forwards(monkeypatch, teacher=teacher, lm=lm_teacher)
+        cfg = tcfg(max_steps=15)  # 5 batches of 8 per epoch: three epochs
+        res = train_student(train, [], teacher, small_config("conventional"), cfg, lm_teacher=lm_teacher)
+        assert calls == {"teacher": 5, "lm": 5}  # epoch 0 only
+        # 40 examples of 6 rows, width 16: the teacher's one block and the LM's last
+        assert (res.cached_examples, res.cache_bytes) == (40, 40 * 6 * 16 * 4 * 2)
+        assert len(seen) == 15
+        for batch, (t_probs, t_hidden, lm_probs) in zip(_step_batches(train, cfg), seen):
+            mask = batch.target_mask > 0
+            fresh, fresh_lm = _fresh(teacher, batch), _fresh(lm_teacher, batch)
+            assert np.array_equal(t_probs[mask], fresh.probabilities.data[mask])
+            assert len(t_hidden) == len(fresh.hidden_states)
+            for got, want in zip(t_hidden, fresh.hidden_states):
+                assert np.array_equal(got[mask], want.data[mask])
+            assert np.array_equal(lm_probs[mask], fresh_lm.probabilities.data[mask])
+
+    def test_variable_lengths_reuse_the_first_epochs_rows(self, teacher, lm_teacher, monkeypatch):
+        train = _variable_length_examples(24, seed=3)
+        seen = _spy_targets(monkeypatch)
+        cfg = tcfg(max_steps=9)  # 3 batches of 8 per epoch: three epochs
+        train_student(train, [], teacher, small_config("conventional"), cfg, lm_teacher=lm_teacher)
+        first, widths = {}, {}
+        for batch, (t_probs, t_hidden, lm_probs) in zip(_step_batches(train, cfg), seen):
+            fresh, fresh_lm = _fresh(teacher, batch), _fresh(lm_teacher, batch)
+            for row, i in enumerate(batch.index):
+                n = int(batch.target_mask[row].sum())
+                rows = [h[row, :n] for h in t_hidden]
+                if i not in first:
+                    first[i] = rows
+                for got, kept in zip(rows, first[i]):
+                    assert np.array_equal(got, kept)
+                widths.setdefault(i, set()).add(batch.target_mask.shape[1])
+                pairs = [(t_probs, fresh.probabilities), (lm_probs, fresh_lm.probabilities)]
+                pairs += list(zip(t_hidden, fresh.hidden_states))
+                for got, want in pairs:
+                    np.testing.assert_allclose(got[row, :n], want.data[row, :n], rtol=0, atol=1e-5)
+        assert len(first) == 24
+        assert any(len(w) > 1 for w in widths.values())  # some rows were rebuilt under new padding
+
+    def test_over_budget_every_step_runs_the_teachers_with_equal_results(
+        self, data, teacher, lm_teacher, monkeypatch
+    ):
+        train, val, _ = data
+        cfg = tcfg(max_steps=15)
+        kept = train_student(train, val, teacher, small_config("conventional"), cfg, lm_teacher=lm_teacher)
+        monkeypatch.setattr(training, "TARGET_CACHE_BYTES", kept.cache_bytes - 1)
+        calls = _count_forwards(monkeypatch, teacher=teacher, lm=lm_teacher)
+        plain = train_student(train, val, teacher, small_config("conventional"), cfg, lm_teacher=lm_teacher)
+        assert calls == {"teacher": 15, "lm": 15}
+        assert (plain.cached_examples, plain.cache_bytes) == (0, 0)
+        assert plain.log == kept.log
+        assert np.array_equal(plain.model.params.values, kept.model.params.values)
+        assert np.array_equal(plain.best_state, kept.best_state)
+
+    def test_cache_bytes_at_paper_width(self, monkeypatch):
+        vocab = 40
+        rng = np.random.default_rng(0)
+
+        def ids(n):
+            return [int(t) for t in rng.integers(4, vocab, size=n)]
+
+        train = [EncodedExample(history=ids(60), response=ids(15), future=ids(60)) for _ in range(8)]
+        teacher = TransformerModel.build(paper_config(vocab, "scenario-based"), 1)
+        lm = TransformerModel.build(paper_config(vocab, "language-model"), 2)
+        allocated = []
+        real_init = training._TargetCache.__init__
+
+        def traced_init(self, *args):
+            tracemalloc.start()
+            try:
+                real_init(self, *args)
+                allocated.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(training._TargetCache, "__init__", traced_init)
+        seen = _spy_targets(monkeypatch)
+        cfg = TrainingConfig(batch_size=4, max_steps=3, seed=0)
+        res = train_student(train, [], teacher, paper_config(vocab), cfg, lm_teacher=lm)
+        # 8 examples of 16 rows, width 256, float32: two teacher blocks and the LM's last
+        expected = 8 * 16 * 256 * 4 * (2 + 1)
+        assert (res.cached_examples, res.cache_bytes) == (8, expected)
+        assert expected <= sum(allocated) <= expected + 4096
+        # the third step's targets are rebuilt from the kept rows of both blocks
+        batch, (t_probs, t_hidden, lm_probs) = _step_batches(train, cfg)[2], seen[2]
+        fresh = _fresh(teacher, batch)
+        assert np.array_equal(t_probs, fresh.probabilities.data)
+        assert all(np.array_equal(a, b.data) for a, b in zip(t_hidden, fresh.hidden_states, strict=True))
+        assert np.array_equal(lm_probs, _fresh(lm, batch).probabilities.data)
 
 
 class TestLmTeacher:
