@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -344,7 +345,11 @@ def _training_inputs(cfg: RunConfig):
 
 def _report_training(kind: str, result, out_path: Path, note: str = "") -> None:
     best = "n/a" if result.best_val_loss is None else f"{result.best_val_loss:.4f}"
-    print(f"{kind}: {result.steps} steps, best val loss {best}, checkpoint {out_path}{note}")
+    # the process's peak so far; ru_maxrss is in KiB (bytes on macOS)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak /= 1 << 20 if sys.platform == "darwin" else 1 << 10
+    print(f"{kind}: {result.steps} steps, best val loss {best}, checkpoint {out_path}{note}, "
+          f"peak RSS {peak:.1f} MiB")
 
 
 def cmd_train_nll(cfg: RunConfig, variant: str, kind: str) -> int:

@@ -73,7 +73,8 @@ class Tensor:
 
     ``data`` is row-major IEEE-754 (float32 or float64 depending on the
     active precision mode at creation). ``grad`` stays ``None`` until a
-    backward pass populates it and then always matches ``data``'s shape.
+    backward pass populates it and then always matches ``data``'s shape; on
+    an interior node the pass sets it back to ``None`` once propagated.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
@@ -145,10 +146,15 @@ def _topological_order(root: Tensor, grad_only: bool) -> list:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be a scalar. Gradients accumulate additively when a
-    tensor is consumed more than once.
+    tensor is consumed more than once. An interior node's ``grad`` is
+    released once it has been handed to the node's inputs, so the pass
+    holds only the gradients still to be propagated, and afterwards every
+    interior ``grad`` is None. A second pass over the same graph therefore
+    adds one more pass's gradients to the leaves, as a pass over a new
+    graph would.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -170,6 +176,8 @@ def backward(loss: Tensor) -> None:
                 parent.grad = g.copy() if copy else g
             else:
                 parent.grad = parent.grad + g
+        if node._parents:
+            node.grad = None
 
 
 # --------------------------------------------------------------------------

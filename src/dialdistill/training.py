@@ -153,10 +153,10 @@ def _train_loop(
             rng = np.random.default_rng([tcfg.seed, 11, step])
             loss, breakdown = batch_loss(model, batch, rng)
             T.check_finite(loss)
-            model.params.zero_grads()
             T.backward(loss)
             del loss  # else the graph stays alive through Adam and the next forward
             grad_norm = opt.step()
+            model.params.zero_grads()  # else they live through validation and the next forward
 
             record = None
             if step % tcfg.log_every == 0:

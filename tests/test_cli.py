@@ -8,6 +8,7 @@ against those artifacts and check the files they leave behind.
 import json
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -58,6 +59,15 @@ TRAIN_FLAGS = ["--max-steps", "3", "--batch-size", "4", "--val-every", "2"]
 def random_turn(rng):
     words = [WORDS[int(rng.integers(len(WORDS)))] for _ in range(TURN_TOKENS - 1)]
     return " ".join(words) + " ."
+
+
+PEAK_RSS = re.compile(r", peak RSS (\d+\.\d) MiB$")
+
+
+def peak_rss_mib():
+    """The process's ``ru_maxrss`` in MiB (KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def count_lines(path):
@@ -228,10 +238,31 @@ class TestTrainingCommands:
         rows = sum(len(ex.response) + 1 for ex in train)
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("student: 3 steps, best val loss ")
-        assert line.endswith(
+        assert PEAK_RSS.search(line)
+        assert PEAK_RSS.sub("", line).endswith(
             f", checkpoint {out}, teacher targets kept for {min(12, len(train))} examples "
             f"({rows * 16 * 4 * 2} bytes)"
         )
+
+    @pytest.mark.parametrize(
+        "command, kind", [("train-teacher", "teacher"), ("train-lm", "language model")]
+    )
+    def test_summary_ends_with_the_peak_rss(self, pipeline, tmp_path, capsys, command, kind):
+        out = tmp_path / "m.ckpt"
+        before = peak_rss_mib()
+        rc = main(
+            [command, "--data", str(pipeline["data"]), "--out", str(out)] + MODEL_FLAGS + TRAIN_FLAGS
+        )
+        after = peak_rss_mib()
+        assert rc == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith(f"{kind}: 3 steps, best val loss ")
+        # the process's peak when the summary was printed, to 0.1 MiB
+        assert before - 0.05 <= float(PEAK_RSS.search(line).group(1)) <= after + 0.05
+        assert PEAK_RSS.sub("", line).endswith(f", checkpoint {out}")
+        # the figure is not deterministic, so the log records leave it out
+        records = [json.loads(l) for l in Path(f"{out}.log.jsonl").read_text().splitlines()]
+        assert records and not any("rss" in key for rec in records for key in rec)
 
     def test_student_rejects_model_override_mismatch(self, pipeline, tmp_path, capsys):
         rc = main(

@@ -507,6 +507,17 @@ class TestGraphMechanics:
             T.backward(out)
             assert np.allclose(x.grad, [18.0])
 
+    def test_second_pass_adds_one_more_pass(self):
+        # d/dx of sum(6x) is 6 per pass: a second pass over the same graph
+        # adds 6, and interior gradients left by the first must not compound
+        with T.precision("double"):
+            x = T.Tensor([1.0], requires_grad=True)
+            out = T.tsum(T.mul(T.mul(x, 3.0), 2.0))
+            T.backward(out)
+            assert x.grad[0] == 6.0
+            T.backward(out)
+            assert x.grad[0] == 12.0
+
     def test_backward_requires_scalar(self):
         x = T.Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ContractError):
@@ -632,6 +643,33 @@ class TestBackwardMemory:
         _, copying = step_grads_and_peak(backward_copying_views, paper_config(1000), 4, train=False)
         _, sharing = step_grads_and_peak(T.backward, paper_config(1000), 4, train=False)
         assert sharing < copying
+
+    def test_interior_gradients_released_during_the_pass(self):
+        # a deep chain of (512, 64) activations over small (64, 64) weights: a
+        # pass that kept every interior gradient would hold 48 activation-sized
+        # arrays at its end; one that releases them holds the leaf gradients
+        # and a few arrays of its frontier
+        rng = np.random.default_rng(3)
+        with T.precision("double"):
+            h = T.Tensor(rng.standard_normal((512, 64)))
+            leaves = []
+            for _ in range(24):
+                w = T.Tensor(rng.standard_normal((64, 64)) / 8, requires_grad=True)
+                b = T.Tensor(rng.standard_normal(64), requires_grad=True)
+                leaves += [w, b]
+                h = T.relu(T.affine(h, w, b))
+            loss = T.tsum(h)
+            interior = [n for n in T._topological_order(loss, grad_only=True) if n._parents]
+            tracemalloc.start()
+            try:
+                T.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(interior) == 49
+        assert all(n.grad is None for n in interior)
+        assert all(leaf.grad is not None for leaf in leaves)
+        assert peak < sum(leaf.data.nbytes for leaf in leaves) + 4 * h.data.nbytes
 
 
 class TestRandomizedGradients:

@@ -3,12 +3,17 @@ hard transfer, and logging."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dialdistill import tensor as T
+from dialdistill import losses, tensor as T
 from dialdistill import training
 from dialdistill.corpus import EncodedExample, batchify, encode_example
 from dialdistill.errors import ContractError, DataError
@@ -358,6 +363,123 @@ class TestTeacherTargetCache:
         assert np.array_equal(t_probs, fresh.probabilities.data)
         assert all(np.array_equal(a, b.data) for a, b in zip(t_hidden, fresh.hidden_states, strict=True))
         assert np.array_equal(lm_probs, _fresh(lm, batch).probabilities.data)
+
+
+class TestGradientLifetime:
+    def test_parameter_gradients_released_after_every_step(
+        self, data, teacher, lm_teacher, monkeypatch
+    ):
+        # the student's forward and every validation pass run with no gradient
+        # left over from the step before
+        train, val, _ = data
+        released = []
+        real_forward, real_validation = training.forward_batch, training.validation_nll
+
+        def forward(model, batch, train=False, rng=None):
+            if train:
+                released.append(all(t.grad is None for _, t in model.params.items()))
+            return real_forward(model, batch, train=train, rng=rng)
+
+        def validation(model, val_batches):
+            released.append(all(t.grad is None for _, t in model.params.items()))
+            return real_validation(model, val_batches)
+
+        monkeypatch.setattr(training, "forward_batch", forward)
+        monkeypatch.setattr(training, "validation_nll", validation)
+        res = train_student(train, val, teacher, small_config("conventional"),
+                            tcfg(max_steps=6, val_every=2), lm_teacher=lm_teacher)
+        assert released == [True] * 9  # 6 steps, 3 validations
+        assert all(t.grad is None for _, t in res.model.params.items())
+
+    def test_two_passes_over_a_desk_student_loss_double_one_pass(self, data):
+        train, _, vocab = data
+        batch = batchify(train[:16], 16, seed=None, include_future=True)[0]
+        teacher = TransformerModel.build(desk_config(len(vocab), "scenario-based"), 1)
+        lm = TransformerModel.build(desk_config(len(vocab), "language-model"), 2)
+        student = TransformerModel.build(desk_config(len(vocab)), 3)
+        t, l = _fresh(teacher, batch), _fresh(lm, batch)
+        out = forward_batch(student, batch, train=True, rng=np.random.default_rng(4))
+        loss, _ = losses.total_loss(
+            out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
+            teacher_probs=t.probabilities.data, teacher_hiddens=[h.data for h in t.hidden_states],
+            lambda1=2.0, alpha=0.01, lm_probs=l.probabilities.data, lambda_lm=0.5,
+        )
+        T.backward(loss)
+        once = {n: p.grad.copy() for n, p in student.params.items() if p.grad is not None}
+        T.backward(loss)
+        assert len(once) == 88
+        for name, g in once.items():
+            assert np.array_equal(student.params[name].grad, 2 * g), name
+
+
+# Two paper-width student steps (d=256, FFN 1024, V=5000, batch 32, 60/15/60
+# tokens) with both teachers, in a fresh process; prints what the budget is
+# made of, in bytes.
+_PAPER_STEPS = textwrap.dedent("""
+    import json, resource, sys
+    import numpy as np
+    from dialdistill import optim, tensor as T, training
+    from dialdistill.corpus import EncodedExample
+    from dialdistill.model import TransformerModel, paper_config
+
+    def peak():  # ru_maxrss is in KiB, in bytes on macOS
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+
+    V = 5000
+    rng = np.random.default_rng(0)
+    ids = lambda n: [int(t) for t in rng.integers(4, V, size=n)]
+    train = [EncodedExample(history=ids(60), response=ids(15), future=ids(60)) for _ in range(64)]
+    base = peak()
+    teacher = TransformerModel.build(paper_config(V, "scenario-based"), 1)
+    lm = TransformerModel.build(paper_config(V, "language-model"), 2)
+    activations = []
+    backward = T.backward
+
+    def counting_backward(loss):
+        # every array the graph holds but the parameters, its requires_grad leaves
+        nodes = T._topological_order(loss, grad_only=False)
+        activations.append(sum(n.data.nbytes for n in nodes if n._parents or not n.requires_grad))
+        backward(loss)
+
+    T.backward = counting_backward
+    cfg = training.TrainingConfig(batch_size=32, max_steps=2, seed=0)
+    res = training.train_student(train, [], teacher, paper_config(V), cfg, lm_teacher=lm)
+    largest = max(t.data.size for _, t in res.model.params.update_targets())
+    print(json.dumps(dict(
+        base=base, peak=peak(), steps=res.steps, activations=max(activations),
+        frozen=teacher.params.values.nbytes + lm.params.values.nbytes,
+        student=res.model.params.values.nbytes, cache=res.cache_bytes,
+        scratch=max(largest, 2 * optim.CHUNK) * 8,
+    )))
+""")
+
+
+class TestPaperWidthMemory:
+    def test_two_student_steps_stay_under_the_budget(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+        # a child's ru_maxrss starts from its parent's RSS at the fork (Linux
+        # keeps the high-water mark across exec), so the steps run in a
+        # grandchild of a small launcher, not in a child of this process
+        launcher = ("import subprocess, sys\n"
+                    f"sys.exit(subprocess.run([sys.executable, '-c', {_PAPER_STEPS!r}]).returncode)")
+        run = subprocess.run([sys.executable, "-c", launcher], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        m = json.loads(run.stdout)
+        assert m["steps"] == 2 and m["cache"] > 0
+        # the process before any model; the frozen teachers; the student's
+        # values, Adam's m, v and flat gradient, and its leaf gradients; Adam's
+        # float64 scratch; the kept teacher targets; and the forward's arrays,
+        # which live through the backward, plus three quarters as much again
+        # for what the backward holds besides them: the arrays its closures
+        # keep (attention probabilities, dropout masks, layer-norm statistics;
+        # about a quarter) and its frontier of gradients still to be handed
+        # on. A pass that kept every interior gradient to its end would hold
+        # about the forward's arrays again.
+        budget = (m["base"] + m["frozen"] + 5 * m["student"] + m["scratch"] + m["cache"]
+                  + 1.75 * m["activations"])
+        assert m["peak"] < budget, (m["peak"] / 2**20, budget / 2**20)
 
 
 class TestLmTeacher:
