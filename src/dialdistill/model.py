@@ -334,11 +334,10 @@ def _project_kv(params: ParameterSet, prefix: str, memory_in):
 def _attend(params: ParameterSet, prefix: str, query_in, memory_in, additive_mask, num_heads: int, kv=None):
     """Multi-head scaled dot-product attention WITHOUT the output
     projection: the query projection plus one ``T.attention`` node, whose
-    heads are joined back to width d. Callers apply ``wo`` (and, for
-    dual-context, the merge projection first). ``kv``, when given, is the
-    already-projected (keys, values) pair, each (B or 1, S, d), and
-    ``memory_in`` is not read. The additive mask, (B, 1, S), (T, S) or
-    (B, T, S), is shared by all heads."""
+    heads are joined back to width d. Callers apply ``wo``. ``kv``, when
+    given, is the already-projected (keys, values) pair, each (B or 1, S,
+    d), and ``memory_in`` is not read. The additive mask, (B, 1, S), (T, S)
+    or (B, T, S), is shared by all heads."""
     q = T.affine(query_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k, v = kv if kv is not None else _project_kv(params, prefix, memory_in)
     return T.attention(q, k, v, additive_mask, num_heads)
@@ -360,8 +359,9 @@ def dual_context_attention(
         raise ShapeError(
             f"memory width mismatch: {history_memory.data.shape} vs {future_memory.data.shape}"
         )
-    c_h = _attend(params, prefix, query_in, history_memory, history_mask, num_heads)
-    c_f = _attend(params, prefix, query_in, future_memory, future_mask, num_heads)
+    q = T.affine(query_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    c_h = T.attention(q, *_project_kv(params, prefix, history_memory), history_mask, num_heads)
+    c_f = T.attention(q, *_project_kv(params, prefix, future_memory), future_mask, num_heads)
     both = T.concat([c_h, c_f], axis=-1)
     return T.affine(both, params[f"{prefix}.merge_w"], params[f"{prefix}.merge_b"])
 

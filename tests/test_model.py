@@ -398,6 +398,16 @@ class TestDualContextAttention:
             )
             assert np.array_equal(merged.data, manual.data)
 
+    def test_queries_projected_once_per_block(self):
+        model = TransformerModel.build(desk_config(30, "scenario-based"), seed=0)
+        rng = np.random.default_rng(0)
+        out = model.forward(rng.integers(4, 30, (2, 9)), rng.integers(4, 30, (2, 5)),
+                            future=rng.integers(4, 30, (2, 7)))
+        nodes = T._topological_order(out.probabilities, grad_only=False)
+        for i in range(model.config.num_blocks):
+            wq = model.params[f"dec.{i}.cross_attn.wq"]
+            assert sum(n._op == "affine" and n._parents[1] is wq for n in nodes) == 1, i
+
     def test_shared_encoder_bitwise(self):
         m = TransformerModel.build(tiny("scenario-based"), seed=5)
         ids = np.array([[4, 5, 6, 7]])
@@ -595,6 +605,28 @@ def lm_block_loop(m, response_in, train=False, rng=None):
 
 def no_history(rows):
     return np.zeros((rows, 0), dtype=np.int64)
+
+
+class TestDecodeStepRows:
+    """Criterion 12 compares beam widths 1 and 4 at desk width, which holds
+    only if a decode row rounds the same beside a few other rows as alone."""
+
+    def test_four_rows_equal_each_row_stepped_alone(self):
+        model = TransformerModel.build(desk_config(30), seed=0)
+        rng = np.random.default_rng(12)
+        history = rng.integers(4, 30, (1, 10))
+        memory, mask = model.encode(history), key_padding_mask(history)
+        prefixes = np.concatenate([np.full((4, 1), 2), rng.integers(4, 30, (4, 2))], axis=1)
+
+        def steps(rows):
+            state = DecodeState()
+            return [model.decode(rows[:, [i]], history_memory=memory, history_mask=mask,
+                                 state=state).probabilities.data for i in range(rows.shape[1])]
+
+        together = steps(prefixes)
+        for r in range(4):
+            for i, alone in enumerate(steps(prefixes[[r]])):
+                assert np.array_equal(alone[0], together[i][r]), (r, i)
 
 
 class TestLanguageModelVariant:
