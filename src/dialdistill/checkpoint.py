@@ -41,10 +41,10 @@ def save_checkpoint(params: ParameterSet, configs: dict, path) -> None:
 
 
 def _entry_shape(path, entry) -> tuple:
-    """A manifest entry's shape; the entry must name a tensor and list its
-    dimensions as non-negative integers."""
+    """A manifest entry's shape; the entry must name a tensor, list its
+    dimensions as non-negative integers and flag it trainable or not."""
     if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
+            and isinstance(entry.get("shape"), list) and type(entry.get("trainable", True)) is bool
             and all(type(n) is int and n >= 0 for n in entry["shape"])):
         raise CheckpointFormatError(f"{path}: malformed manifest entry {entry!r}")
     return tuple(entry["shape"])
@@ -85,7 +85,7 @@ def load_checkpoint(path):
             f"{path}: payload is {len(raw) - payload_start} bytes, manifest promises {expected}"
         )
     params = ParameterSet(
-        (entry["name"], shape, bool(entry.get("trainable", True)))
+        (entry["name"], shape, entry.get("trainable", True))
         for entry, shape in zip(header["manifest"], shapes)
     )
     params.values[...] = np.frombuffer(raw, dtype=_PAYLOAD_DTYPE, offset=payload_start)
@@ -107,8 +107,8 @@ def save_model(model: TransformerModel, path, extra_configs: dict = None) -> Non
 
 def load_model(path):
     """Rebuild a TransformerModel; the stored variant drives assembly.
-    Returns (model, configs). Tensor names and shapes are validated
-    against the parameter layout of the stored configuration."""
+    Returns (model, configs). Tensor names, shapes and trainable flags are
+    validated against the parameter layout of the stored configuration."""
     params, configs = load_checkpoint(path)
     if not isinstance(configs, dict) or "model" not in configs:
         raise CheckpointFormatError(f"{path}: header configs lack a 'model' section")
@@ -116,7 +116,8 @@ def load_model(path):
         config = ModelConfig(**configs["model"])
     except (TypeError, ContractError) as exc:  # not a mapping, unknown fields, or bad values
         raise CheckpointFormatError(f"{path}: unreadable model config: {exc}") from exc
-    expected = {name: shape for name, shape, _ in parameter_layout(config)}
+    layout = parameter_layout(config)
+    expected = {name: shape for name, shape, _ in layout}
     actual = {name: t.data.shape for name, t in params.items()}
     if expected != actual:
         missing = sorted(set(expected) - set(actual))
@@ -128,6 +129,10 @@ def load_model(path):
             f"{path}: parameters do not fit the stored configuration "
             f"(missing={missing}, surplus={surplus}, shape-mismatch={shapes})"
         )
+    flipped = [name for name, _, init in layout if params.is_trainable(name) != (init != "positions")]
+    if flipped:
+        raise CheckpointFormatError(
+            f"{path}: trainable flags disagree with the parameter layout for {flipped}")
     return TransformerModel(config, params), configs
 
 

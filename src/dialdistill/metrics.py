@@ -19,6 +19,7 @@ from . import tensor as T
 from .corpus import atomic_write, batchify
 from .embeddings import WordEmbeddings, cosine
 from .errors import ContractError, DataError
+from .model import MEMORIES
 from .training import forward_batch
 
 LOWER_IS_BETTER = ("kl_unigram", "kl_bigram", "ppl")
@@ -109,7 +110,7 @@ def sentence_perplexities(model, batch) -> tuple:
 def corpus_ppl(model, examples, batch_size: int = 32) -> PplReport:
     """Arithmetic mean of per-sentence perplexities under teacher
     forcing. Future turns are fed only to future-conditioned variants."""
-    include_future = model.config.variant == "scenario-based"
+    include_future = MEMORIES[model.config.variant][1]
     ppls = []
     excluded = 0
     with model.params.inference():

@@ -22,9 +22,15 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import PAD_ID
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
-VARIANTS = ("conventional", "scenario-based", "language-model")
+# The memories each variant's decoder reads: (history, future). A variant
+# that reads the history has the encoder; one that reads both merges them.
+MEMORIES = {
+    "conventional": (True, False),
+    "scenario-based": (True, True),
+    "language-model": (False, False),
+}
 
 # Additive attention mask value for forbidden positions. exp(-1e9 + x)
 # underflows to exactly 0.0 in both float32 and float64 for any score x
@@ -50,8 +56,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ContractError(f"{name} must be an integer, got {value!r}")
-        if self.variant not in VARIANTS:
-            raise ContractError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.variant not in MEMORIES:
+            raise ContractError(f"unknown variant {self.variant!r}; expected one of {tuple(MEMORIES)}")
         if self.model_dim % self.num_heads != 0:
             raise ContractError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"
@@ -214,7 +220,7 @@ def parameter_layout(config: ModelConfig) -> list:
         weight(f"{prefix}.w2", f, d)
         zeros(f"{prefix}.b2", d)
 
-    has_encoder = config.variant != "language-model"
+    has_encoder, has_future = MEMORIES[config.variant]
     if has_encoder:
         weight("encoder_embedding", v, d)
     weight("decoder_embedding", v, d)
@@ -232,7 +238,7 @@ def parameter_layout(config: ModelConfig) -> list:
         norm(f"dec.{i}.ln_self")
         if has_encoder:
             attention_block(f"dec.{i}.cross_attn")
-            if config.variant == "scenario-based":
+            if has_future:
                 weight(f"dec.{i}.cross_attn.merge_w", 2 * d, d)
                 zeros(f"dec.{i}.cross_attn.merge_b", d)
             norm(f"dec.{i}.ln_cross")
@@ -331,39 +337,19 @@ def _project_kv(params: ParameterSet, prefix: str, memory_in):
     return k, v
 
 
-def _attend(params: ParameterSet, prefix: str, query_in, memory_in, additive_mask, num_heads: int, kv=None):
-    """Multi-head scaled dot-product attention WITHOUT the output
-    projection: the query projection plus one ``T.attention`` node, whose
-    heads are joined back to width d. Callers apply ``wo``. ``kv``, when
-    given, is the already-projected (keys, values) pair, each (B or 1, S,
-    d), and ``memory_in`` is not read. The additive mask, (B, 1, S), (T, S)
-    or (B, T, S), is shared by all heads."""
+def attention_sublayer(params: ParameterSet, prefix: str, query_in, kvs, masks, num_heads: int):
+    """Multi-head attention sublayer (Vaswani et al. 2017): one query
+    projection, one ``T.attention`` per memory over its already-projected
+    (keys, values), each (B or 1, S, d), under its additive mask, (B, 1,
+    S), (T, S) or (B, T, S), shared by all heads; two contexts (the
+    teacher's history and future) are concatenated to width 2d and merged
+    back to d; then the output projection ``wo``."""
     q = T.affine(query_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k, v = kv if kv is not None else _project_kv(params, prefix, memory_in)
-    return T.attention(q, k, v, additive_mask, num_heads)
-
-
-def dual_context_attention(
-    params: ParameterSet,
-    prefix: str,
-    query_in,
-    history_memory,
-    future_memory,
-    history_mask,
-    future_mask,
-    num_heads: int,
-):
-    """Attend over both memories with the same projections, concatenate the
-    two contexts along features (width 2d), and merge back to d."""
-    if history_memory.data.shape[-1] != future_memory.data.shape[-1]:
-        raise ShapeError(
-            f"memory width mismatch: {history_memory.data.shape} vs {future_memory.data.shape}"
-        )
-    q = T.affine(query_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    c_h = T.attention(q, *_project_kv(params, prefix, history_memory), history_mask, num_heads)
-    c_f = T.attention(q, *_project_kv(params, prefix, future_memory), future_mask, num_heads)
-    both = T.concat([c_h, c_f], axis=-1)
-    return T.affine(both, params[f"{prefix}.merge_w"], params[f"{prefix}.merge_b"])
+    contexts = [T.attention(q, k, v, mask, num_heads) for (k, v), mask in zip(kvs, masks)]
+    ctx = contexts[0]
+    if len(contexts) > 1:
+        ctx = T.affine(T.concat(contexts, axis=-1), params[f"{prefix}.merge_w"], params[f"{prefix}.merge_b"])
+    return T.affine(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 class TransformerModel:
@@ -421,23 +407,21 @@ class TransformerModel:
         logits = T.check_finite(T.affine(x, self.params["out_proj.w"], self.params["out_proj.b"]))
         return DecodeOutput(probabilities=T.softmax(logits), hidden_states=hidden)
 
-    def _project_out(self, x, additive_mask, prefix: str, num_heads: int, kv=None):
-        ctx = _attend(self.params, prefix, x, x, additive_mask, num_heads, kv)
-        return T.affine(ctx, self.params[f"{prefix}.wo"], self.params[f"{prefix}.bo"])
-
     # ---- encoder -------------------------------------------------------
 
     def encode(self, token_ids: np.ndarray, train: bool = False, rng=None):
         """(B, T) token ids -> (B, T, d) memory. Pad positions are masked as
         attention keys, so they never influence unpadded outputs."""
         cfg = self.config
-        if cfg.variant == "language-model":
-            raise ContractError("the language-model variant has no encoder")
+        p = self.params
+        if not MEMORIES[cfg.variant][0]:
+            raise ContractError(f"the {cfg.variant} variant has no encoder")
         token_ids = np.atleast_2d(np.asarray(token_ids))
         mask = key_padding_mask(token_ids)
         x = self._embed("encoder_embedding", token_ids, train, rng)
         for i in range(cfg.num_blocks):
-            a = self._project_out(x, mask, f"enc.{i}.attn", cfg.num_heads)
+            prefix = f"enc.{i}.attn"
+            a = attention_sublayer(p, prefix, x, [_project_kv(p, prefix, x)], [mask], cfg.num_heads)
             x = self._residual(x, a, f"enc.{i}.ln_attn", train, rng)
             f = self._ffn(x, f"enc.{i}.ffn")
             x = self._residual(x, f, f"enc.{i}.ln_ffn", train, rng)
@@ -459,9 +443,8 @@ class TransformerModel:
         """Teacher-forced decode over a right-shifted target prefix.
 
         ``response_in`` is (B, T') beginning with the begin-of-sequence id.
-        Memory arguments must match the variant: the conventional model
-        takes only the history memory, the scenario-based model both, and
-        the language-model none.
+        The memory arguments given must be those the variant reads
+        (``MEMORIES``).
 
         With a ``state`` (conventional variant, inference only) the call is
         incremental: ``response_in`` and the outputs hold only the positions
@@ -472,19 +455,15 @@ class TransformerModel:
         cfg = self.config
         p = self.params
         response_in = np.atleast_2d(np.asarray(response_in))
-        if cfg.variant == "conventional":
-            if future_memory is not None:
-                raise ContractError("conventional variant accepts no future memory")
-            if history_memory is None:
-                raise ContractError("conventional variant requires a history memory")
-        elif cfg.variant == "scenario-based":
-            if history_memory is None or future_memory is None:
-                raise ContractError("scenario-based variant requires both memories")
-        else:
-            if history_memory is not None or future_memory is not None:
-                raise ContractError("language-model variant accepts no memories")
-        if state is not None and (train or cfg.variant != "conventional"):
-            raise ContractError("a decode state serves inference with the conventional variant only")
+        reads = MEMORIES[cfg.variant]
+        given = (history_memory is not None, future_memory is not None)
+        if given != reads:
+            raise ContractError(f"{cfg.variant} variant reads (history, future) memories {reads}, "
+                                f"got {given}")
+        if state is not None and (train or reads != (True, False)):
+            raise ContractError("a decode state serves inference over the history memory alone")
+        read = [(m, mask) for m, mask in ((history_memory, history_mask), (future_memory, future_mask))
+                if m is not None]
 
         offset = 0 if state is None else state.length
         t = response_in.shape[-1]
@@ -497,20 +476,18 @@ class TransformerModel:
         hidden = []
         for i in range(cfg.num_blocks):
             prefix = f"dec.{i}.self_attn"
-            kv = None if state is None else state.extend(i, _project_kv(p, prefix, x))
-            a = self._project_out(x, self_mask, prefix, cfg.num_heads, kv)
+            kv = _project_kv(p, prefix, x)
+            if state is not None:
+                kv = state.extend(i, kv)
+            a = attention_sublayer(p, prefix, x, [kv], [self_mask], cfg.num_heads)
             x = self._residual(x, a, f"dec.{i}.ln_self", train, rng)
-            if cfg.variant != "language-model":
+            if read:
                 prefix = f"dec.{i}.cross_attn"
-                if cfg.variant == "scenario-based":
-                    ctx = dual_context_attention(
-                        p, prefix, x, history_memory, future_memory,
-                        history_mask, future_mask, cfg.num_heads,
-                    )
+                if state is None:
+                    kvs, masks = [_project_kv(p, prefix, m) for m, _ in read], [mask for _, mask in read]
                 else:
-                    kv, mask = (None, history_mask) if state is None else (state.cross_kv[i], state.cross_mask)
-                    ctx = _attend(p, prefix, x, history_memory, mask, cfg.num_heads, kv)
-                c = T.affine(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+                    kvs, masks = [state.cross_kv[i]], [state.cross_mask]
+                c = attention_sublayer(p, prefix, x, kvs, masks, cfg.num_heads)
                 x = self._residual(x, c, f"dec.{i}.ln_cross", train, rng)
             f = self._ffn(x, f"dec.{i}.ffn")
             x = self._residual(x, f, f"dec.{i}.ln_ffn", train, rng)
@@ -529,30 +506,21 @@ class TransformerModel:
         train: bool = False,
         rng=None,
     ) -> DecodeOutput:
-        """End-to-end teacher-forced pass appropriate to the variant. The
-        language model reads the response alone: its ``history`` must be
-        empty."""
+        """End-to-end teacher-forced pass over the inputs the variant reads
+        (``MEMORIES``). The language model reads the response alone: its
+        ``history`` must be empty."""
         cfg = self.config
         history = np.atleast_2d(np.asarray(history))
-        if cfg.variant == "language-model":
-            if future is not None or history.size:
-                raise ContractError("language-model variant takes no history or future input")
-            return self.decode(response_in, train=train, rng=rng)
-        if cfg.variant == "scenario-based" and future is None:
-            raise ContractError("scenario-based variant requires the future input")
-        if cfg.variant == "conventional" and future is not None:
-            raise ContractError("conventional variant takes no future input")
-        h_mem = self.encode(history, train, rng)
-        f_mem = f_mask = None
-        if future is not None:
+        given = (history.size > 0, future is not None)
+        if given != MEMORIES[cfg.variant]:
+            raise ContractError(f"{cfg.variant} variant reads (history, future) inputs "
+                                f"{MEMORIES[cfg.variant]}, got {given}")
+        memories = {}
+        if given[0]:
+            memories.update(history_memory=self.encode(history, train, rng),
+                            history_mask=key_padding_mask(history))
+        if given[1]:
             future = np.atleast_2d(np.asarray(future))
-            f_mem, f_mask = self.encode(future, train, rng), key_padding_mask(future)
-        return self.decode(
-            response_in,
-            history_memory=h_mem,
-            future_memory=f_mem,
-            history_mask=key_padding_mask(history),
-            future_mask=f_mask,
-            train=train,
-            rng=rng,
-        )
+            memories.update(future_memory=self.encode(future, train, rng),
+                            future_mask=key_padding_mask(future))
+        return self.decode(response_in, train=train, rng=rng, **memories)

@@ -28,7 +28,7 @@ from . import tensor as T
 from .corpus import atomic_write, batchify
 from .errors import ContractError, DataError
 from .losses import nll_sum, total_loss
-from .model import ModelConfig, ParameterSet, TransformerModel
+from .model import MEMORIES, ModelConfig, ParameterSet, TransformerModel
 from .optim import Adam
 
 TRANSFER_SCOPES = ("none", "word-emb", "encoder")
@@ -96,17 +96,12 @@ def _empty_history(batch_rows: int) -> np.ndarray:
 
 
 def forward_batch(model: TransformerModel, batch, train: bool = False, rng=None):
-    """Run the variant-appropriate teacher-forced pass over one batch."""
-    v = model.config.variant
-    if v == "scenario-based":
-        if batch.future is None:
-            raise ContractError("scenario-based forward needs batches with futures")
-        return model.forward(
-            batch.history, batch.response_in, future=batch.future, train=train, rng=rng
-        )
-    if v == "language-model":
-        return model.forward(_empty_history(batch.size), batch.response_in, train=train, rng=rng)
-    return model.forward(batch.history, batch.response_in, train=train, rng=rng)
+    """Run the teacher-forced pass over one batch on the inputs its variant
+    reads (``model.MEMORIES``); one that reads no history gets an empty one."""
+    reads_history, reads_future = MEMORIES[model.config.variant]
+    history = batch.history if reads_history else _empty_history(batch.size)
+    future = batch.future if reads_future else None
+    return model.forward(history, batch.response_in, future=future, train=train, rng=rng)
 
 
 def validation_nll(model: TransformerModel, val_batches) -> float:
@@ -206,7 +201,7 @@ def train_nll(
             lambda1=0.0,
         )
 
-    include_future = config.variant == "scenario-based"
+    include_future = MEMORIES[config.variant][1]
     return _train_loop(model, train_examples, val_examples, tcfg, batch_loss, include_future, log_path)
 
 

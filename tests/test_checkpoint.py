@@ -251,6 +251,41 @@ class TestCorruption:
             load_model(forged)
 
 
+    @staticmethod
+    def _with_flag(path, tmp_path, name, flag):
+        """A copy of the checkpoint at ``path`` whose manifest gives tensor
+        ``name`` the trainable flag ``flag``."""
+        raw = path.read_bytes()
+        start = len(MAGIC) + 4
+        (length,) = struct.unpack("<I", raw[len(MAGIC):start])
+        header = json.loads(raw[start:start + length])
+        for entry in header["manifest"]:
+            if entry["name"] == name:
+                entry["trainable"] = flag
+        forged = tmp_path / "forged.ckpt"
+        text = json.dumps(header).encode()
+        forged.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + raw[start + length:])
+        return forged
+
+    @pytest.mark.parametrize("flag", ["no", 0, None])
+    def test_non_boolean_trainable_flag_rejected(self, saved, tmp_path, flag):
+        _, path = saved
+        forged = self._with_flag(path, tmp_path, "positional_encoding", flag)
+        with pytest.raises(CheckpointFormatError, match=r"forged\.ckpt: malformed manifest entry"):
+            load_checkpoint(forged)
+
+    @pytest.mark.parametrize("name, flag", [("out_proj.b", False), ("positional_encoding", True)])
+    def test_trainable_flag_against_the_layout_rejected(self, saved, tmp_path, name, flag):
+        # a frozen-looking out_proj.b would drop out of Adam's targets, and a
+        # trainable positional table would be trained
+        _, path = saved
+        forged = self._with_flag(path, tmp_path, name, flag)
+        assert load_checkpoint(forged)[0].is_trainable(name) is flag  # a well-formed manifest
+        with pytest.raises(CheckpointFormatError) as info:
+            load_model(forged)
+        assert str(info.value) == f"{forged}: trainable flags disagree with the parameter layout for {[name]}"
+
+
 class TestDigest:
     def test_digest_stable_and_sensitive(self, saved, tmp_path):
         _, path = saved

@@ -5,20 +5,20 @@ import pytest
 
 from dialdistill import tensor as T
 from dialdistill.corpus import EncodedExample, make_batch
-from dialdistill.errors import ContractError
+from dialdistill.errors import ContractError, ShapeError
 from dialdistill.losses import nll_sum
 from dialdistill.model import (
+    MEMORIES,
     SIZE_FIELDS,
     DecodeOutput,
     DecodeState,
     ModelConfig,
     ParameterSet,
     TransformerModel,
-    _attend,
     _project_kv,
+    attention_sublayer,
     causal_mask,
     desk_config,
-    dual_context_attention,
     init_params,
     parameter_layout,
     key_padding_mask,
@@ -176,9 +176,10 @@ class TestEncoder:
 
 
 def per_head_attention(ps, prefix, query_in, memory_in, mask, num_heads):
-    """Reference multi-head attention: one head at a time over column
-    slices of the projections, contexts joined along features."""
-    p = {n: ps[f"{prefix}.{n}"].data for n in ("wq", "bq", "wk", "bk", "wv", "bv")}
+    """Reference multi-head attention sublayer: one head at a time over
+    column slices of the projections, contexts joined along features, then
+    the output projection."""
+    p = {n: ps[f"{prefix}.{n}"].data for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
     q = query_in @ p["wq"] + p["bq"]
     k = memory_in @ p["wk"] + p["bk"]
     v = memory_in @ p["wv"] + p["bv"]
@@ -191,7 +192,7 @@ def per_head_attention(ps, prefix, query_in, memory_in, mask, num_heads):
             scores = scores + mask
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         heads.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
-    return np.concatenate(heads, axis=-1)
+    return np.concatenate(heads, axis=-1) @ p["wo"] + p["bo"]
 
 
 def graph_size(*outputs):
@@ -258,7 +259,7 @@ def chain_attention(q, k, v, mask, num_heads, g_out):
 
 
 def padding_and_causal_masks(rng, b, t, s):
-    """The three mask shapes ``_attend`` is given, keyed by name."""
+    """The three mask shapes ``attention_sublayer`` is given, keyed by name."""
     ids = rng.integers(4, 12, size=(b, s))
     ids[0, s // 2:] = PAD
     padding = key_padding_mask(ids)
@@ -338,13 +339,16 @@ class TestBatchedHeads:
             mem = rng.standard_normal((b, s, 8))
             for name, mask in masks.items():
                 expected = per_head_attention(ps, "dec.0.cross_attn", q_in, mem, mask, num_heads)
-                got = _attend(ps, "dec.0.cross_attn", T.Tensor(q_in), T.Tensor(mem), mask, num_heads)
-                assert got.data.shape == (b, t, 8)
-                assert np.max(np.abs(got.data - expected)) <= 1e-12, name
                 kv = _project_kv(ps, "dec.0.cross_attn", T.Tensor(mem))
                 assert kv[0].data.shape == (b, s, 8)
-                cached = _attend(ps, "dec.0.cross_attn", T.Tensor(q_in), None, mask, num_heads, kv)
-                assert np.array_equal(cached.data, got.data), name
+                got = attention_sublayer(ps, "dec.0.cross_attn", T.Tensor(q_in), [kv], [mask], num_heads)
+                assert got.data.shape == (b, t, 8)
+                assert np.max(np.abs(got.data - expected)) <= 1e-12, name
+                # keys and values cached off the graph, as a DecodeState holds them
+                cached = tuple(T.as_tensor(t.data.copy()) for t in kv)
+                again = attention_sublayer(ps, "dec.0.cross_attn", T.Tensor(q_in), [cached], [mask],
+                                           num_heads)
+                assert np.array_equal(again.data, got.data), name
 
     def test_graph_size_does_not_grow_with_heads(self):
         hist = np.array([[4, 5, 6, 7], [8, 9, PAD, PAD]])
@@ -357,17 +361,24 @@ class TestBatchedHeads:
         assert sizes[0] == sizes[1] == sizes[2]
 
 
+def sublayer(ps, q_in, *memories, prefix="dec.0.cross_attn"):
+    """``attention_sublayer`` over freshly projected unmasked memories."""
+    kvs = [_project_kv(ps, prefix, m) for m in memories]
+    return attention_sublayer(ps, prefix, q_in, kvs, [None] * len(kvs), num_heads=2)
+
+
 class TestDualContextAttention:
     def test_single_key_context_is_value_vector(self):
-        # softmax over one key is 1, so the pre-merge context equals that
-        # position's value vector
+        # softmax over one key is 1, so the context equals that position's
+        # value vector and the sublayer's output is its output projection
         with T.precision("double"):
             ps = init_params(tiny("scenario-based"), seed=3)
             mem = T.Tensor(np.random.default_rng(0).standard_normal((1, 1, 8)))
             q_in = T.Tensor(np.random.default_rng(1).standard_normal((1, 2, 8)))
-            ctx = _attend(ps, "dec.0.cross_attn", q_in, mem, None, num_heads=2)
             v = T.affine(mem, ps["dec.0.cross_attn.wv"], ps["dec.0.cross_attn.bv"])
-            assert np.allclose(ctx.data, np.broadcast_to(v.data, ctx.data.shape), atol=1e-12)
+            out = T.affine(v, ps["dec.0.cross_attn.wo"], ps["dec.0.cross_attn.bo"])
+            got = sublayer(ps, q_in, mem)
+            assert np.allclose(got.data, np.broadcast_to(out.data, got.data.shape), atol=1e-12)
 
     def test_merged_width(self):
         with T.precision("double"):
@@ -376,10 +387,7 @@ class TestDualContextAttention:
             q_in = T.Tensor(rng.standard_normal((1, 3, 8)))
             mem_h = T.Tensor(rng.standard_normal((1, 4, 8)))
             mem_f = T.Tensor(rng.standard_normal((1, 5, 8)))
-            out = dual_context_attention(
-                ps, "dec.0.cross_attn", q_in, mem_h, mem_f, None, None, 2
-            )
-            assert out.data.shape == (1, 3, 8)
+            assert sublayer(ps, q_in, mem_h, mem_f).data.shape == (1, 3, 8)
 
     def test_identical_contexts_from_identical_memories(self):
         # shared projections: same memory on both sides gives c_h = c_f,
@@ -389,14 +397,15 @@ class TestDualContextAttention:
             rng = np.random.default_rng(3)
             q_in = T.Tensor(rng.standard_normal((1, 3, 8)))
             mem = T.Tensor(rng.standard_normal((1, 4, 8)))
-            c = _attend(ps, "dec.0.cross_attn", q_in, mem, None, 2)
-            merged = dual_context_attention(ps, "dec.0.cross_attn", q_in, mem, mem, None, None, 2)
-            manual = T.affine(
+            q = T.affine(q_in, ps["dec.0.cross_attn.wq"], ps["dec.0.cross_attn.bq"])
+            c = T.attention(q, *_project_kv(ps, "dec.0.cross_attn", mem), None, 2)
+            merged = T.affine(
                 T.concat([c, c], axis=-1),
                 ps["dec.0.cross_attn.merge_w"],
                 ps["dec.0.cross_attn.merge_b"],
             )
-            assert np.array_equal(merged.data, manual.data)
+            manual = T.affine(merged, ps["dec.0.cross_attn.wo"], ps["dec.0.cross_attn.bo"])
+            assert np.array_equal(sublayer(ps, q_in, mem, mem).data, manual.data)
 
     def test_queries_projected_once_per_block(self):
         model = TransformerModel.build(desk_config(30, "scenario-based"), seed=0)
@@ -468,6 +477,68 @@ class TestDecoder:
         m = TransformerModel.build(tiny(dropout_rate=0.2), seed=8)
         with pytest.raises(ContractError):
             m.forward(self.hist, self.resp_in, train=True)
+
+
+GIVEN = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def given_id(given):
+    return "+".join(name for name, on in zip(("history", "future"), given) if on) or "neither"
+
+
+class TestMemoryTable:
+    """``MEMORIES`` is the one place that says which memories, (history,
+    future), each variant reads: decode and forward take exactly those."""
+
+    def test_table(self):
+        assert MEMORIES == {"conventional": (True, False), "scenario-based": (True, True),
+                            "language-model": (False, False)}
+
+    @pytest.mark.parametrize("variant", sorted(MEMORIES))
+    def test_layout_follows_the_table(self, variant):
+        names = [name for name, _, _ in parameter_layout(tiny(variant))]
+        reads_history, reads_future = MEMORIES[variant]
+        assert ("encoder_embedding" in names) == ("dec.0.cross_attn.wq" in names) == reads_history
+        assert ("dec.0.cross_attn.merge_w" in names) == reads_future
+
+    @pytest.mark.parametrize("given", GIVEN, ids=given_id)
+    @pytest.mark.parametrize("variant", sorted(MEMORIES))
+    def test_decode_takes_the_memories_its_variant_reads(self, variant, given):
+        m = TransformerModel.build(tiny(variant), seed=7)
+        history = np.array([[4, 5, 6, PAD]])
+        memory = TransformerModel.build(tiny(), seed=8).encode(history)
+        memories = {}
+        if given[0]:
+            memories.update(history_memory=memory, history_mask=key_padding_mask(history))
+        if given[1]:
+            memories.update(future_memory=memory, future_mask=key_padding_mask(history))
+        response_in = np.array([[2, 8, 9]])
+        if given == MEMORIES[variant]:
+            assert m.decode(response_in, **memories).probabilities.data.shape == (1, 3, 12)
+        else:
+            with pytest.raises(ContractError):
+                m.decode(response_in, **memories)
+
+    @pytest.mark.parametrize("given", GIVEN, ids=given_id)
+    @pytest.mark.parametrize("variant", sorted(MEMORIES))
+    def test_forward_takes_the_inputs_its_variant_reads(self, variant, given):
+        m = TransformerModel.build(tiny(variant), seed=7)
+        history = np.array([[4, 5, 6, PAD]]) if given[0] else no_history(1)
+        future = np.array([[9, 10, 11]]) if given[1] else None
+        response_in = np.array([[2, 8, 9]])
+        if given == MEMORIES[variant]:
+            assert m.forward(history, response_in, future=future).probabilities.data.shape == (1, 3, 12)
+        else:
+            with pytest.raises(ContractError):
+                m.forward(history, response_in, future=future)
+
+    def test_teacher_rejects_a_future_memory_of_another_width(self):
+        m = TransformerModel.build(tiny("scenario-based"), seed=7)
+        history = np.array([[4, 5, 6]])
+        narrow = T.Tensor(np.zeros((1, 3, 6), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            m.decode(np.array([[2, 8]]), history_memory=m.encode(history), future_memory=narrow,
+                     history_mask=key_padding_mask(history), future_mask=key_padding_mask(history))
 
 
 class TestDecodeState:
@@ -594,7 +665,8 @@ def lm_block_loop(m, response_in, train=False, rng=None):
     x = m._embed("decoder_embedding", response_in, train, rng)
     hidden = []
     for i in range(m.config.num_blocks):
-        a = m._project_out(x, mask, f"dec.{i}.self_attn", m.config.num_heads)
+        prefix = f"dec.{i}.self_attn"
+        a = attention_sublayer(p, prefix, x, [_project_kv(p, prefix, x)], [mask], m.config.num_heads)
         x = m._residual(x, a, f"dec.{i}.ln_self", train, rng)
         f = m._ffn(x, f"dec.{i}.ffn")
         x = m._residual(x, f, f"dec.{i}.ln_ffn", train, rng)
