@@ -90,7 +90,7 @@ def mean_teacher_student_kl(teacher, student, examples) -> float:
     total = 0.0
     count = 0.0
     with teacher.params.inference(), student.params.inference():
-        for batch in batchify(examples, BATCH_SIZE, seed=None, include_future=True):
+        for batch in batchify(examples, BATCH_SIZE, seed=None):
             q = forward_batch(teacher, batch).probabilities.data
             p = forward_batch(student, batch).probabilities.data
             log_ratio = T.floored_log(q) - T.floored_log(p)

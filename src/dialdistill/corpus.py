@@ -297,7 +297,7 @@ class Batch:
     response_in: np.ndarray  # (B, Tr) int
     response_target: np.ndarray  # (B, Tr) int
     target_mask: np.ndarray  # (B, Tr) float
-    future: np.ndarray = None  # (B, Tf) int, scenario training only
+    future: np.ndarray = None  # (B, Tf) int, always built by batchify; the scenario-based variant reads it
     index: np.ndarray = None  # (B,) each row's position in the list batchify was given
 
     @property
@@ -353,8 +353,11 @@ def batchify(
 
 def split_examples(examples: list, val_fraction: float, test_fraction: float, seed: int):
     """Deterministic train/validation/test split by shuffled index."""
-    if val_fraction < 0 or test_fraction < 0 or val_fraction + test_fraction >= 1.0:
-        raise DataError("split fractions must be non-negative and sum to < 1")
+    if not (val_fraction >= 0 and test_fraction >= 0 and val_fraction + test_fraction < 1.0):
+        raise DataError(
+            "split fractions must be non-negative and sum to < 1, got "
+            f"val_fraction={val_fraction}, test_fraction={test_fraction}"
+        )
     order = np.random.default_rng(seed).permutation(len(examples))
     n_val = int(round(len(examples) * val_fraction))
     n_test = int(round(len(examples) * test_fraction))

@@ -20,12 +20,13 @@ hypothesis's parent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import BOS_ID, EOS_ID, PAD_ID
+from .corpus import BOS_ID, EOS_ID, PAD_ID, _pad_rows
 from .errors import ContractError
 from .model import DecodeState, TransformerModel, key_padding_mask
 
@@ -47,6 +48,8 @@ class DecodeConfig:
             raise ContractError(f"beam_width must be >= 1, got {self.beam_width}")
         if self.max_length < 1:
             raise ContractError(f"max_length must be >= 1, got {self.max_length}")
+        if not math.isfinite(self.length_penalty):
+            raise ContractError(f"length_penalty must be finite, got {self.length_penalty}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -76,10 +79,7 @@ def _batch(model: TransformerModel, histories) -> np.ndarray:
     for row in rows:
         if row.size == 0 or row.shape[0] != 1:
             raise ContractError(f"a history must be one non-empty token sequence, got shape {row.shape}")
-    batch = np.full((len(rows), max(row.shape[1] for row in rows)), PAD_ID, dtype=np.int64)
-    for i, row in enumerate(rows):
-        batch[i, : row.shape[1]] = row[0]
-    return batch
+    return _pad_rows([row[0] for row in rows])
 
 
 def _normalize(score: float, length: int, penalty: float) -> float:

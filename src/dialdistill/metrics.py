@@ -19,7 +19,6 @@ from . import tensor as T
 from .corpus import atomic_write, batchify
 from .embeddings import WordEmbeddings, cosine
 from .errors import ContractError, DataError
-from .model import MEMORIES
 from .training import forward_batch
 
 LOWER_IS_BETTER = ("kl_unigram", "kl_bigram", "ppl")
@@ -110,11 +109,10 @@ def sentence_perplexities(model, batch) -> tuple:
 def corpus_ppl(model, examples, batch_size: int = 32) -> PplReport:
     """Arithmetic mean of per-sentence perplexities under teacher
     forcing. Future turns are fed only to future-conditioned variants."""
-    include_future = MEMORIES[model.config.variant][1]
     ppls = []
     excluded = 0
     with model.params.inference():
-        for batch in batchify(examples, batch_size, seed=None, include_future=include_future):
+        for batch in batchify(examples, batch_size, seed=None):
             batch_ppls, batch_excluded = sentence_perplexities(model, batch)
             ppls.extend(batch_ppls)
             excluded += batch_excluded

@@ -5,10 +5,13 @@ The teacher, the baseline and the language model are fitted by one
 trainer, :func:`train_nll`, on response NLL alone; the variant of the
 model config picks its inputs. ``train_teacher``, ``train_conventional``
 and ``train_lm_teacher`` are that trainer with the variant checked. The
-student adds the imitation terms to the same NLL. Both run one loop:
-deterministically shuffled mini-batches, the combined loss from
-:mod:`dialdistill.losses`, global gradient clipping, Adam, per-step loss
-logging, and periodic validation with best-checkpoint tracking.
+student adds the imitation terms to the same NLL. All of them run one
+loop, whose step is the same for every trainer: the frozen teachers'
+targets when a student run gives them, the forward, the combined loss
+from :mod:`dialdistill.losses` with the config's weights, global
+gradient clipping and Adam. Around the step: deterministically shuffled
+mini-batches, per-step loss logging, and periodic validation with
+best-checkpoint tracking.
 
 Randomness is namespaced off a single seed — parameter init uses the
 seed itself, epoch shuffles use (seed, 7, epoch), and per-step dropout
@@ -20,6 +23,7 @@ step for step.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +56,9 @@ class TrainingConfig:
     log_every: int = 1
 
     def __post_init__(self):
+        for name in ("learning_rate", "grad_clip_norm", "alpha", "lambda1", "lambda_lm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ContractError(f"alpha must be >= 0, got {self.alpha}")
         if self.lambda1 < 0:
@@ -121,35 +128,38 @@ def _train_loop(
     train_examples: list,
     val_examples: list,
     tcfg: TrainingConfig,
-    batch_loss,
-    include_future: bool,
+    teacher_cache=None,
+    lm_cache=None,
     log_path=None,
 ) -> TrainResult:
-    """Shared mini-batch loop. ``batch_loss(model, batch, rng)`` returns
-    (scalar loss node, LossBreakdown)."""
+    """The one mini-batch loop. Each step takes the frozen teachers'
+    targets from their caches, when given, runs the model and the combined
+    loss, then backward and Adam; with neither cache the loss is the NLL."""
     if not train_examples:
         raise DataError("training example list is empty")
     opt = Adam(model.params, learning_rate=tcfg.learning_rate, clip_norm=tcfg.grad_clip_norm)
-    val_batches = (
-        batchify(val_examples, tcfg.batch_size, seed=None, include_future=include_future)
-        if val_examples
-        else []
-    )
+    val_batches = batchify(val_examples, tcfg.batch_size, seed=None) if val_examples else []
     result = TrainResult(model=model)
     best_val = None
     step = 0
     done = False
     epoch = 0
     while not done:
-        for batch in batchify(
-            train_examples, tcfg.batch_size, seed=[tcfg.seed, 7, epoch], include_future=include_future
-        ):
+        for batch in batchify(train_examples, tcfg.batch_size, seed=[tcfg.seed, 7, epoch]):
             step += 1
             rng = np.random.default_rng([tcfg.seed, 11, step])
-            loss, breakdown = batch_loss(model, batch, rng)
+            teacher_probs, teacher_hiddens = teacher_cache.outputs(batch) if teacher_cache else (None, None)
+            lm_probs = lm_cache.outputs(batch)[0] if lm_cache else None
+            out = forward_batch(model, batch, train=True, rng=rng)
+            loss, breakdown = total_loss(
+                out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
+                teacher_probs=teacher_probs, teacher_hiddens=teacher_hiddens,
+                lambda1=tcfg.lambda1, alpha=tcfg.alpha, lm_probs=lm_probs, lambda_lm=tcfg.lambda_lm,
+            )
+            del out, teacher_probs, teacher_hiddens, lm_probs
             T.check_finite(loss)
             T.backward(loss)
-            del loss  # else the graph stays alive through Adam and the next forward
+            del loss  # else the step's graph and targets stay alive through Adam and the next forward
             grad_norm = opt.step()
             model.params.zero_grads()  # else they live through validation and the next forward
 
@@ -193,16 +203,7 @@ def train_nll(
     """Fit a model of any variant on response NLL alone; the variant picks
     the inputs (see :func:`forward_batch`)."""
     model = TransformerModel.build(config, tcfg.seed)
-
-    def batch_loss(m, batch, rng):
-        out = forward_batch(m, batch, train=True, rng=rng)
-        return total_loss(
-            out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
-            lambda1=0.0,
-        )
-
-    include_future = MEMORIES[config.variant][1]
-    return _train_loop(model, train_examples, val_examples, tcfg, batch_loss, include_future, log_path)
+    return _train_loop(model, train_examples, val_examples, tcfg, log_path=log_path)
 
 
 def _require_variant(config: ModelConfig, variant: str, role: str) -> None:
@@ -339,28 +340,8 @@ def train_student(
         m.config.model_dim * blocks for m, blocks in frozen)
     keep = cache_bytes <= TARGET_CACHE_BYTES
     caches = [_TargetCache(m, offsets, blocks * keep) for m, blocks in frozen]
-
-    def batch_loss(m, batch, rng):
-        teacher_probs = teacher_hiddens = lm_probs = None
-        if use_teacher:
-            teacher_probs, teacher_hiddens = caches[0].outputs(batch)
-        if use_lm:
-            lm_probs = caches[-1].outputs(batch)[0]
-        out = forward_batch(m, batch, train=True, rng=rng)
-        return total_loss(
-            out.probabilities,
-            out.hidden_states,
-            batch.response_target,
-            batch.target_mask,
-            teacher_probs=teacher_probs,
-            teacher_hiddens=teacher_hiddens,
-            lambda1=tcfg.lambda1,
-            alpha=tcfg.alpha,
-            lm_probs=lm_probs,
-            lambda_lm=tcfg.lambda_lm,
-        )
-
-    result = _train_loop(model, train_examples, val_examples, tcfg, batch_loss, True, log_path)
+    result = _train_loop(model, train_examples, val_examples, tcfg, caches[0] if use_teacher else None,
+                         caches[-1] if use_lm else None, log_path)
     if keep and caches:
         result.cached_examples, result.cache_bytes = int(caches[0].filled.sum()), cache_bytes
     return result

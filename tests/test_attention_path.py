@@ -1,6 +1,8 @@
-"""One attention path: the package calls ``T.attention`` in one place,
-``model.attention_sublayer``, so encoder self-attention, decoder
-self-attention (cached or not) and cross-attention cannot drift apart."""
+"""One attention path and one training step: the package calls
+``T.attention`` in one place, ``model.attention_sublayer``, so encoder
+self-attention, decoder self-attention (cached or not) and
+cross-attention cannot drift apart; and it calls ``total_loss`` in one
+place, ``training._train_loop``, so every trainer runs the same step."""
 
 import ast
 from pathlib import Path
@@ -10,9 +12,9 @@ from dialdistill import tensor as T
 PACKAGE = Path(T.__file__).parent
 
 
-def attention_calls(source: str) -> list:
+def calls_to(source: str, function: str) -> list:
     """The dotted scope (enclosing classes and functions) of every call to
-    a function named ``attention``, bare or as an attribute."""
+    a function named ``function``, bare or as an attribute."""
     found = []
 
     def visit(node, scope):
@@ -23,7 +25,7 @@ def attention_calls(source: str) -> list:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "attention":
+                if name == function:
                     found.append(".".join(scope))
             visit(child, scope)
 
@@ -31,19 +33,32 @@ def attention_calls(source: str) -> list:
     return found
 
 
-def test_attention_is_called_only_from_the_sublayer():
-    calls = [
+def package_calls_to(function: str) -> list:
+    return [
         f"{path.stem}.{scope}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for scope in attention_calls(path.read_text(encoding="utf-8"))
+        for scope in calls_to(path.read_text(encoding="utf-8"), function)
     ]
-    assert calls == ["model.attention_sublayer"]
+
+
+def test_attention_is_called_only_from_the_sublayer():
+    assert package_calls_to("attention") == ["model.attention_sublayer"]
+
+
+def test_total_loss_is_called_only_from_the_training_loop():
+    assert package_calls_to("total_loss") == ["training._train_loop"]
 
 
 def test_the_scan_finds_attention_calls():
-    assert attention_calls("def f(q, k, v):\n    return T.attention(q, k, v, None, 2)\n") == ["f"]
-    assert attention_calls(
-        "class C:\n    def g(self):\n        return [attention(a) for a in b]\n"
+    assert calls_to("def f(q, k, v):\n    return T.attention(q, k, v, None, 2)\n", "attention") == ["f"]
+    assert calls_to(
+        "class C:\n    def g(self):\n        return [attention(a) for a in b]\n", "attention"
     ) == ["C.g"]
-    assert attention_calls("x = T.attention(q, k, v, m, 2)\n") == [""]
-    assert attention_calls("T.attention_mask(x)\nattend(x)\ndef attention(q):\n    pass\n") == []
+    assert calls_to("x = T.attention(q, k, v, m, 2)\n", "attention") == [""]
+    assert calls_to("T.attention_mask(x)\nattend(x)\ndef attention(q):\n    pass\n", "attention") == []
+
+
+def test_the_scan_matches_only_the_named_function():
+    source = "def f(m):\n    def g(b):\n        return total_loss(p, h)\n    return attention(g)\n"
+    assert calls_to(source, "total_loss") == ["f.g"]
+    assert calls_to(source, "attention") == ["f"]

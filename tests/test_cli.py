@@ -843,6 +843,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag, field", [
+        ("train-student", "--lambda1", "lambda1"),
+        ("prepare-data", "--val-fraction", "val_fraction"),
+    ])
+    def test_non_finite_float_flag_reports_error(
+        self, pipeline, tmp_path, command, flag, field, value, capsys
+    ):
+        source = ["--corpus", str(pipeline["corpus"])] if command == "prepare-data" else [
+            "--data", str(pipeline["data"]), "--teacher", str(pipeline["teacher"])]
+        out = tmp_path / "out"
+        assert main([command, *source, "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     def test_non_string_config_path_is_read_as_a_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         config = tmp_path / "run.json"

@@ -17,6 +17,7 @@ from dialdistill.corpus import (
     length_filter,
     make_batch,
     read_dialogues,
+    split_examples,
     window_dialogue,
     window_dialogues,
 )
@@ -143,3 +144,18 @@ class TestMakeBatch:
     def test_zero_examples_rejected(self):
         with pytest.raises(DataError):
             make_batch([])
+
+
+class TestSplitExamples:
+    def test_fractions_partition_the_examples(self):
+        exs = [example() for _ in range(10)]
+        train, val, test = split_examples(exs, 0.2, 0.3, seed=0)
+        assert (len(train), len(val), len(test)) == (5, 2, 3)
+
+    @pytest.mark.parametrize(
+        "val, test",
+        [(float("nan"), 0.1), (0.1, float("nan")), (float("inf"), 0.0), (-0.1, 0.1), (0.5, 0.5)],
+    )
+    def test_bad_fractions_rejected(self, val, test):
+        with pytest.raises(DataError, match="split fractions"):
+            split_examples([example() for _ in range(10)], val, test, seed=0)

@@ -529,6 +529,11 @@ class TestContracts:
         with pytest.raises(ContractError):
             DecodeConfig(max_length=0)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_length_penalty_rejected(self, penalty):
+        with pytest.raises(ContractError, match="length_penalty"):
+            DecodeConfig(length_penalty=penalty)
+
     def test_future_conditioned_checkpoint_rejected(self):
         config = ModelConfig(
             vocab_size=12,

@@ -10,6 +10,7 @@ from dialdistill import training
 from dialdistill.corpus import PAD_ID, batchify, encode_example
 from dialdistill.decoding import DecodeConfig, decode, decode_many
 from dialdistill.errors import NumericError
+from dialdistill.losses import total_loss
 from dialdistill.metrics import corpus_ppl
 from dialdistill.model import DecodeState, ModelConfig, TransformerModel, key_padding_mask
 from dialdistill.synthetic import future_marker_corpus, marker_vocabulary
@@ -113,15 +114,14 @@ class TestModelBoundaries:
         with pytest.raises(NumericError, match=f"primitive '{op}'"):
             train_lm_teacher(examples, [], config("language-model"), tcfg())
 
-    def test_training_loss(self, examples):
-        def batch_loss(m, batch, rng):
-            out = training.forward_batch(m, batch, train=True, rng=rng)
-            loss = T.tsum(T.mean_square(out.hidden_states[0], np.zeros(out.hidden_states[0].data.shape)))
-            return T.mul(loss, np.inf), None
+    def test_training_loss(self, monkeypatch, examples):
+        def infinite_loss(*args, **kwargs):
+            loss, breakdown = total_loss(*args, **kwargs)
+            return T.mul(loss, np.inf), breakdown
 
-        model = TransformerModel.build(config("conventional"), 0)
+        monkeypatch.setattr(training, "total_loss", infinite_loss)
         with pytest.raises(NumericError, match="primitive 'mul'"):
-            training._train_loop(model, examples, [], tcfg(), batch_loss, False)
+            training.train_conventional(examples, [], config("conventional"), tcfg())
 
     @pytest.mark.parametrize("strategy,width", [("greedy", 1), ("beam", 3)])
     @pytest.mark.parametrize("name,op", POISONS)

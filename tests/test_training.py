@@ -76,6 +76,14 @@ class TestTrainingConfig:
         with pytest.raises(ContractError):
             TrainingConfig(hard_transfer_scope="decoder")
 
+    @pytest.mark.parametrize("name", ["learning_rate", "grad_clip_norm", "alpha", "lambda1", "lambda_lm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_rejected_naming_the_field(self, name, value):
+        # every comparison with NaN is false, so a NaN lambda1 used to pass
+        # the range checks and switch the imitation terms off silently
+        with pytest.raises(ContractError, match=name):
+            TrainingConfig(**{name: value})
+
     def test_step_and_epoch_counts_must_be_positive(self):
         for bad in (dict(epochs=0), dict(max_steps=0), dict(max_steps=-3)):
             with pytest.raises(ContractError):
