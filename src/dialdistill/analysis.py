@@ -79,6 +79,7 @@ def write_perturbation_series(records: list, path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+@T.names_failures
 def mean_teacher_student_kl(teacher, student, examples) -> float:
     """Mean per-position KL (nats) from the student's next-token
     distribution to the teacher's, teacher-forced on gold targets.

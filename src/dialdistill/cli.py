@@ -49,7 +49,7 @@ from .corpus import (
 # bench/tracing.py times generation through the name decode_one
 from .decoding import DecodeConfig, decode_many as decode_one
 from .embeddings import WordEmbeddings, train_word_embeddings
-from .errors import ContractError, DataError, DialDistillError
+from .errors import CheckpointFormatError, ContractError, DataError, DialDistillError
 from .informativeness import STRATEGIES as INFORMATIVENESS_STRATEGIES
 from .informativeness import classify_uninformative
 from .metrics import (
@@ -240,9 +240,17 @@ def _encode_all(examples, vocab: Vocabulary) -> list:
 
 
 def _vocab_from_checkpoint(configs: dict, path) -> Vocabulary:
+    """The vocabulary a checkpoint carries, one token per id of its model."""
     if "vocab" not in configs:
         raise DataError(f"{path}: checkpoint carries no vocabulary; re-train to regenerate")
-    return Vocabulary(configs["vocab"])
+    tokens = configs["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CheckpointFormatError(f"{path}: 'vocab' must be a list of token strings")
+    vocab = Vocabulary(tokens)
+    if len(vocab) != configs["model"]["vocab_size"]:
+        raise CheckpointFormatError(f"{path}: 'vocab' gives {len(vocab)} ids with the reserved ones, "
+                                    f"but the model has vocab_size {configs['model']['vocab_size']}")
+    return vocab
 
 
 def _finalize_training(result, out_path: Path, tcfg, vocab) -> None:

@@ -183,6 +183,7 @@ def _beam(model: TransformerModel, history: np.ndarray, config: DecodeConfig) ->
     ]
 
 
+@T.names_failures
 def decode_many(model: TransformerModel, histories: list, config: DecodeConfig = DecodeConfig()) -> list:
     """One :class:`DecodeResult` per history, in order, by ``config.strategy``.
     Histories run ``CHUNK`` at a time: padded, encoded once and decoded

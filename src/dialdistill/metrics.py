@@ -106,6 +106,7 @@ def sentence_perplexities(model, batch) -> tuple:
     return ppls, excluded
 
 
+@T.names_failures
 def corpus_ppl(model, examples, batch_size: int = 32) -> PplReport:
     """Arithmetic mean of per-sentence perplexities under teacher
     forcing. Future turns are fed only to future-conditioned variants."""

@@ -58,15 +58,15 @@ class ModelConfig:
                 raise ContractError(f"{name} must be an integer, got {value!r}")
         if self.variant not in MEMORIES:
             raise ContractError(f"unknown variant {self.variant!r}; expected one of {tuple(MEMORIES)}")
-        if self.model_dim % self.num_heads != 0:
-            raise ContractError(
-                f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"
-            )
         if self.vocab_size < 5:
             raise ContractError("vocab_size must cover the four reserved ids plus content")
         for name in SIZE_FIELDS[1:]:
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
+        if self.model_dim % self.num_heads != 0:
+            raise ContractError(
+                f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"
+            )
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ContractError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
@@ -174,12 +174,14 @@ class ParameterSet:
     @contextmanager
     def inference(self):
         """Temporarily mark every tensor non-differentiable so forward
-        passes skip gradient bookkeeping (teacher passes, evaluation)."""
+        passes in this thread skip gradient bookkeeping and record no graph
+        (teacher passes, evaluation; see ``tensor.graph_free``)."""
         saved = {n: t.requires_grad for n, t in self._tensors.items()}
         for t in self._tensors.values():
             t.requires_grad = False
         try:
-            yield
+            with T.graph_free():
+                yield
         finally:
             for n, t in self._tensors.items():
                 t.requires_grad = saved[n]
@@ -488,6 +490,7 @@ class TransformerModel:
                 else:
                     kvs, masks = [state.cross_kv[i]], [state.cross_mask]
                 c = attention_sublayer(p, prefix, x, kvs, masks, cfg.num_heads)
+                del kvs  # else an inference pass holds the last block's memory projections through the head
                 x = self._residual(x, c, f"dec.{i}.ln_cross", train, rng)
             f = self._ffn(x, f"dec.{i}.ffn")
             x = self._residual(x, f, f"dec.{i}.ln_ffn", train, rng)

@@ -20,11 +20,20 @@ at boundaries instead: on ``Tensor(...)`` leaves (not on the constants
 ``as_tensor`` wraps) and where callers ask (the model's logits, the
 training loss). A failed check names the first primitive of the graph
 with a non-finite output.
+
+Within ``graph_free()`` (entered by ``ParameterSet.inference``) a
+primitive keeps its inputs only when its output needs a gradient, so an
+inference pass frees each intermediate as soon as its consumers have run.
+A check that fails there cannot walk back to the first bad primitive;
+``names_failures`` runs such a call again with the graph recorded, which
+costs nothing until a check fails.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -59,6 +68,55 @@ def precision(mode: str):
         _state["mode"] = previous
 
 
+class _Recording(threading.local):
+    """Per thread: whether a primitive whose output needs no gradient keeps
+    its inputs (not within ``graph_free``), and whether a rerun of
+    ``names_failures`` records every graph regardless."""
+
+    keep_inputs = True
+    naming = False
+
+
+_recording = _Recording()
+
+
+class _UnrecordedNumericError(NumericError):
+    """A failed check whose first non-finite primitive was not recorded."""
+
+
+@contextmanager
+def graph_free():
+    """Within this thread, primitives whose output needs no gradient record
+    no inputs, so nothing they computed outlives its last consumer."""
+    previous = _recording.keep_inputs
+    _recording.keep_inputs = False
+    try:
+        yield
+    finally:
+        _recording.keep_inputs = previous
+
+
+def names_failures(fn):
+    """Decorate a call that may run ``graph_free``: when a check in it fails
+    where no graph was recorded, run it again recording every graph, so the
+    ``NumericError`` names the first primitive with a non-finite output.
+    The call must be safe to repeat up to the failure."""
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except _UnrecordedNumericError:
+            _recording.naming = True
+            try:
+                fn(*args, **kwargs)
+            finally:
+                _recording.naming = False
+            raise
+
+    return call
+
+
 def check_finite(x: Tensor) -> Tensor:
     """Return ``x`` if all its values are finite, else raise ``NumericError``
     naming the first primitive of ``x``'s graph, inputs before outputs, with a
@@ -66,8 +124,11 @@ def check_finite(x: Tensor) -> Tensor:
     if np.isfinite(x.data).all():
         return x
     nodes = _topological_order(x, grad_only=False)
-    op = next((n._op for n in nodes if n._parents and not np.isfinite(n.data).all()), x._op)
-    raise NumericError(f"non-finite values produced by primitive '{op}'")
+    first = next((n for n in nodes if n._op != "leaf" and not np.isfinite(n.data).all()), x)
+    if first._op != "leaf" and not first._parents:
+        raise _UnrecordedNumericError(f"non-finite values produced by primitive '{first._op}' "
+                                      "or one before it, in a pass that recorded no graph")
+    raise NumericError(f"non-finite values produced by primitive '{first._op}'")
 
 
 class Tensor:
@@ -110,7 +171,7 @@ def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
     out.data = data
     out.grad = None
     out.requires_grad = any(p.requires_grad for p in parents)
-    out._parents = tuple(parents)
+    out._parents = tuple(parents) if out.requires_grad or _recording.keep_inputs or _recording.naming else ()
     out._backward = backward_fn if out.requires_grad else None
     out._op = op
     return out
@@ -219,9 +280,10 @@ def affine(x, w, b) -> Tensor:
     m = shape[-2] if shape[-2] > 1 else x.data.size // k
     flat = len(shape) > 2 and m > 1 and m * k * w.data.shape[-1] > _SMALL_GEMM
     if flat:
-        data = (x.data.reshape(-1, k) @ w.data).reshape(*shape[:-1], -1) + b.data
+        data = (x.data.reshape(-1, k) @ w.data).reshape(*shape[:-1], -1)
     else:
-        data = x.data @ w.data + b.data
+        data = x.data @ w.data
+    data += b.data  # in place: the same sums, without a second (rows, n) array
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -246,9 +308,9 @@ def softmax(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim == 0 or x.data.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.data.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)  # in place: the same values as a new array, without it
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bw(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -266,12 +328,12 @@ def log(x) -> Tensor:
     """Natural log of ``x`` clamped from below at ``LOG_FLOOR``; the gradient
     is zero at clamped entries."""
     x = as_tensor(x)
-    clamped = np.maximum(x.data, LOG_FLOOR)
 
     def bw(g):
-        return (np.where(x.data > LOG_FLOOR, g / clamped, 0.0),)
+        # above the floor the clamped input is x itself, so nothing clamped is kept
+        return (np.divide(g, x.data, out=np.zeros_like(g), where=x.data > LOG_FLOOR),)
 
-    return _make(np.log(clamped), (x,), bw, "log")
+    return _make(np.log(np.maximum(x.data, LOG_FLOOR)), (x,), bw, "log")
 
 
 def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:

@@ -22,8 +22,11 @@ step for step.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +114,7 @@ def forward_batch(model: TransformerModel, batch, train: bool = False, rng=None)
     return model.forward(history, batch.response_in, future=future, train=train, rng=rng)
 
 
+@T.names_failures
 def validation_nll(model: TransformerModel, val_batches) -> float:
     """Per-token NLL over a batch list, dropout off, no graph retained."""
     total = 0.0
@@ -121,6 +125,19 @@ def validation_nll(model: TransformerModel, val_batches) -> float:
             total += float(nll_sum(out.probabilities, batch.response_target, batch.target_mask).data)
             count += batch.token_count
     return total / count if count else 0.0
+
+
+def _schedule(train_examples: list, tcfg: TrainingConfig):
+    """The run's (step, batch) pairs, numbered from 1: ``tcfg.epochs``
+    epochs of shuffled batches, or with ``max_steps`` that many steps over
+    as many epochs as they take."""
+    step = 0
+    for epoch in range(tcfg.epochs) if tcfg.max_steps is None else itertools.count():
+        for batch in batchify(train_examples, tcfg.batch_size, seed=[tcfg.seed, 7, epoch]):
+            step += 1
+            yield step, batch
+            if step == tcfg.max_steps:
+                return
 
 
 def _train_loop(
@@ -134,22 +151,35 @@ def _train_loop(
 ) -> TrainResult:
     """The one mini-batch loop. Each step takes the frozen teachers'
     targets from their caches, when given, runs the model and the combined
-    loss, then backward and Adam; with neither cache the loss is the NLL."""
+    loss, then backward and Adam; with neither cache the loss is the NLL.
+
+    With a cache, one worker thread computes the next step's targets while
+    this step runs (numpy releases the GIL in its BLAS calls and large
+    loops), and never a target past the last step. A worker's error is
+    raised at the step whose targets failed, and the worker is joined on
+    every way out of the loop."""
     if not train_examples:
         raise DataError("training example list is empty")
     opt = Adam(model.params, learning_rate=tcfg.learning_rate, clip_norm=tcfg.grad_clip_norm)
     val_batches = batchify(val_examples, tcfg.batch_size, seed=None) if val_examples else []
     result = TrainResult(model=model)
     best_val = None
-    step = 0
-    done = False
-    epoch = 0
-    while not done:
-        for batch in batchify(train_examples, tcfg.batch_size, seed=[tcfg.seed, 7, epoch]):
-            step += 1
+
+    def targets(batch):
+        teacher_probs, teacher_hiddens = teacher_cache.outputs(batch) if teacher_cache else (None, None)
+        return teacher_probs, teacher_hiddens, lm_cache.outputs(batch)[0] if lm_cache else None
+
+    schedule = _schedule(train_examples, tcfg)
+    upcoming = next(schedule)
+    prefetch = teacher_cache is not None or lm_cache is not None
+    with ThreadPoolExecutor(max_workers=1) if prefetch else contextlib.nullcontext() as worker:
+        pending = worker.submit(targets, upcoming[1]) if prefetch else None
+        while upcoming:
+            step, batch = upcoming
+            upcoming = next(schedule, None)
+            teacher_probs, teacher_hiddens, lm_probs = pending.result() if prefetch else (None, None, None)
+            pending = worker.submit(targets, upcoming[1]) if prefetch and upcoming else None
             rng = np.random.default_rng([tcfg.seed, 11, step])
-            teacher_probs, teacher_hiddens = teacher_cache.outputs(batch) if teacher_cache else (None, None)
-            lm_probs = lm_cache.outputs(batch)[0] if lm_cache else None
             out = forward_batch(model, batch, train=True, rng=rng)
             loss, breakdown = total_loss(
                 out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
@@ -178,13 +208,6 @@ def _train_loop(
                 record["grad_norm"] = grad_norm
                 record["clipped"] = 0 < tcfg.grad_clip_norm < grad_norm
                 result.log.append(record)
-
-            if tcfg.max_steps is not None and step >= tcfg.max_steps:
-                done = True
-                break
-        epoch += 1
-        if tcfg.max_steps is None and epoch >= tcfg.epochs:
-            done = True
     result.steps = step
     result.best_val_loss = best_val
     if log_path is not None:
@@ -274,6 +297,7 @@ class _TargetCache:
                        for _ in range(blocks)]
         self.filled = np.zeros(len(offsets) - 1, dtype=bool)
 
+    @T.names_failures
     def outputs(self, batch):
         """(probabilities, hidden states) on ``batch``, dropout off. A batch
         of kept examples is rebuilt from the rows, zeros at pad positions,

@@ -212,6 +212,16 @@ class TestCorruption:
         with pytest.raises(CheckpointFormatError, match="unreadable model config"):
             load_model(forged)
 
+    def test_zero_heads_rejected(self, saved, tmp_path):
+        # checked before model_dim's divisibility by it, which would divide by zero
+        _, path = saved
+        params, configs = load_checkpoint(path)
+        configs["model"]["num_heads"] = 0
+        forged = tmp_path / "forged.ckpt"
+        save_checkpoint(params, configs, forged)
+        with pytest.raises(CheckpointFormatError, match="num_heads must be positive"):
+            load_model(forged)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_payload_rejected(self, saved, bad):
         _, path = saved

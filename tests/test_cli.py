@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dialdistill.checkpoint import MAGIC, load_model
+from dialdistill.checkpoint import MAGIC, load_checkpoint, load_model, save_checkpoint
 from dialdistill.cli import (
     COMMANDS,
     COMMON,
@@ -313,6 +313,15 @@ class TestTrainingCommands:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_zero_heads_rejected(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "teacher.ckpt"
+        rc = main(["train-teacher", "--data", str(pipeline["data"]), "--out", str(out),
+                   "--preset", "desk", "--num-heads", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "num_heads" in err
+        assert not out.exists()
+
     def test_student_rejects_conventional_teacher(self, pipeline, tmp_path, capsys):
         rc = main(
             [
@@ -390,6 +399,18 @@ class TestGenerate:
         assert rc == 0
         assert list(timing_stages(capsys.readouterr().out)) == ["generation"]
         assert "timing" not in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("vocab", ["alpha bravo", [1, 2], None, [], ["alpha"]])
+    def test_bad_checkpoint_vocabulary_rejected_naming_the_file(self, pipeline, tmp_path, vocab, capsys):
+        # not a list of strings, or fewer tokens than the model has ids
+        params, configs = load_checkpoint(pipeline["student"])
+        forged = tmp_path / "forged.ckpt"
+        save_checkpoint(params, {**configs, "vocab": vocab}, forged)
+        rc = main(["generate", "--checkpoint", str(forged), "--input", str(pipeline["histories"]),
+                   "--out", str(tmp_path / "x.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{forged}: 'vocab'" in err
 
     def test_scenario_checkpoint_rejected(self, pipeline, tmp_path, capsys):
         rc = main(

@@ -1,5 +1,7 @@
 """Structural and behavioral checks on the transformer variants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -654,6 +656,61 @@ class TestDecodeState:
         lm = TransformerModel.build(tiny("language-model"), seed=8)
         with pytest.raises(ContractError):
             lm.decode(np.array([[2]]), state=DecodeState())
+
+
+def _traced(fn):
+    """``fn()``, with the bytes ``tracemalloc`` saw held at its end and at its peak."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+class TestGraphFreeInference:
+    """Under ``params.inference()`` a primitive keeps no inputs, so an
+    intermediate is freed once its consumers have run."""
+
+    def inputs(self, vocab):
+        rng = np.random.default_rng(0)
+        return rng.integers(4, vocab, (8, 30)), rng.integers(4, vocab, (8, 10)), rng.integers(4, vocab, (8, 30))
+
+    def test_inference_forward_peaks_below_half_its_graph(self):
+        model = TransformerModel.build(desk_config(2000, "scenario-based"), seed=0)
+        history, response_in, future = self.inputs(2000)
+        recorded = model.forward(history, response_in, future=future)
+        nodes = T._topological_order(recorded.probabilities, grad_only=False)
+        graph = sum(n.data.nbytes for n in nodes if n._parents)
+        with model.params.inference():
+            out, held, peak = _traced(lambda: model.forward(history, response_in, future=future))
+        assert np.array_equal(out.probabilities.data, recorded.probabilities.data)
+        assert out.probabilities._parents == () and all(h._parents == () for h in out.hidden_states)
+        assert peak < graph / 2, (peak, graph)
+        kept = out.probabilities.data.nbytes + sum(h.data.nbytes for h in out.hidden_states)
+        assert held < 1.1 * kept, (held, kept)
+
+    @pytest.mark.parametrize("reorder", [False, True])  # greedy steps, or beam steps that reorder rows
+    def test_decode_state_holds_its_caches_alone(self, reorder):
+        model = TransformerModel.build(desk_config(2000), seed=0)
+        history, _, _ = self.inputs(2000)
+
+        def steps():
+            for _ in range(24):
+                out = model.decode(np.full((8, 1), 5), memory, history_mask=mask, state=state)
+                if reorder:
+                    state.select_rows(np.arange(8)[::-1])
+            return out
+
+        with model.params.inference():
+            memory, mask, state = model.encode(history), key_padding_mask(history), DecodeState()
+            out, held, _ = _traced(steps)
+        cached = [t for kv in [*state.self_kv.values(), *state.cross_kv] for t in kv]
+        assert all(t._parents == () for t in cached)
+        kept = sum(t.data.nbytes for t in cached + [out.probabilities, *out.hidden_states])
+        # an earlier step's concat chain would hold every shorter cache as well
+        assert held < 1.2 * kept, (held, kept)
 
 
 def lm_block_loop(m, response_in, train=False, rng=None):

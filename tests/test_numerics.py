@@ -80,6 +80,17 @@ class TestGraphWalk:
         with pytest.raises(NumericError, match="primitive 'mul'"):
             T.check_finite(out)
 
+    def test_graph_free_failure_is_named_by_a_recorded_rerun(self):
+        def run():
+            with T.graph_free():
+                a = T.Tensor([1.0, 2.0])
+                return T.check_finite(T.add(T.tsum(T.mul(a, np.array([1.0, np.nan]))), 1.0))
+
+        with pytest.raises(NumericError, match="primitive 'add' or one before it"):
+            run()
+        with pytest.raises(NumericError, match="primitive 'mul'$"):
+            T.names_failures(run)()
+
     def test_non_finite_leaf_is_named_as_a_leaf(self):
         with pytest.raises(NumericError, match="primitive 'leaf'"):
             T.Tensor([1.0, np.nan])

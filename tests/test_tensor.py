@@ -133,6 +133,18 @@ class TestAffine:
             assert np.array_equal(y.data[i], x.data[i] @ w.data + b.data), i
             assert np.array_equal(x.grad[i], g[i] @ w.data.T), i
 
+    def test_forward_allocates_its_output_alone(self):
+        # an output head's (B, T, V) logits: the bias is added in place
+        rng = np.random.default_rng(15)
+        x, w, b = (T.Tensor(rng.standard_normal(s)) for s in [(32, 15, 256), (256, 2000), (2000,)])
+        tracemalloc.start()
+        try:
+            y = T.affine(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * y.data.nbytes
+
     def test_decode_step_gradients_through_the_flat_gemm(self, monkeypatch):
         # a decode step's rows, (rows, 1, k), taken as one (rows, k) GEMM
         monkeypatch.setattr(T, "_SMALL_GEMM", 0)
@@ -215,6 +227,15 @@ class TestSoftmax:
             w = leaf(rng, 3, 5)
             fd_check(lambda ls: T.tsum(T.mul(T.softmax(ls[0]), ls[1])), [x, w])
 
+    @pytest.mark.parametrize("mode", ["single", "double"])
+    def test_in_place_normalization_bitwise_equal_to_new_arrays(self, mode):
+        rng = np.random.default_rng(16)
+        with T.precision(mode):
+            for shape in [(32, 16, 500), (3, 7), (5, 1, 33)]:
+                x = (rng.standard_normal(shape) * 30).astype(T.active_dtype())
+                e = np.exp(x - x.max(axis=-1, keepdims=True))
+                assert np.array_equal(T.softmax(T.Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+
     def test_cross_entropy_gradient_is_p_minus_q(self):
         # d/dz [-sum q log softmax(z)] = softmax(z) - q
         rng = np.random.default_rng(12)
@@ -242,6 +263,26 @@ class TestLog:
             assert np.array_equal(out.data, np.log([T.LOG_FLOOR, 0.5, T.LOG_FLOOR, T.LOG_FLOOR]))
             T.backward(T.tsum(out))
             assert np.array_equal(x.grad, [0.0, 2.0, 0.0, 0.0])
+
+
+    def test_gradient_bitwise_equal_to_the_clamped_division(self):
+        rng = np.random.default_rng(14)
+        data = rng.random((4, 50)).astype(np.float32)
+        data[0, :10], data[1, :10], data[2, :10] = 0.0, 1e-13, T.LOG_FLOOR
+        x = T.Tensor(data, requires_grad=True)
+        g = rng.standard_normal(data.shape).astype(np.float32)
+        T.backward(T.tsum(T.mul(T.log(x), g)))
+        assert np.array_equal(x.grad, np.where(data > T.LOG_FLOOR, g / np.maximum(data, T.LOG_FLOOR), 0.0))
+
+    def test_keeps_no_clamped_copy_of_its_input(self):
+        x = T.Tensor(np.random.default_rng(15).random((256, 1024)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = T.log(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.1 * out.data.nbytes
 
 
 class TestAttention:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from dialdistill import losses, tensor as T
 from dialdistill import training
 from dialdistill.corpus import EncodedExample, batchify, encode_example
-from dialdistill.errors import ContractError, DataError
+from dialdistill.errors import ContractError, DataError, NumericError
 from dialdistill.model import ModelConfig, TransformerModel, desk_config, paper_config
 from dialdistill.synthetic import future_marker_corpus, marker_vocabulary
 from dialdistill.training import (
@@ -374,6 +375,91 @@ class TestTeacherTargetCache:
         assert np.array_equal(t_probs, fresh.probabilities.data)
         assert all(np.array_equal(a, b.data) for a, b in zip(t_hidden, fresh.hidden_states, strict=True))
         assert np.array_equal(lm_probs, _fresh(lm, batch).probabilities.data)
+
+
+class TestTargetWorker:
+    """One worker thread computes the next step's frozen-teacher targets
+    while the student's step runs."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        threads = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            threads.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return threads
+
+    def test_one_thread_started_and_joined(self, data, teacher, lm_teacher, started):
+        train, val, _ = data
+        train_student(train, val, teacher, small_config("conventional"), tcfg(max_steps=7), lm_teacher=lm_teacher)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_no_thread_without_frozen_teachers(self, data, started):
+        train, val, _ = data
+        train_student(train, val, None, small_config("conventional"), tcfg(max_steps=3, lambda1=0.0))
+        train_conventional(train, val, small_config("conventional"), tcfg(max_steps=3))
+        assert started == []
+
+    def test_no_thread_outlives_a_poisoned_teacher(self, data, started):
+        train, _, _ = data
+        poisoned = TransformerModel.build(small_config("scenario-based"), 4)
+        poisoned.params["dec.0.ln_self.gain"].data[0] = np.nan
+        with pytest.raises(NumericError, match="primitive 'layer_norm'"):
+            train_student(train, [], poisoned, small_config("conventional"), tcfg(max_steps=7))
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_no_thread_outlives_a_failed_student_step(self, data, teacher, started, monkeypatch):
+        # the second step fails while the worker computes the third's targets
+        train, _, _ = data
+        real, calls = training.total_loss, []
+
+        def failing(*args, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise DataError("step 2")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(training, "total_loss", failing)
+        with pytest.raises(DataError, match="step 2"):
+            train_student(train, [], teacher, small_config("conventional"), tcfg(max_steps=7))
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_worker_error_raised_at_its_step(self, data, teacher, monkeypatch):
+        train, _, _ = data
+        seen = _spy_targets(monkeypatch)
+        real, calls = training._TargetCache.outputs, []
+
+        def failing(cache, batch):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DataError("targets of step 3")
+            return real(cache, batch)
+
+        monkeypatch.setattr(training._TargetCache, "outputs", failing)
+        with pytest.raises(DataError, match="targets of step 3"):
+            train_student(train, [], teacher, small_config("conventional"), tcfg(max_steps=7))
+        assert len(seen) == 2  # steps 1 and 2 ran; step 3 never reached its loss
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_no_targets_past_the_last_step(self, data, teacher, lm_teacher, monkeypatch, steps):
+        train, _, _ = data
+        calls = _count_forwards(monkeypatch, teacher=teacher, lm=lm_teacher)
+        train_student(train, [], teacher, small_config("conventional"), tcfg(max_steps=steps),
+                      lm_teacher=lm_teacher)
+        assert calls == {"teacher": steps, "lm": steps}
+
+    def test_no_targets_past_the_last_epoch(self, data, teacher, monkeypatch):
+        train, _, _ = data
+        outputs = []
+        real = training._TargetCache.outputs
+        monkeypatch.setattr(training._TargetCache, "outputs", lambda cache, batch: outputs.append(1) or real(cache, batch))
+        cfg = TrainingConfig(batch_size=8, seed=5, epochs=2, val_every=100)
+        res = train_student(train, [], teacher, small_config("conventional"), cfg)
+        assert res.steps == len(outputs) == 10  # two epochs of 5 batches
 
 
 class TestGradientLifetime:
