@@ -24,8 +24,8 @@ def main():
 
         def loss_value():
             h = T.relu(T.affine(x, w, b))
-            p = T.softmax(h)
-            return T.mul(T.tsum(T.log(p)), -1.0 / p.data.size)
+            logp = T.log_softmax(h)  # log-probabilities, finite even where a probability underflows
+            return T.mul(T.tsum(logp), -1.0 / logp.data.size)
 
         loss = loss_value()
         T.backward(loss)

@@ -92,10 +92,9 @@ def mean_teacher_student_kl(teacher, student, examples) -> float:
     count = 0.0
     with teacher.params.inference(), student.params.inference():
         for batch in batchify(examples, BATCH_SIZE, seed=None):
-            q = forward_batch(teacher, batch).probabilities.data
-            p = forward_batch(student, batch).probabilities.data
-            log_ratio = T.floored_log(q) - T.floored_log(p)
-            per_position = (q * log_ratio).sum(axis=-1)
+            log_q = forward_batch(teacher, batch).log_probs.data
+            log_p = forward_batch(student, batch).log_probs.data
+            per_position = (np.exp(log_q) * (log_q - log_p)).sum(axis=-1)
             mask = np.asarray(batch.target_mask, dtype=np.float64)
             total += float((per_position * mask).sum())
             count += float(mask.sum())

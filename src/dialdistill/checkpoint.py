@@ -116,9 +116,13 @@ def load_model(path):
         config = ModelConfig(**configs["model"])
     except (TypeError, ContractError) as exc:  # not a mapping, unknown fields, or bad values
         raise CheckpointFormatError(f"{path}: unreadable model config: {exc}") from exc
+    actual = {name: t.data.shape for name, t in params.items()}
+    # each block has tensors of its own, so more blocks than the manifest has
+    # tensors cannot fit it; checked first, since the layout grows with them
+    if config.num_blocks > len(actual):
+        raise CheckpointFormatError(f"{path}: {config.num_blocks} blocks cannot fit {len(actual)} tensors")
     layout = parameter_layout(config)
     expected = {name: shape for name, shape, _ in layout}
-    actual = {name: t.data.shape for name, t in params.items()}
     if expected != actual:
         missing = sorted(set(expected) - set(actual))
         surplus = sorted(set(actual) - set(expected))

@@ -92,7 +92,7 @@ def _step_logprobs(model, last_ids: np.ndarray, memory, memory_mask, state: Deco
     """Next-token log-probabilities for each row's newest token (A, 1),
     with pad and bos excluded from selection."""
     out = model.decode(last_ids, history_memory=memory, history_mask=memory_mask, state=state)
-    logp = T.floored_log(out.probabilities.data[:, -1, :])
+    logp = out.log_probs.data[:, -1, :].copy()
     logp[:, [PAD_ID, BOS_ID]] = -np.inf
     return logp
 

@@ -25,37 +25,36 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, ShapeError
 
-def nll_sum(probabilities: T.Tensor, targets: np.ndarray, mask: np.ndarray) -> T.Tensor:
+def nll_sum(log_probs: T.Tensor, targets: np.ndarray, mask: np.ndarray) -> T.Tensor:
     """Sum over unmasked positions of -log p(gold token).
 
-    ``probabilities`` is (B, T, |V|) on the autodiff graph; ``targets``
+    ``log_probs`` is (B, T, |V|) on the autodiff graph; ``targets``
     and ``mask`` are plain integer/float arrays of shape (B, T). A target
     id outside ``[0, |V|)`` raises :class:`ContractError`.
     """
-    b, t, _ = probabilities.data.shape
+    b, t, _ = log_probs.data.shape
     if targets.shape != (b, t) or mask.shape != (b, t):
         raise ShapeError(
             f"targets/mask shape {targets.shape}/{mask.shape} do not match distributions {(b, t)}"
         )
-    logp = T.log(T.pick(probabilities, targets))  # (B, T)
-    return T.mul(T.tsum(T.mul(logp, mask)), -1.0)
+    return T.mul(T.tsum(T.mul(T.pick(log_probs, targets), mask)), -1.0)
+
+
+def soft_target_sum(targets: np.ndarray, log_probs: T.Tensor, mask: np.ndarray) -> T.Tensor:
+    """-sum_i sum_k q_i(k) log p_i(k) over unmasked positions, for constant
+    (B, T, |V|) soft targets ``q``: one ``dot`` node on the log-probabilities."""
+    return T.mul(T.tsum(T.mul(T.dot(log_probs, targets), mask)), -1.0)
 
 
 def prediction_imitation_sum(
     teacher_probs: np.ndarray, student_probs: T.Tensor, mask: np.ndarray
 ) -> T.Tensor:
-    """-sum_i sum_k q_teacher(k) log p_student(k) over unmasked positions.
+    """-sum_i sum_k q_teacher(k) log p_student(k) over unmasked positions,
+    on ``T.log(student_probs)`` (see :func:`soft_target_sum`).
 
     The teacher distributions are constants: no gradient flows into them.
     """
-    if teacher_probs.shape != student_probs.data.shape:
-        raise ShapeError(
-            f"teacher distributions {teacher_probs.shape} do not match "
-            f"student {student_probs.data.shape}"
-        )
-    logp = T.log(student_probs)
-    per_pos = T.mul(T.tsum(T.mul(logp, teacher_probs), axis=-1), -1.0)  # (B, T)
-    return T.tsum(T.mul(per_pos, mask))
+    return soft_target_sum(teacher_probs, T.log(student_probs), mask)
 
 
 def representation_imitation_sum(
@@ -131,6 +130,11 @@ def total_loss(
 ):
     """Assemble the combined objective; returns (scalar graph node, LossBreakdown).
 
+    ``T.log(student_probs)`` of a ``DecodeOutput.probabilities`` is the
+    head's log-probabilities. The NLL picks from them; the weighted
+    teacher and language-model soft targets are one soft-target term
+    (Hinton et al. 2015), and each term's value is logged off the graph.
+
     Imitation terms are included only when ``lambda1 > 0`` and teacher
     outputs are present, so a ``lambda1 == 0`` run is computationally
     identical to a plain NLL baseline.
@@ -142,32 +146,31 @@ def total_loss(
         return T.Tensor(0.0), LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
     inv = 1.0 / count
 
-    nll_mean = T.mul(nll_sum(student_probs, targets, mask), inv)
+    log_probs = T.log(student_probs)  # the head's own log-probabilities
+    nll_mean = T.mul(nll_sum(log_probs, targets, mask), inv)
     loss = nll_mean
     fpi_value = 0.0
     iri_value = 0.0
     lm_value = None
+    mixed = None  # the weighted sum of the soft targets
+
+    def value(q):  # a soft-target term's mean, off the graph
+        return float(soft_target_sum(q, T.as_tensor(log_probs.data), mask).data) * inv
 
     if lambda1 > 0.0 and teacher_probs is not None:
-        fpi_mean = T.mul(prediction_imitation_sum(teacher_probs, student_probs, mask), inv)
-        iri_mean = T.mul(
-            representation_imitation_sum(teacher_hiddens, student_hiddens, alpha, mask), inv
-        )
-        loss = T.add(loss, T.mul(T.add(fpi_mean, iri_mean), lambda1))
-        fpi_value = float(fpi_mean.data)
+        iri_mean = T.mul(representation_imitation_sum(teacher_hiddens, student_hiddens, alpha, mask), inv)
+        loss = T.add(loss, T.mul(iri_mean, lambda1))
         iri_value = float(iri_mean.data)
+        fpi_value = value(teacher_probs)
+        mixed = lambda1 * teacher_probs
 
     if lm_probs is not None and lambda_lm > 0.0:
-        lm_mean = T.mul(prediction_imitation_sum(lm_probs, student_probs, mask), inv)
-        loss = T.add(loss, T.mul(lm_mean, lambda_lm))
-        lm_value = float(lm_mean.data)
+        lm_value = value(lm_probs)
+        mixed = lambda_lm * lm_probs if mixed is None else mixed + lambda_lm * lm_probs
 
-    breakdown = LossBreakdown(
-        nll=float(nll_mean.data),
-        il_prediction=fpi_value,
-        il_representation=iri_value,
-        total=float(loss.data),
-        token_count=count,
-        lm_prediction=lm_value,
-    )
+    if mixed is not None:
+        loss = T.add(loss, T.mul(soft_target_sum(mixed, log_probs, mask), inv))
+
+    breakdown = LossBreakdown(nll=float(nll_mean.data), il_prediction=fpi_value, il_representation=iri_value,
+                              total=float(loss.data), token_count=count, lm_prediction=lm_value)
     return loss, breakdown

@@ -21,7 +21,6 @@ from .embeddings import WordEmbeddings, cosine
 from .errors import ContractError, DataError
 from .training import forward_batch
 
-LOWER_IS_BETTER = ("kl_unigram", "kl_bigram", "ppl")
 SCALAR_METRICS = (
     "dist1",
     "dist2",
@@ -90,20 +89,12 @@ def sentence_perplexities(model, batch) -> tuple:
     """Per-sentence exp(mean target NLL) for one teacher-forced batch.
     Rows whose target mask is all zero are excluded with a counter."""
     out = forward_batch(model, batch)
-    probs = out.probabilities.data
     rows, length = batch.response_target.shape
-    picked = probs[np.arange(rows)[:, None], np.arange(length)[None, :], batch.response_target]
-    log_p = T.floored_log(picked)
+    log_p = out.log_probs.data[np.arange(rows)[:, None], np.arange(length)[None, :], batch.response_target]
     mask = np.asarray(batch.target_mask, dtype=np.float64)
     counts = mask.sum(axis=1)
-    ppls = []
-    excluded = 0
-    for i in range(rows):
-        if counts[i] <= 0:
-            excluded += 1
-            continue
-        ppls.append(float(np.exp(-(log_p[i] * mask[i]).sum() / counts[i])))
-    return ppls, excluded
+    scored = counts > 0
+    return np.exp(-(log_p * mask).sum(axis=1)[scored] / counts[scored]).tolist(), int((~scored).sum())
 
 
 @T.names_failures
@@ -298,31 +289,3 @@ class MetricsReport:
         with atomic_write(path) as fh:
             fh.write(self.to_json() + "\n")
 
-
-def improvement_average(metrics_a: MetricsReport, metrics_b: MetricsReport, include=None):
-    """Mean per-metric improvement multiplier of report B over report A.
-
-    Higher-is-better metrics contribute b/a; perplexity and the KL
-    metrics contribute a/b so that every ratio > 1 means B improved.
-    Metrics with a zero denominator are skipped and reported back.
-    Returns (multiplier, skipped metric names).
-    """
-    names = SCALAR_METRICS if include is None else tuple(include)
-    ratios = []
-    skipped = []
-    for name in names:
-        if name not in SCALAR_METRICS:
-            raise ContractError(f"unknown metric {name!r}")
-        a = float(getattr(metrics_a, name))
-        b = float(getattr(metrics_b, name))
-        if name in LOWER_IS_BETTER:
-            num, den = a, b
-        else:
-            num, den = b, a
-        if den == 0.0:
-            skipped.append(name)
-            continue
-        ratios.append(num / den)
-    if not ratios:
-        raise DataError("every metric was skipped; nothing to average")
-    return float(np.mean(ratios)), skipped

@@ -271,11 +271,15 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
 
 @dataclass
 class DecodeOutput:
-    """Teacher-forced decoder products: a probability distribution per
-    target position and the hidden states after each decoder block."""
+    """Teacher-forced decoder products: log-probabilities per target
+    position and the hidden states after each decoder block."""
 
-    probabilities: T.Tensor  # (B, T', |V|)
-    hidden_states: list      # num_blocks tensors of shape (B, T', d)
+    log_probs: T.Tensor  # (B, T', |V|)
+    hidden_states: list  # num_blocks tensors of shape (B, T', d)
+
+    @property
+    def probabilities(self) -> T.Tensor:  # T.log of it is log_probs itself
+        return T.exp(self.log_probs)
 
 
 @dataclass
@@ -405,9 +409,9 @@ class TransformerModel:
 
     def _output_head(self, x, hidden) -> DecodeOutput:
         # the one finiteness check of a forward pass: a NaN/Inf anywhere
-        # upstream reaches the logits, and softmax keeps finite logits finite
+        # upstream reaches the logits, and log_softmax keeps finite logits finite
         logits = T.check_finite(T.affine(x, self.params["out_proj.w"], self.params["out_proj.b"]))
-        return DecodeOutput(probabilities=T.softmax(logits), hidden_states=hidden)
+        return DecodeOutput(log_probs=T.log_softmax(logits), hidden_states=hidden)
 
     # ---- encoder -------------------------------------------------------
 

@@ -11,9 +11,9 @@ and ``double`` (float64, used to verify analytic gradients against
 finite differences). ``precision(...)`` switches the dtype used when
 tensors are created; a computation should stay in one mode throughout.
 
-Every log of a probability, on the graph (``log``) or off it
-(``floored_log``), clamps its input from below at the one ``LOG_FLOOR``,
-so a zero probability gives a finite log and a finite gradient.
+Distributions are carried as log-probabilities from ``log_softmax``, so a
+probability that underflows to zero still has a finite log, and no log is
+clamped; ``log`` of an ``exp`` node gives its input back.
 
 Primitives do not scan their outputs for NaN/Inf; ``check_finite`` runs
 at boundaries instead: on ``Tensor(...)`` leaves (not on the constants
@@ -48,7 +48,6 @@ _state = {"mode": "single"}
 # alike stepped alone or beside a few others, as release-gate criterion 12 needs
 _SMALL_GEMM = 100**3
 LAYER_NORM_EPSILON = 1e-5
-LOG_FLOOR = 1e-12
 
 
 def active_dtype():
@@ -303,37 +302,62 @@ def relu(x) -> Tensor:
     return _make(data, (x,), bw, "relu")
 
 
-def softmax(x) -> Tensor:
-    """Softmax over the last axis, stabilized by subtracting the slice maximum."""
+def log_softmax(x) -> Tensor:
+    """Log of the softmax over the last axis, ``x - max - log(sum(exp(x - max)))``:
+    no exp overflows, and it is finite wherever ``x`` is."""
     x = as_tensor(x)
     if x.ndim == 0 or x.data.shape[-1] == 0:
-        raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.data.shape}")
+        raise ShapeError(f"log_softmax needs a non-empty last axis, got shape {x.data.shape}")
     y = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)  # in place: the same values as a new array, without it
-    y /= y.sum(axis=-1, keepdims=True)
+    y -= np.log(np.exp(y).sum(axis=-1, keepdims=True))
 
     def bw(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - inner) * y,)
+        gx = np.exp(y)  # g - softmax * sum(g), the softmax recomputed rather than kept
+        gx *= -g.sum(axis=-1, keepdims=True)
+        gx += g
+        return (gx,)
 
-    return _make(y, (x,), bw, "softmax")
+    return _make(y, (x,), bw, "log_softmax")
 
 
-def floored_log(a: np.ndarray) -> np.ndarray:
-    """``np.log`` of ``a`` clamped from below at ``LOG_FLOOR``, off the graph."""
-    return np.log(np.maximum(a, LOG_FLOOR))
+def exp(x) -> Tensor:
+    """``e ** x``; the node keeps ``x`` even in ``graph_free``, for ``log`` to return."""
+    x = as_tensor(x)
+    data = np.exp(x.data)
+
+    def bw(g):
+        return (g * data,)
+
+    out = _make(data, (x,), bw, "exp")
+    out._parents = (x,)
+    return out
 
 
 def log(x) -> Tensor:
-    """Natural log of ``x`` clamped from below at ``LOG_FLOOR``; the gradient
-    is zero at clamped entries."""
+    """Natural log of ``x``; of an ``exp`` node, that node's input itself."""
     x = as_tensor(x)
+    if x._op == "exp":
+        return x._parents[0]
 
     def bw(g):
-        # above the floor the clamped input is x itself, so nothing clamped is kept
-        return (np.divide(g, x.data, out=np.zeros_like(g), where=x.data > LOG_FLOOR),)
+        return (g / x.data,)
 
-    return _make(np.log(np.maximum(x.data, LOG_FLOOR)), (x,), bw, "log")
+    return _make(np.log(x.data), (x,), bw, "log")
+
+
+def dot(a, b) -> Tensor:
+    """Per-slice dot product over the last axis of two equal-shaped tensors,
+    ``(a * b).sum(-1)``, without their product as a stored array."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"dot shape mismatch: {a.data.shape} vs {b.data.shape}")
+    data = np.einsum("...k,...k->...", a.data, b.data)
+
+    def bw(g):
+        g = g[..., None]
+        return g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None
+
+    return _make(np.asarray(data), (a, b), bw, "dot")
 
 
 def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
@@ -517,8 +541,10 @@ PRIMITIVES = (
     "mul",
     "affine",
     "relu",
-    "softmax",
+    "log_softmax",
+    "exp",
     "log",
+    "dot",
     "attention",
     "layer_norm",
     "embedding",

@@ -122,7 +122,7 @@ def validation_nll(model: TransformerModel, val_batches) -> float:
     with model.params.inference():
         for batch in val_batches:
             out = forward_batch(model, batch)
-            total += float(nll_sum(out.probabilities, batch.response_target, batch.target_mask).data)
+            total += float(nll_sum(out.log_probs, batch.response_target, batch.target_mask).data)
             count += batch.token_count
     return total / count if count else 0.0
 

@@ -412,6 +412,26 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{forged}: 'vocab'" in err
 
+    def test_huge_block_count_rejected_within_a_memory_limit(self, pipeline, tmp_path):
+        # a layout of a million blocks would exhaust memory before it could be
+        # compared with the manifest; the run gets 1 GiB of address space
+        params, configs = load_checkpoint(pipeline["student"])
+        configs["model"]["num_blocks"] = 10**6
+        forged = tmp_path / "forged.ckpt"
+        save_checkpoint(params, configs, forged)
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from dialdistill.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", code, "generate", "--checkpoint", str(forged),
+                              "--input", str(pipeline["histories"]), "--out", str(tmp_path / "x.txt")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error:") and "Traceback" not in run.stderr, run.stderr
+        assert "1000000 blocks" in run.stderr
+
     def test_scenario_checkpoint_rejected(self, pipeline, tmp_path, capsys):
         rc = main(
             [

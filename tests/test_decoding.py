@@ -87,7 +87,8 @@ class ScriptedModel:
             prefix = tuple(int(t) for t in prefixes[r, 1:])  # strip bos
             if prefix in table:
                 probs[r, -1, :] = table[prefix]
-        return DecodeOutput(probabilities=T.Tensor(probs), hidden_states=[])
+        with np.errstate(divide="ignore"):  # a scripted zero is a log-probability of -inf
+            return DecodeOutput(log_probs=T.as_tensor(np.log(probs)), hidden_states=[])
 
 
 def dist(**mass):
@@ -279,7 +280,7 @@ def _full_prefix_logp(model, history, prefixes, memory=None):
             np.array(prefixes), history_memory=model.encode(history) if memory is None else memory,
             history_mask=key_padding_mask(history),
         )
-    logp = np.log(out.probabilities.data[:, -1, :])
+    logp = out.log_probs.data[:, -1, :].copy()
     logp[:, [PAD_ID, BOS_ID]] = -np.inf
     return logp
 
@@ -347,7 +348,7 @@ class TestIncrementalAgainstFullPrefix:
                 for n in range(1, len(prefix) + 1):
                     out = model.decode(np.array([prefix[n - 1 : n]]), history_memory=memory,
                                        history_mask=mask, state=state)
-                    cached = np.log(out.probabilities.data[0, -1])
+                    cached = out.log_probs.data[0, -1]
                     full = _full_prefix_logp(model, history, [prefix[:n]], memory)[0]
                     gap = np.delete(cached - full, [PAD_ID, BOS_ID])
                     worst = max(worst, float(np.max(np.abs(gap))))

@@ -74,78 +74,83 @@ def dist(data):
 
 
 class TestNll:
+    """``nll_sum`` picks from log-probabilities."""
+
     def test_perfect_model_is_zero(self):
-        probs = np.zeros((1, 3, 4))
         targets = np.array([[1, 2, 0]])
-        probs[0, np.arange(3), targets[0]] = 1.0
-        mask = np.ones((1, 3))
-        out = losses.nll_sum(dist(probs), targets, mask)
+        log_probs = np.full((1, 3, 4), -50.0)
+        log_probs[0, np.arange(3), targets[0]] = 0.0
+        out = losses.nll_sum(dist(log_probs), targets, np.ones((1, 3)))
         assert out.data == 0.0
 
     def test_uniform_model_closed_form(self):
         # uniform over |V| = 100, 5 unmasked tokens -> 5 ln 100
         v = 100
-        probs = np.full((1, 5, v), 1.0 / v)
+        log_probs = np.full((1, 5, v), -math.log(v))
         targets = np.array([[3, 7, 7, 0, 99]])
         mask = np.ones((1, 5))
-        out = losses.nll_sum(dist(probs), targets, mask)
+        out = losses.nll_sum(dist(log_probs), targets, mask)
         assert abs(out.data - 5 * math.log(100)) < 1e-6
 
     def test_fully_masked_is_zero(self):
-        probs = np.full((1, 4, 10), 0.1)
+        log_probs = np.full((1, 4, 10), math.log(0.1))
         targets = np.zeros((1, 4), dtype=int)
         mask = np.zeros((1, 4))
-        out = losses.nll_sum(dist(probs), targets, mask)
+        out = losses.nll_sum(dist(log_probs), targets, mask)
         assert out.data == 0.0
 
     def test_mask_excludes_positions(self):
         v = 10
-        probs = np.full((1, 2, v), 1.0 / v)
+        log_probs = np.full((1, 2, v), -math.log(v))
         targets = np.array([[1, 2]])
-        out = losses.nll_sum(dist(probs), targets, np.array([[1.0, 0.0]]))
+        out = losses.nll_sum(dist(log_probs), targets, np.array([[1.0, 0.0]]))
         assert abs(out.data - math.log(10)) < 1e-6
 
-    def test_zero_probability_clamped(self):
-        probs = np.zeros((1, 1, 3))
-        probs[0, 0, 0] = 1.0  # gold token 2 has probability 0
-        out = losses.nll_sum(dist(probs), np.array([[2]]), np.ones((1, 1)))
-        assert abs(out.data - (-math.log(T.LOG_FLOOR))) < 1e-6
+    def test_underflowed_probability_has_a_finite_loss(self):
+        # the gold token's probability is exactly 0 in float32; its
+        # log-probability, and so the loss, is finite and exact
+        with T.precision("single"):
+            logits = T.Tensor([[[0.0, 0.0, -200.0]]])
+            log_probs = T.log_softmax(logits)
+            assert T.exp(log_probs).data[0, 0, 2] == 0.0
+            out = losses.nll_sum(log_probs, np.array([[2]]), np.ones((1, 1)))
+        assert abs(float(out.data) - (200.0 + math.log(2))) < 1e-4
 
     def test_gradient_is_correct(self):
         with T.precision("double"):
             rng = np.random.default_rng(0)
             logits = T.Tensor(rng.standard_normal((1, 2, 5)), requires_grad=True)
-            probs = T.softmax(logits)
+            log_probs = T.log_softmax(logits)
             targets = np.array([[1, 3]])
             mask = np.ones((1, 2))
-            out = losses.nll_sum(probs, targets, mask)
+            out = losses.nll_sum(log_probs, targets, mask)
             T.backward(out)
             # d/dz of -log softmax(z)[gold] is p - onehot
-            expected = probs.data - np.eye(5)[targets]
+            expected = np.exp(log_probs.data) - np.eye(5)[targets]
             assert np.allclose(logits.grad, expected, atol=1e-10)
 
     def test_target_outside_vocabulary_rejected(self):
-        probs = np.full((1, 2, 4), 0.25)
+        log_probs = np.full((1, 2, 4), math.log(0.25))
         for bad in (-1, 4):
             with pytest.raises(ContractError):
-                losses.nll_sum(dist(probs), np.array([[0, bad]]), np.ones((1, 2)))
+                losses.nll_sum(dist(log_probs), np.array([[0, bad]]), np.ones((1, 2)))
 
     def test_paper_vocabulary_without_dense_buffers(self):
-        # reading one probability per position must not build a V x V identity
-        # or (B, T, V) temporaries beyond the gradient itself
+        # reading one log-probability per position must not build a V x V
+        # identity or (B, T, V) temporaries beyond the gradient itself
         rng = np.random.default_rng(6)
         with T.precision("single"):
-            probs = T.Tensor(rng.random((2, 3, 20000)), requires_grad=True)
+            log_probs = T.Tensor(rng.random((2, 3, 20000)), requires_grad=True)
             targets = rng.integers(0, 20000, size=(2, 3))
             mask = np.ones((2, 3))
             tracemalloc.start()
             try:
-                T.backward(losses.nll_sum(probs, targets, mask))
+                T.backward(losses.nll_sum(log_probs, targets, mask))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert probs.grad.shape == probs.data.shape
-        assert peak < 10 * probs.data.nbytes
+        assert log_probs.grad.shape == log_probs.data.shape
+        assert peak < 10 * log_probs.data.nbytes
 
 
 class TestPredictionImitation:

@@ -20,7 +20,6 @@ from dialdistill.metrics import (
     corpus_ppl,
     distinct_n,
     embedding_metrics,
-    improvement_average,
     kl_metric,
     ngrams,
     sentence_perplexities,
@@ -531,43 +530,6 @@ def full_report(**overrides):
     )
     base.update(overrides)
     return MetricsReport(**base)
-
-
-class TestImprovementAverage:
-    def test_identical_reports_give_unity(self):
-        a = full_report()
-        value, skipped = improvement_average(a, full_report())
-        assert abs(value - 1.0) < 1e-12
-        assert skipped == []
-
-    def test_hand_case_with_inversion(self):
-        a = full_report(bleu=10.0, ppl=4.0)
-        b = full_report(bleu=12.0, ppl=3.2)
-        value, skipped = improvement_average(a, b, include=["bleu", "ppl"])
-        assert abs(value - 1.225) < 1e-12
-        assert skipped == []
-
-    def test_lower_is_better_metrics_invert(self):
-        a = full_report(kl_unigram=0.5)
-        b = full_report(kl_unigram=0.25)  # halving KL doubles the ratio
-        value, _ = improvement_average(a, b, include=["kl_unigram"])
-        assert abs(value - 2.0) < 1e-12
-
-    def test_zero_denominator_skipped_with_flag(self):
-        a = full_report(bleu=0.0)
-        b = full_report(bleu=5.0, ppl=25.0)
-        value, skipped = improvement_average(a, b, include=["bleu", "ppl"])
-        assert skipped == ["bleu"]
-        assert abs(value - 2.0) < 1e-12
-
-    def test_all_skipped_rejected(self):
-        a = full_report(bleu=0.0)
-        with pytest.raises(DataError):
-            improvement_average(a, full_report(), include=["bleu"])
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ContractError):
-            improvement_average(full_report(), full_report(), include=["speed"])
 
 
 class TestReportSerialization:

@@ -314,7 +314,7 @@ class TestAttentionEqualsTheChain:
         rng = np.random.default_rng(0)
         out = model.forward(rng.integers(4, 30, (16, 20)), rng.integers(4, 30, (16, 8)),
                             train=True, rng=rng)
-        ops = [n._op for n in T._topological_order(out.probabilities, grad_only=False) if n._parents]
+        ops = [n._op for n in T._topological_order(out.log_probs, grad_only=False) if n._parents]
         # two encoder self-attentions, two decoder self- and two cross-attentions
         assert ops.count("attention") == 6
         assert len(ops) == 80
@@ -414,7 +414,7 @@ class TestDualContextAttention:
         rng = np.random.default_rng(0)
         out = model.forward(rng.integers(4, 30, (2, 9)), rng.integers(4, 30, (2, 5)),
                             future=rng.integers(4, 30, (2, 7)))
-        nodes = T._topological_order(out.probabilities, grad_only=False)
+        nodes = T._topological_order(out.log_probs, grad_only=False)
         for i in range(model.config.num_blocks):
             wq = model.params[f"dec.{i}.cross_attn.wq"]
             assert sum(n._op == "affine" and n._parents[1] is wq for n in nodes) == 1, i
@@ -681,14 +681,14 @@ class TestGraphFreeInference:
         model = TransformerModel.build(desk_config(2000, "scenario-based"), seed=0)
         history, response_in, future = self.inputs(2000)
         recorded = model.forward(history, response_in, future=future)
-        nodes = T._topological_order(recorded.probabilities, grad_only=False)
+        nodes = T._topological_order(recorded.log_probs, grad_only=False)
         graph = sum(n.data.nbytes for n in nodes if n._parents)
         with model.params.inference():
             out, held, peak = _traced(lambda: model.forward(history, response_in, future=future))
-        assert np.array_equal(out.probabilities.data, recorded.probabilities.data)
-        assert out.probabilities._parents == () and all(h._parents == () for h in out.hidden_states)
+        assert np.array_equal(out.log_probs.data, recorded.log_probs.data)
+        assert out.log_probs._parents == () and all(h._parents == () for h in out.hidden_states)
         assert peak < graph / 2, (peak, graph)
-        kept = out.probabilities.data.nbytes + sum(h.data.nbytes for h in out.hidden_states)
+        kept = out.log_probs.data.nbytes + sum(h.data.nbytes for h in out.hidden_states)
         assert held < 1.1 * kept, (held, kept)
 
     @pytest.mark.parametrize("reorder", [False, True])  # greedy steps, or beam steps that reorder rows
@@ -708,7 +708,7 @@ class TestGraphFreeInference:
             out, held, _ = _traced(steps)
         cached = [t for kv in [*state.self_kv.values(), *state.cross_kv] for t in kv]
         assert all(t._parents == () for t in cached)
-        kept = sum(t.data.nbytes for t in cached + [out.probabilities, *out.hidden_states])
+        kept = sum(t.data.nbytes for t in cached + [out.log_probs, *out.hidden_states])
         # an earlier step's concat chain would hold every shorter cache as well
         assert held < 1.2 * kept, (held, kept)
 
@@ -729,7 +729,7 @@ def lm_block_loop(m, response_in, train=False, rng=None):
         x = m._residual(x, f, f"dec.{i}.ln_ffn", train, rng)
         hidden.append(x)
     logits = T.affine(x, p["out_proj.w"], p["out_proj.b"])
-    return DecodeOutput(probabilities=T.softmax(logits), hidden_states=hidden)
+    return DecodeOutput(log_probs=T.log_softmax(logits), hidden_states=hidden)
 
 
 def no_history(rows):
@@ -783,9 +783,9 @@ class TestLanguageModelVariant:
         for forward in (lambda r, **kw: m.forward(history, r, **kw), lambda r, **kw: lm_block_loop(m, r, **kw)):
             m.params.zero_grads()
             out = forward(batch.response_in, train=True, rng=np.random.default_rng(5))
-            nll = nll_sum(out.probabilities, batch.response_target, batch.target_mask)
+            nll = nll_sum(out.log_probs, batch.response_target, batch.target_mask)
             T.backward(nll)
-            runs.append([nll.data, out.probabilities.data[keep]] + [h.data[keep] for h in out.hidden_states]
+            runs.append([nll.data, out.log_probs.data[keep]] + [h.data[keep] for h in out.hidden_states]
                         + [t.grad for _, t in m.params.items() if t.grad is not None])
         assert not keep.all()
         assert len(runs[0]) == len(runs[1]) > 3

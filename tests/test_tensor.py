@@ -186,55 +186,57 @@ class TestAffine:
         assert np.array_equal(T.affine(x, w, b).data, flat_gemm if flat else per_row)
 
 
-class TestSoftmax:
+class TestLogSoftmax:
     def test_hand_case(self):
-        # softmax([0, ln 3]) = [1/4, 3/4]
+        # log softmax([0, ln 3]) = [ln 1/4, ln 3/4]
         with T.precision("double"):
-            out = T.softmax(T.Tensor([0.0, np.log(3.0)]))
-            assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
+            out = T.log_softmax(T.Tensor([0.0, np.log(3.0)]))
+            assert np.allclose(out.data, np.log([0.25, 0.75]), atol=1e-12)
 
-    def test_rows_sum_to_one(self):
+    def test_rows_are_log_distributions(self):
         rng = np.random.default_rng(9)
         with T.precision("double"):
             x = T.Tensor(rng.standard_normal((4, 7)) * 10)
-            out = T.softmax(x)
-            assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-            assert np.all(out.data > 0)
+            out = T.log_softmax(x)
+            assert np.allclose(np.exp(out.data).sum(axis=-1), 1.0, atol=1e-12)
+            assert np.all(out.data < 0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(10)
         with T.precision("double"):
             x = rng.standard_normal((3, 5))
-            a = T.softmax(T.Tensor(x)).data
-            b = T.softmax(T.Tensor(x + 123.456)).data
+            a = T.log_softmax(T.Tensor(x)).data
+            b = T.log_softmax(T.Tensor(x + 123.456)).data
             assert np.allclose(a, b, atol=1e-12)
 
-    def test_extreme_logits_stable(self):
-        with T.precision("double"):
-            out = T.softmax(T.Tensor([[1000.0, 0.0, -1000.0]]))
-            assert np.all(np.isfinite(out.data))
-            assert out.data[0, 0] > 0.999
+    @pytest.mark.parametrize("mode", ["single", "double"])
+    def test_extreme_logits_give_finite_exact_log_probs(self, mode):
+        # the last two probabilities underflow to exactly 0; their logs do not
+        with T.precision(mode):
+            out = T.log_softmax(T.Tensor([[1000.0, 0.0, -1000.0]]))
+            assert np.array_equal(out.data, np.array([[0.0, -1000.0, -2000.0]], dtype=T.active_dtype()))
+            assert np.array_equal(T.exp(out).data, np.array([[1.0, 0.0, 0.0]], dtype=T.active_dtype()))
 
     @pytest.mark.parametrize("shape", [(), (2, 0)])
     def test_empty_last_axis_rejected(self, shape):
         with pytest.raises(ShapeError, match="non-empty last axis"):
-            T.softmax(T.Tensor(np.zeros(shape)))
+            T.log_softmax(T.Tensor(np.zeros(shape)))
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             x = leaf(rng, 3, 5)
             w = leaf(rng, 3, 5)
-            fd_check(lambda ls: T.tsum(T.mul(T.softmax(ls[0]), ls[1])), [x, w])
+            fd_check(lambda ls: T.tsum(T.mul(T.log_softmax(ls[0]), ls[1])), [x, w])
 
-    @pytest.mark.parametrize("mode", ["single", "double"])
-    def test_in_place_normalization_bitwise_equal_to_new_arrays(self, mode):
+    def test_gradients_at_wide_logits(self):
+        # one entry's probability near the float64 underflow, one dominant
         rng = np.random.default_rng(16)
-        with T.precision(mode):
-            for shape in [(32, 16, 500), (3, 7), (5, 1, 33)]:
-                x = (rng.standard_normal(shape) * 30).astype(T.active_dtype())
-                e = np.exp(x - x.max(axis=-1, keepdims=True))
-                assert np.array_equal(T.softmax(T.Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+        x = leaf(rng, 2, 6)
+        x.data[:, 0] -= 600.0
+        x.data[:, 1] += 40.0
+        w = leaf(rng, 2, 6)
+        fd_check(lambda ls: T.tsum(T.mul(T.log_softmax(ls[0]), ls[1])), [x, w])
 
     def test_cross_entropy_gradient_is_p_minus_q(self):
         # d/dz [-sum q log softmax(z)] = softmax(z) - q
@@ -243,10 +245,25 @@ class TestSoftmax:
             z = T.Tensor(rng.standard_normal(6), requires_grad=True)
             q = rng.random(6)
             q /= q.sum()
-            p = T.softmax(z)
-            loss = T.tsum(T.mul(T.log(p), T.Tensor(-q)))
-            T.backward(loss)
-            assert np.allclose(z.grad, p.data - q, atol=1e-10)
+            logp = T.log_softmax(z)
+            T.backward(T.mul(T.dot(logp, q), -1.0))
+            assert np.allclose(z.grad, np.exp(logp.data) - q, atol=1e-10)
+
+
+class TestExp:
+    def test_gradients(self):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            x = leaf(rng, 3, 4)
+            w = leaf(rng, 3, 4)
+            fd_check(lambda ls: T.tsum(T.mul(T.exp(ls[0]), ls[1])), [x, w])
+
+    def test_keeps_its_input_where_no_graph_is_recorded(self):
+        x = T.Tensor([[-1.0, 0.0]])
+        with T.graph_free():
+            y = T.exp(x)
+            assert T.mul(y, 2.0)._parents == ()
+        assert y._parents == (x,) and T.log(y) is x
 
 
 class TestLog:
@@ -256,23 +273,22 @@ class TestLog:
         x.data = np.abs(x.data) + 0.5
         fd_check(lambda ls: T.tsum(T.log(ls[0])), [x])
 
-    def test_floor_clamps_and_zeroes_grad(self):
+    def test_log_of_exp_is_its_input(self):
+        # no exp-then-log rounding: a log-space value comes back bitwise, even
+        # where its exp underflowed to zero, and so does its gradient path
+        x = T.Tensor([[-200.0, -0.5, 3.0]], requires_grad=True)
+        p = T.exp(x)
+        assert p.data[0, 0] == 0.0
+        assert T.log(p) is x
+        assert sum(n._op == "log" for n in T._topological_order(T.tsum(T.log(p)), grad_only=False)) == 0
+
+    def test_unclamped_on_any_other_tensor(self):
         with T.precision("double"):
-            x = T.Tensor([1e-20, 0.5, 0.0, -2.0], requires_grad=True)
+            x = T.Tensor([1e-300, 1e-20, 0.5], requires_grad=True)
             out = T.log(x)
-            assert np.array_equal(out.data, np.log([T.LOG_FLOOR, 0.5, T.LOG_FLOOR, T.LOG_FLOOR]))
+            assert np.array_equal(out.data, np.log([1e-300, 1e-20, 0.5]))
             T.backward(T.tsum(out))
-            assert np.array_equal(x.grad, [0.0, 2.0, 0.0, 0.0])
-
-
-    def test_gradient_bitwise_equal_to_the_clamped_division(self):
-        rng = np.random.default_rng(14)
-        data = rng.random((4, 50)).astype(np.float32)
-        data[0, :10], data[1, :10], data[2, :10] = 0.0, 1e-13, T.LOG_FLOOR
-        x = T.Tensor(data, requires_grad=True)
-        g = rng.standard_normal(data.shape).astype(np.float32)
-        T.backward(T.tsum(T.mul(T.log(x), g)))
-        assert np.array_equal(x.grad, np.where(data > T.LOG_FLOOR, g / np.maximum(data, T.LOG_FLOOR), 0.0))
+            assert np.array_equal(x.grad, 1.0 / np.array([1e-300, 1e-20, 0.5]))
 
     def test_keeps_no_clamped_copy_of_its_input(self):
         x = T.Tensor(np.random.default_rng(15).random((256, 1024)), requires_grad=True)
@@ -283,6 +299,30 @@ class TestLog:
         finally:
             tracemalloc.stop()
         assert held < 1.1 * out.data.nbytes
+
+
+class TestDot:
+    def test_equals_the_summed_product(self):
+        rng = np.random.default_rng(20)
+        with T.precision("double"):
+            a, b = rng.standard_normal((2, 3, 7)), rng.standard_normal((2, 3, 7))
+            assert np.allclose(T.dot(T.Tensor(a), T.Tensor(b)).data, (a * b).sum(axis=-1), atol=1e-12)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            a, b, w = leaf(rng, 2, 3, 4), leaf(rng, 2, 3, 4), leaf(rng, 2, 3)
+            fd_check(lambda ls: T.tsum(T.mul(T.dot(ls[0], ls[1]), ls[2])), [a, b, w])
+
+    def test_no_gradient_into_a_constant(self):
+        with T.precision("double"):
+            a = T.Tensor(np.ones((2, 3)), requires_grad=True)
+            T.backward(T.tsum(T.dot(a, np.arange(6.0).reshape(2, 3))))
+            assert np.array_equal(a.grad, np.arange(6.0).reshape(2, 3))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.dot(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((1, 3))))
 
 
 class TestAttention:
@@ -446,7 +486,7 @@ class TestPick:
         for _ in range(10):
             x = leaf(rng, 2, 3, 5)
             ids = rng.integers(0, 5, size=(2, 3))
-            fd_check(lambda ls: T.tsum(T.mul(T.pick(T.softmax(ls[0]), ids), T.pick(ls[0], ids))), [x])
+            fd_check(lambda ls: T.tsum(T.mul(T.pick(T.log_softmax(ls[0]), ids), T.pick(ls[0], ids))), [x])
 
     def test_out_of_range_and_shape(self):
         x = T.Tensor(np.ones((2, 4)))
@@ -596,7 +636,7 @@ class TestGraphMechanics:
         for _ in range(2):
             with T.precision("double"):
                 x = T.Tensor(data, requires_grad=True)
-                out = T.tsum(T.softmax(T.affine(x, x, T.Tensor(np.zeros(4)))))
+                out = T.tsum(T.log_softmax(T.affine(x, x, T.Tensor(np.zeros(4)))))
                 T.backward(out)
                 results.append((out.data.copy(), x.grad.copy()))
         assert np.array_equal(results[0][0], results[1][0])
@@ -671,7 +711,7 @@ def step_grads_and_peak(run_backward, config, batch, train):
     tracemalloc.start()
     try:
         out = model.forward(history, response[:, :-1], train=train, rng=np.random.default_rng(1))
-        run_backward(losses.nll_sum(out.probabilities, response[:, 1:], np.ones((batch, 15))))
+        run_backward(losses.nll_sum(out.log_probs, response[:, 1:], np.ones((batch, 15))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -739,7 +779,7 @@ class TestRandomizedGradients:
                 h = T.affine(xx, ww, bb)
                 h = T.relu(h)
                 h = T.layer_norm(h, gg, nb)
-                p = T.softmax(h)
+                p = T.exp(T.log_softmax(h))
                 return T.tsum(T.mul(p, xx))
 
             fd_check(build, [x, w, b, ln_g, ln_b], rtol=1e-5)
