@@ -331,9 +331,7 @@ def make_batch(examples: list, include_future: bool = True) -> Batch:
                  target_mask=mask, future=future)
 
 
-def batchify(
-    examples: list, batch_size: int, seed=None, include_future: bool = True
-) -> list:
+def batchify(examples: list, batch_size: int, seed=None) -> list:
     """Deterministically shuffled batches (unshuffled when seed is None).
 
     The final short batch is kept, so every example appears exactly once.
@@ -346,7 +344,7 @@ def batchify(
     out = []
     for start in range(0, len(examples), batch_size):
         index = order[start : start + batch_size]
-        out.append(make_batch([examples[i] for i in index], include_future=include_future))
+        out.append(make_batch([examples[i] for i in index]))
         out[-1].index = index
     return out
 

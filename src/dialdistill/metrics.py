@@ -190,31 +190,35 @@ def _greedy_matching(a_vecs, b_vecs) -> float:
     return 0.5 * (float(np.mean(sims.max(axis=1))) + float(np.mean(sims.max(axis=0))))
 
 
+def _pair_scores(sides, lefts, rights, embeddings: WordEmbeddings, *scores) -> tuple:
+    """For each ``score(left_vectors, right_vectors)``, its values over the aligned
+    pairs of the token lists ``sides`` names, and the skipped pair count. Unknown
+    tokens are dropped; a pair with none known is skipped, with one side none, scores 0."""
+    if len(lefts) != len(rights):
+        raise ContractError(f"need aligned pairs, got {len(lefts)} {sides[0]} / {len(rights)} {sides[1]}")
+    values, skipped = [[] for _ in scores], 0
+    for left, right in zip(lefts, rights):
+        a, b = _known_vectors(left, embeddings), _known_vectors(right, embeddings)
+        if not a and not b:
+            skipped += 1
+            continue
+        for out, score in zip(values, scores):
+            out.append(score(a, b) if a and b else 0.0)
+    return values, skipped
+
+
+def _mean_cosine(a_vecs, b_vecs) -> float:
+    return cosine(np.mean(a_vecs, axis=0), np.mean(b_vecs, axis=0))
+
+
 def embedding_metrics(references, candidates, embeddings: WordEmbeddings) -> EmbeddingMetrics:
     """Cosine relevance of candidate to reference under three sentence
     reductions: mean vector, symmetric greedy token matching, and
-    per-dimension signed extrema. Unknown tokens are dropped; a pair
-    with no known tokens on either side is skipped."""
-    if len(references) != len(candidates):
-        raise ContractError(
-            f"need aligned pairs, got {len(references)} references / {len(candidates)} candidates"
-        )
-    averages, greedys, extremas = [], [], []
-    skipped = 0
-    for ref, cand in zip(references, candidates):
-        ref_vecs = _known_vectors(ref, embeddings)
-        cand_vecs = _known_vectors(cand, embeddings)
-        if not ref_vecs and not cand_vecs:
-            skipped += 1
-            continue
-        if not ref_vecs or not cand_vecs:
-            averages.append(0.0)
-            greedys.append(0.0)
-            extremas.append(0.0)
-            continue
-        averages.append(cosine(np.mean(ref_vecs, axis=0), np.mean(cand_vecs, axis=0)))
-        greedys.append(_greedy_matching(ref_vecs, cand_vecs))
-        extremas.append(cosine(_extrema_vector(ref_vecs), _extrema_vector(cand_vecs)))
+    per-dimension signed extrema, paired as ``_pair_scores`` pairs them."""
+    (averages, greedys, extremas), skipped = _pair_scores(
+        ("references", "candidates"), references, candidates, embeddings,
+        _mean_cosine, _greedy_matching, lambda a, b: cosine(_extrema_vector(a), _extrema_vector(b)),
+    )
     if not averages:
         return EmbeddingMetrics(0.0, 0.0, 0.0, skipped)
     return EmbeddingMetrics(
@@ -226,25 +230,10 @@ def embedding_metrics(references, candidates, embeddings: WordEmbeddings) -> Emb
 
 
 def coherence(histories, candidates, embeddings: WordEmbeddings) -> tuple:
-    """Mean cosine between the average word vector of the (flattened)
-    history and that of the generated response. Returns (value, skipped
-    pair count)."""
-    if len(histories) != len(candidates):
-        raise ContractError(
-            f"need aligned pairs, got {len(histories)} histories / {len(candidates)} candidates"
-        )
-    values = []
-    skipped = 0
-    for hist, cand in zip(histories, candidates):
-        h_vecs = _known_vectors(hist, embeddings)
-        c_vecs = _known_vectors(cand, embeddings)
-        if not h_vecs and not c_vecs:
-            skipped += 1
-            continue
-        if not h_vecs or not c_vecs:
-            values.append(0.0)
-            continue
-        values.append(cosine(np.mean(h_vecs, axis=0), np.mean(c_vecs, axis=0)))
+    """Mean cosine between the average word vectors of the (flattened)
+    history and the generated response, and the skipped pair count."""
+    (values,), skipped = _pair_scores(("histories", "candidates"), histories, candidates, embeddings,
+                                      _mean_cosine)
     return (float(np.mean(values)) if values else 0.0), skipped
 
 

@@ -135,8 +135,8 @@ class Tensor:
 
     ``data`` is row-major IEEE-754 (float32 or float64 depending on the
     active precision mode at creation). ``grad`` stays ``None`` until a
-    backward pass populates it and then always matches ``data``'s shape; on
-    an interior node the pass sets it back to ``None`` once propagated.
+    backward pass or an optimizer sets it, and then matches ``data``'s shape;
+    on an interior node the pass sets it back to ``None`` once propagated.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
@@ -211,7 +211,8 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be a scalar. Gradients accumulate additively when a
-    tensor is consumed more than once. An interior node's ``grad`` is
+    tensor is consumed more than once, in place into a leaf's ``grad`` (for
+    a parameter, its slice of ``Adam.grad``). An interior node's ``grad`` is
     released once it has been handed to the node's inputs, so the pass
     holds only the gradients still to be propagated, and afterwards every
     interior ``grad`` is None. A second pass over the same graph therefore
@@ -230,12 +231,14 @@ def backward(loss: Tensor) -> None:
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                # nothing writes a gradient in place, so a shared array is
-                # copied only for a leaf, whose grad outlives the pass
+                # only a leaf's grad is written in place, and it outlives the
+                # pass, so a shared array is copied only for a leaf
                 shared = g.base is not None or g is node.grad
                 parent.grad = g.copy() if shared and not parent._parents else g
-            else:
+            elif parent._parents:
                 parent.grad = parent.grad + g
+            else:
+                parent.grad += g
         if node._parents:
             node.grad = None
 

@@ -191,7 +191,6 @@ def _train_loop(
             T.backward(loss)
             del loss  # else the step's graph and targets stay alive through Adam and the next forward
             grad_norm = opt.step()
-            model.params.zero_grads()  # else they live through validation and the next forward
 
             record = None
             if step % tcfg.log_every == 0:
@@ -208,6 +207,7 @@ def _train_loop(
                 record["grad_norm"] = grad_norm
                 record["clipped"] = 0 < tcfg.grad_clip_norm < grad_norm
                 result.log.append(record)
+    model.params.zero_grads()  # the trained model keeps no slice of Adam's gradient buffer
     result.steps = step
     result.best_val_loss = best_val
     if log_path is not None:

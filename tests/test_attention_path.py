@@ -2,7 +2,9 @@
 ``T.attention`` in one place, ``model.attention_sublayer``, so encoder
 self-attention, decoder self-attention (cached or not) and
 cross-attention cannot drift apart; and it calls ``total_loss`` in one
-place, ``training._train_loop``, so every trainer runs the same step."""
+place, ``training._train_loop``, so every trainer runs the same step. That
+loop is also the one place that builds ``Adam``, whose flat buffer holds
+every parameter gradient, and calls ``zero_grads``, which lets go of it."""
 
 import ast
 from pathlib import Path
@@ -47,6 +49,11 @@ def test_attention_is_called_only_from_the_sublayer():
 
 def test_total_loss_is_called_only_from_the_training_loop():
     assert package_calls_to("total_loss") == ["training._train_loop"]
+
+
+def test_adam_is_built_and_let_go_of_only_in_the_training_loop():
+    assert package_calls_to("Adam") == ["training._train_loop"]
+    assert package_calls_to("zero_grads") == ["training._train_loop"]
 
 
 def test_the_scan_finds_attention_calls():

@@ -356,14 +356,17 @@ class TestAdam:
         opt = Adam(ps, clip_norm=2.0)
         norm = opt.step()
         assert abs(norm - 5.0) < 1e-12
-        assert np.allclose(opt.grad, [1.2, 1.6], atol=1e-12)
+        # the first step's moments are the clipped gradient and its square, scaled
+        assert np.allclose(opt.m, (1.0 - BETA1) * np.array([1.2, 1.6]), rtol=0, atol=1e-12)
+        assert np.allclose(opt.v, (1.0 - BETA2) * np.array([1.44, 2.56]), rtol=0, atol=1e-12)
+        assert not opt.grad.any()
 
     def test_no_clip_below_threshold(self):
         ps = param_set(w=[0.0])
         ps["w"].grad = np.array([1.0])
         opt = Adam(ps, clip_norm=2.0)
         opt.step()
-        assert opt.grad[0] == 1.0
+        assert opt.m[0] == 1.0 - BETA1 and opt.v[0] == 1.0 - BETA2
 
     def test_first_step_closed_form(self):
         # g = 1, lr = 0.001: bias-corrected update is -lr * 1/(1 + eps)
@@ -428,8 +431,7 @@ class TestAdam:
         m = np.zeros(4)
         v = np.zeros(4)
         for k in range(1, 11):
-            g = t.data.copy()
-            t.grad = g
+            t.grad[...] = t.data
             opt.step()
 
             g_ref = ref.copy()
@@ -440,10 +442,11 @@ class TestAdam:
             v = 0.999 * v + 0.001 * g_ref**2
             ref = ref - 0.01 * (m / (1 - 0.9**k)) / (np.sqrt(v / (1 - 0.999**k)) + 1e-8)
             assert np.allclose(t.data, ref, atol=1e-12), f"diverged at step {k}"
+            assert np.allclose(opt.m, m, rtol=0, atol=1e-12) and np.allclose(opt.v, v, rtol=0, atol=1e-12), k
 
     def test_in_place_moments_bitwise_equal_to_rebinding_ones(self):
         # float32, as in training; clipping fires on some steps, and one
-        # tensor has no gradient on some steps
+        # tensor's gradient is zero on some steps
         shapes = [(5, 3), (3,), (4, 2, 2)]
         rng = np.random.default_rng(21)
         with T.precision("single"):
@@ -455,17 +458,20 @@ class TestAdam:
         got = list(ps.items())
         opt, ref = Adam(ps, learning_rate=0.01), RebindingAdam(want, learning_rate=0.01)
         m0, v0, p0 = opt.m, opt.v, ps["p0"].data
+        slices = [a.grad for _, a in got]
         rng = np.random.default_rng(22)
         for step in range(20):
             for (_, a), (_, b) in zip(got, want):
                 g = (rng.standard_normal(a.data.shape) * rng.choice([0.1, 3.0])).astype(np.float32)
-                a.grad, b.grad = g.copy(), g.copy()
-            if step % 3 == 1:
-                got[1][1].grad = want[1][1].grad = None
+                if step % 3 == 1 and a is got[1][1]:
+                    g[...] = 0.0
+                a.grad[...], b.grad = g, g.copy()
             assert opt.step() == ref.step()
-            # the values and the moments are written in place
+            # the values and the moments are written in place, and every
+            # gradient is its zeroed slice of the flat buffer again
             assert ps["p0"].data is p0 and np.shares_memory(p0, ps.values)
             assert opt.m is m0 and opt.v is v0
+            assert all(a.grad is s for (_, a), s in zip(got, slices)) and not opt.grad.any()
             for (name, a), (_, b) in zip(got, want):
                 span = ps.span(name)
                 assert a.data.dtype == np.float32
@@ -475,8 +481,8 @@ class TestAdam:
 
     def test_non_targets_never_move(self):
         # a frozen tensor and a non-trainable one keep their values bitwise,
-        # and their slices of the gradient and the moments stay zero, even
-        # when they carry a gradient
+        # and their moments stay zero, even when their slices of the
+        # gradient are not
         ps = ParameterSet([("a", (2,), True), ("table", (3,), False), ("frozen", (2,), True)])
         for name, t in ps.items():
             t.data[...] = np.arange(t.data.size) - 0.25
@@ -485,12 +491,13 @@ class TestAdam:
         opt = Adam(ps)
         for _ in range(3):
             for _, t in ps.items():
-                t.grad = np.ones(t.data.shape)
+                t.grad[...] = 1.0
             opt.step()
+        assert not opt.grad.any()
         for name in ("table", "frozen"):
             span = ps.span(name)
             assert np.array_equal(ps.values[span], before[span]), name
-            assert not opt.grad[span].any() and not opt.m[span].any() and not opt.v[span].any()
+            assert not opt.m[span].any() and not opt.v[span].any()
         assert not np.array_equal(ps["a"].data, before[ps.span("a")])
 
     def test_clip_is_global_across_tensors(self):
@@ -503,3 +510,27 @@ class TestAdam:
         # both moved by the same bias-corrected unit step (sign aside),
         # because Adam normalizes per-parameter scale
         assert ps["a"].data[0] < 3.0 and ps["b"].data[0] < 4.0
+
+    def test_gradients_are_slices_of_the_flat_buffer(self):
+        # construction copies a gradient already held into the tensor's
+        # slice; backward then adds into the slice in place
+        ps = param_set(a=[1.0, 2.0], b=[3.0])
+        ps["a"].grad = np.array([0.5, -0.5])
+        opt = Adam(ps)
+        for name, t in ps.items():
+            assert np.shares_memory(t.grad, opt.grad[ps.span(name)]) and t.grad.shape == t.data.shape
+        assert np.array_equal(opt.grad, [0.5, -0.5, 0.0])
+        a, b = ps["a"], ps["b"]
+        T.backward(T.tsum(T.add(T.mul(a, a), b)))
+        assert np.array_equal(opt.grad, [2.5, 3.5, 2.0])  # b broadcasts over two entries
+        assert a.grad.base is opt.grad and b.grad.base is opt.grad
+
+    def test_rebound_gradient_is_a_contract_error_before_any_update(self):
+        ps = param_set(a=[1.0], b=[2.0])
+        opt = Adam(ps)
+        ps["a"].grad[...] = 1.0
+        ps["b"].grad = np.array([1.0])
+        with pytest.raises(ContractError, match="'b' is no longer its slice"):
+            opt.step()
+        assert np.array_equal(ps.values, [1.0, 2.0]) and opt.step_count == 0
+        assert not opt.m.any() and not opt.v.any()

@@ -458,6 +458,21 @@ class TestCoherence:
         value, _ = coherence(sentences("r1"), sentences("c2"), hand_table())
         assert abs(value - 0.6) < 1e-12
 
+    def test_pair_with_no_known_tokens_is_skipped(self):
+        value, skipped = coherence(sentences("zzz", "r1", "qqq"), sentences("yyy", "c2", "www"),
+                                   hand_table())
+        assert skipped == 2
+        assert abs(value - 0.6) < 1e-12
+
+    def test_one_sided_pair_scores_zero(self):
+        value, skipped = coherence(sentences("r1", "zzz"), sentences("r1", "r2"), hand_table())
+        assert skipped == 0
+        assert abs(value - 0.5) < 1e-12  # the mean of 1 and 0
+
+    def test_misaligned_pairs_rejected(self):
+        with pytest.raises(ContractError, match="2 histories / 1 candidates"):
+            coherence(sentences("r1", "r2"), sentences("r1"), hand_table())
+
 
 # ---------------------------------------------------------------------------
 # word-distribution similarity

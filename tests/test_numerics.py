@@ -152,7 +152,7 @@ class TestModelBoundaries:
     @pytest.mark.parametrize("name,op", POISONS)
     def test_validation_nll(self, examples, name, op):
         model = poison(TransformerModel.build(config("conventional"), 6), name)
-        batches = batchify(examples, 8, seed=None, include_future=False)
+        batches = batchify(examples, 8, seed=None)
         with pytest.raises(NumericError, match=f"primitive '{op}'"):
             training.validation_nll(model, batches)
 

@@ -464,35 +464,79 @@ class TestTargetWorker:
         assert res.steps == len(outputs) == 10  # two epochs of 5 batches
 
 
+def _optimizers(monkeypatch) -> list:
+    """Every ``Adam`` the trainers build while the patch holds."""
+    built, real = [], training.Adam
+    monkeypatch.setattr(training, "Adam", lambda *a, **kw: built.append(real(*a, **kw)) or built[-1])
+    return built
+
+
 class TestGradientLifetime:
-    def test_parameter_gradients_released_after_every_step(
+    def test_parameter_gradients_are_zeroed_slices_at_every_pass(
         self, data, teacher, lm_teacher, monkeypatch
     ):
-        # the student's forward and every validation pass run with no gradient
-        # left over from the step before
+        # the student's forward and every validation pass run with each
+        # parameter's gradient a zeroed slice of Adam's flat buffer, so no
+        # other gradient array is live and none is left over from the step
+        # before; after the run no gradient is held at all
         train, val, _ = data
-        released = []
+        zeroed = []
         real_forward, real_validation = training.forward_batch, training.validation_nll
+        optimizers = _optimizers(monkeypatch)
+
+        def slices(model):
+            flat = optimizers[-1].grad
+            return all(t.grad.base is flat and np.shares_memory(t.grad, flat[model.params.span(n)])
+                       and not t.grad.any() for n, t in model.params.items())
 
         def forward(model, batch, train=False, rng=None):
             if train:
-                released.append(all(t.grad is None for _, t in model.params.items()))
+                zeroed.append(slices(model))
             return real_forward(model, batch, train=train, rng=rng)
 
         def validation(model, val_batches):
-            released.append(all(t.grad is None for _, t in model.params.items()))
+            zeroed.append(slices(model))
             return real_validation(model, val_batches)
 
         monkeypatch.setattr(training, "forward_batch", forward)
         monkeypatch.setattr(training, "validation_nll", validation)
         res = train_student(train, val, teacher, small_config("conventional"),
                             tcfg(max_steps=6, val_every=2), lm_teacher=lm_teacher)
-        assert released == [True] * 9  # 6 steps, 3 validations
+        assert len(optimizers) == 1
+        assert zeroed == [True] * 9  # 6 steps, 3 validations
         assert all(t.grad is None for _, t in res.model.params.items())
+
+    @pytest.mark.parametrize("trainer", ["teacher", "lm", "student", "encoder-transfer", "lambda1-zero"])
+    def test_every_update_target_gets_a_gradient_on_every_step(
+        self, data, teacher, lm_teacher, monkeypatch, trainer
+    ):
+        # so an optimizer step never meets a target without a gradient
+        train, val, _ = data
+        seen = []
+        real_step = training.Adam.step
+
+        def step(opt):
+            seen.append([n for n, t in opt.params.update_targets() if not t.grad.any()])
+            return real_step(opt)
+
+        monkeypatch.setattr(training.Adam, "step", step)
+        cfg = tcfg(max_steps=6)
+        if trainer == "teacher":
+            train_teacher(train, val, small_config("scenario-based"), cfg)
+        elif trainer == "lm":
+            train_lm_teacher(train, val, small_config("language-model"), cfg)
+        elif trainer == "student":
+            train_student(train, val, teacher, small_config("conventional"), cfg, lm_teacher=lm_teacher)
+        elif trainer == "encoder-transfer":
+            train_student(train, val, teacher, small_config("conventional"),
+                          tcfg(max_steps=6, hard_transfer_scope="encoder"))
+        else:
+            train_student(train, val, teacher, small_config("conventional"), tcfg(max_steps=6, lambda1=0.0))
+        assert seen == [[]] * 6
 
     def test_two_passes_over_a_desk_student_loss_double_one_pass(self, data):
         train, _, vocab = data
-        batch = batchify(train[:16], 16, seed=None, include_future=True)[0]
+        batch = batchify(train[:16], 16, seed=None)[0]
         teacher = TransformerModel.build(desk_config(len(vocab), "scenario-based"), 1)
         lm = TransformerModel.build(desk_config(len(vocab), "language-model"), 2)
         student = TransformerModel.build(desk_config(len(vocab)), 3)
@@ -567,21 +611,26 @@ class TestPaperWidthMemory:
         assert run.returncode == 0, run.stderr
         m = json.loads(run.stdout)
         assert m["steps"] == 2 and m["cache"] > 0
-        # the process before any model; the frozen teachers; the student's
-        # values, Adam's m, v and flat gradient, and its leaf gradients; Adam's
-        # float64 scratch; the kept teacher targets; and the forward's arrays,
-        # which live through the backward, plus three quarters as much again
-        # for what the backward holds besides them: the arrays its closures
-        # keep (attention probabilities, dropout masks, layer-norm statistics;
-        # about a quarter) and its frontier of gradients still to be handed
-        # on. A pass that kept every interior gradient to its end would hold
-        # about the forward's arrays again. The output head's frontier is
-        # counted on its own: its backward holds three (B, T, V) gradients at
-        # once (the NLL's and the soft-target term's gradients of the
-        # log-probabilities, and their sum) beside the three such arrays of
-        # the graph (logits, log-probabilities, mixed soft target).
-        budget = (m["base"] + m["frozen"] + 5 * m["student"] + m["scratch"] + m["cache"]
-                  + 1.75 * m["activations"] + 3 * m["head"])
+        # the process before any model; the frozen teachers; four arrays laid
+        # out like the student's values: the values and Adam's m, v and flat
+        # gradient, which is also where backward writes every parameter
+        # gradient; Adam's float64 scratch; the kept teacher targets; the
+        # next step's teacher and LM probabilities, two (B, T, V) arrays that
+        # the worker thread computes during this step, so that how far its
+        # work overlaps the backward depends on the scheduler; and the
+        # forward's arrays, which live through the backward, plus three
+        # quarters as much again for what the backward holds besides them:
+        # the arrays its closures keep (attention probabilities, dropout
+        # masks, layer-norm statistics; about a quarter) and its frontier of
+        # gradients still to be handed on. A pass that kept every interior
+        # gradient to its end would hold about the forward's arrays again.
+        # The output head's frontier is counted on its own: its backward
+        # holds three (B, T, V) gradients at once (the NLL's and the
+        # soft-target term's gradients of the log-probabilities, and their
+        # sum) beside the three such arrays of the graph (logits,
+        # log-probabilities, mixed soft target).
+        budget = (m["base"] + m["frozen"] + 4 * m["student"] + m["scratch"] + m["cache"]
+                  + 2 * m["head"] + 1.75 * m["activations"] + 3 * m["head"])
         assert m["peak"] < budget, (m["peak"] / 2**20, budget / 2**20)
 
 
