@@ -4,7 +4,9 @@ self-attention, decoder self-attention (cached or not) and
 cross-attention cannot drift apart; and it calls ``total_loss`` in one
 place, ``training._train_loop``, so every trainer runs the same step. That
 loop is also the one place that builds ``Adam``, whose flat buffer holds
-every parameter gradient, and calls ``zero_grads``, which lets go of it."""
+every parameter gradient, and calls ``zero_grads``, which lets go of it.
+The allocator policy is set in one place too, when the package is
+imported, so no module can set a second one."""
 
 import ast
 from pathlib import Path
@@ -54,6 +56,10 @@ def test_total_loss_is_called_only_from_the_training_loop():
 def test_adam_is_built_and_let_go_of_only_in_the_training_loop():
     assert package_calls_to("Adam") == ["training._train_loop"]
     assert package_calls_to("zero_grads") == ["training._train_loop"]
+
+
+def test_the_allocator_policy_is_set_only_at_import():
+    assert package_calls_to("mallopt") == ["__init__._keep_freed_memory"]
 
 
 def test_the_scan_finds_attention_calls():
