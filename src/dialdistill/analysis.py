@@ -36,6 +36,8 @@ def perturbation_analysis(
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ContractError("need at least one sigma")
+    if not np.isfinite(sigmas).all():
+        raise ContractError(f"sigmas must be finite, got {sigmas}")
     if sigmas[0] != 0.0:
         raise ContractError(f"sigma grid must start at 0, got {sigmas[0]}")
     if any(b < a for a, b in zip(sigmas, sigmas[1:])):
@@ -90,14 +92,13 @@ def mean_teacher_student_kl(teacher, student, examples) -> float:
     """
     total = 0.0
     count = 0.0
-    with teacher.params.inference(), student.params.inference():
-        for batch in batchify(examples, BATCH_SIZE, seed=None):
-            log_q = forward_batch(teacher, batch).log_probs.data
-            log_p = forward_batch(student, batch).log_probs.data
-            per_position = (np.exp(log_q) * (log_q - log_p)).sum(axis=-1)
-            mask = np.asarray(batch.target_mask, dtype=np.float64)
-            total += float((per_position * mask).sum())
-            count += float(mask.sum())
+    for batch in batchify(examples, BATCH_SIZE, seed=None):
+        log_q = forward_batch(teacher, batch).log_probs.data
+        log_p = forward_batch(student, batch).log_probs.data
+        per_position = (np.exp(log_q) * (log_q - log_p)).sum(axis=-1)
+        mask = np.asarray(batch.target_mask, dtype=np.float64)
+        total += float((per_position * mask).sum())
+        count += float(mask.sum())
     if count == 0:
         raise ContractError("no unmasked positions to compare")
     return total / count

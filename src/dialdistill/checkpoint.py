@@ -94,7 +94,7 @@ def load_checkpoint(path):
     frozen = header.get("frozen", [])
     if not (isinstance(frozen, list) and all(isinstance(n, str) and n in params for n in frozen)):
         raise CheckpointFormatError(f"{path}: 'frozen' must list manifest tensors, got {frozen!r}")
-    params.frozen = set(frozen)
+    params.freeze(frozen)
     return params, header["configs"]
 
 

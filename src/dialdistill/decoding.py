@@ -190,9 +190,8 @@ def decode_many(model: TransformerModel, histories: list, config: DecodeConfig =
     together."""
     search = _beam if config.strategy == "beam" else _greedy
     results = []
-    with model.params.inference():
-        for start in range(0, len(histories), CHUNK):
-            results += search(model, _batch(model, histories[start : start + CHUNK]), config)
+    for start in range(0, len(histories), CHUNK):
+        results += search(model, _batch(model, histories[start : start + CHUNK]), config)
     return results
 
 

@@ -175,28 +175,19 @@ def classify_uninformative(examples, strategy: str, embeddings: WordEmbeddings =
     if strategy == "exact-match":
         for firsts, seconds in ((histories, responses), (responses, futures)):
             flagged |= _flag_by_keys(_exact_keys(firsts), _exact_keys(seconds))
-    elif strategy == "word-overlap":
-        flat_h = [_flatten_turns(h) for h in histories]
-        flat_f = [_flatten_turns(f) for f in futures]
+    else:
+        flat_h, flat_f = ([_flatten_turns(t) for t in turns] for turns in (histories, futures))
+    if strategy == "word-overlap":
         for firsts, seconds in ((flat_h, responses), (responses, flat_f)):
             for j, i in _overlap_pairs(seconds):
                 if not overlap_equivalent(firsts[j], firsts[i]):
                     flagged.update((j, i))
-    else:
-        all_sentences = [_flatten_turns(h) for h in histories] + list(responses) + [
-            _flatten_turns(f) for f in futures
-        ]
-        counts = token_frequencies(all_sentences)
+    elif strategy == "sentence-cluster":
+        counts = token_frequencies(flat_h + responses + flat_f)
         total = sum(counts.values())
-        h_labels = single_pass_cluster(
-            [_flatten_turns(h) for h in histories], embeddings, MULTI_TURN_THRESHOLD, counts, total
-        )
-        r_labels = single_pass_cluster(
-            responses, embeddings, SINGLE_TURN_THRESHOLD, counts, total
-        )
-        f_labels = single_pass_cluster(
-            [_flatten_turns(f) for f in futures], embeddings, MULTI_TURN_THRESHOLD, counts, total
-        )
+        h_labels = single_pass_cluster(flat_h, embeddings, MULTI_TURN_THRESHOLD, counts, total)
+        r_labels = single_pass_cluster(responses, embeddings, SINGLE_TURN_THRESHOLD, counts, total)
+        f_labels = single_pass_cluster(flat_f, embeddings, MULTI_TURN_THRESHOLD, counts, total)
         for firsts, seconds in ((h_labels, r_labels), (r_labels, f_labels)):
             flagged |= _flag_by_keys(firsts, seconds)
 

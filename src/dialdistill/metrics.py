@@ -3,8 +3,7 @@
 Count-based diversity (distinct-n), distributional fit (n-gram KL in
 bits, word-frequency cosine), corpus perplexity (arithmetic mean of
 per-sentence perplexities), corpus BLEU, embedding-based relevance
-(average / greedy / extrema), history-response coherence, and the
-cross-report improvement average.
+(average / greedy / extrema) and history-response coherence.
 """
 
 from __future__ import annotations
@@ -103,11 +102,10 @@ def corpus_ppl(model, examples, batch_size: int = 32) -> PplReport:
     forcing. Future turns are fed only to future-conditioned variants."""
     ppls = []
     excluded = 0
-    with model.params.inference():
-        for batch in batchify(examples, batch_size, seed=None):
-            batch_ppls, batch_excluded = sentence_perplexities(model, batch)
-            ppls.extend(batch_ppls)
-            excluded += batch_excluded
+    for batch in batchify(examples, batch_size, seed=None):
+        batch_ppls, batch_excluded = sentence_perplexities(model, batch)
+        ppls.extend(batch_ppls)
+        excluded += batch_excluded
     if not ppls:
         raise DataError("no scorable sentences (all responses empty after masking)")
     return PplReport(value=float(np.mean(ppls)), sentence_ppls=ppls, excluded=excluded)

@@ -15,7 +15,6 @@ trained to imitate them layer by layer.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -111,9 +110,10 @@ class ParameterSet:
     (Adam, checkpoint loads, hard transfer, snapshots, perturbation)
     goes into ``values`` in place. Order matters twice: parameter
     initialization draws from one RNG stream in this order, and
-    checkpoints serialize ``values`` as it is. ``frozen`` names are
-    excluded from optimizer updates (used by hard transfer) but still
-    saved.
+    checkpoints serialize ``values`` as it is. A tensor's ``requires_grad``
+    says whether the optimizer updates it: the layout's trainable flag,
+    cleared by ``freeze`` (hard transfer), so ``backward`` computes no
+    gradient for a frozen tensor; frozen tensors are still saved.
     """
 
     def __init__(self, layout):
@@ -132,7 +132,6 @@ class ParameterSet:
             for name, shape, trainable in layout
         }
         self._trainable: dict[str, bool] = {name: trainable for name, _, trainable in layout}
-        self.frozen: set[str] = set()
 
     def span(self, name: str) -> slice:
         """``name``'s slice of ``values`` (and of any array laid out like it)."""
@@ -153,13 +152,14 @@ class ParameterSet:
     def is_trainable(self, name: str) -> bool:
         return self._trainable[name]
 
+    @property
+    def frozen(self) -> set:
+        """Names of the trainable tensors that ``freeze`` excluded from updates."""
+        return {n for n, t in self._tensors.items() if self._trainable[n] and not t.requires_grad}
+
     def update_targets(self):
         """(name, tensor) pairs the optimizer may modify."""
-        return [
-            (n, t)
-            for n, t in self._tensors.items()
-            if self._trainable[n] and n not in self.frozen
-        ]
+        return [(n, t) for n, t in self._tensors.items() if t.requires_grad]
 
     def zero_grads(self) -> None:
         for t in self._tensors.values():
@@ -169,22 +169,13 @@ class ParameterSet:
         for n in names:
             if n not in self._tensors:
                 raise ContractError(f"cannot freeze unknown parameter {n!r}")
-            self.frozen.add(n)
+            self._tensors[n].requires_grad = False
 
-    @contextmanager
     def inference(self):
-        """Temporarily mark every tensor non-differentiable so forward
-        passes in this thread skip gradient bookkeeping and record no graph
-        (teacher passes, evaluation; see ``tensor.graph_free``)."""
-        saved = {n: t.requires_grad for n, t in self._tensors.items()}
-        for t in self._tensors.values():
-            t.requires_grad = False
-        try:
-            with T.graph_free():
-                yield
-        finally:
-            for n, t in self._tensors.items():
-                t.requires_grad = saved[n]
+        """``tensor.graph_free()``: forward passes in this thread record no
+        graph. The package's inference calls enter it through
+        ``tensor.names_failures``; no tensor of the set is touched."""
+        return T.graph_free()
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:

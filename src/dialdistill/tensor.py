@@ -21,12 +21,13 @@ at boundaries instead: on ``Tensor(...)`` leaves (not on the constants
 training loss). A failed check names the first primitive of the graph
 with a non-finite output.
 
-Within ``graph_free()`` (entered by ``ParameterSet.inference``) a
-primitive keeps its inputs only when its output needs a gradient, so an
-inference pass frees each intermediate as soon as its consumers have run.
-A check that fails there cannot walk back to the first bad primitive;
-``names_failures`` runs such a call again with the graph recorded, which
-costs nothing until a check fails.
+Within ``graph_free()``, a switch of the calling thread alone, no output
+needs a gradient and no primitive keeps its inputs, so an inference pass
+frees each intermediate as soon as its consumers have run. A check that
+fails there cannot walk back to the first bad primitive; ``names_failures``
+runs its call graph-free and, only once a check fails, runs it again with
+the graph recorded. Outside it, a tensor needs a gradient when one of its
+inputs does, and a leaf's ``requires_grad`` says whether it is learned.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ def precision(mode: str):
 
 
 class _Recording(threading.local):
-    """Per thread: whether a primitive whose output needs no gradient keeps
-    its inputs (not within ``graph_free``), and whether a rerun of
-    ``names_failures`` records every graph regardless."""
+    """Per thread: whether primitives record a graph for ``backward`` (not
+    within ``graph_free``), and whether a rerun of ``names_failures``
+    keeps every input regardless."""
 
-    keep_inputs = True
+    grad = True
     naming = False
 
 
@@ -85,33 +86,34 @@ class _UnrecordedNumericError(NumericError):
 
 @contextmanager
 def graph_free():
-    """Within this thread, primitives whose output needs no gradient record
+    """Within this thread, no output needs a gradient and primitives record
     no inputs, so nothing they computed outlives its last consumer."""
-    previous = _recording.keep_inputs
-    _recording.keep_inputs = False
+    previous = _recording.grad
+    _recording.grad = False
     try:
         yield
     finally:
-        _recording.keep_inputs = previous
+        _recording.grad = previous
 
 
 def names_failures(fn):
-    """Decorate a call that may run ``graph_free``: when a check in it fails
-    where no graph was recorded, run it again recording every graph, so the
-    ``NumericError`` names the first primitive with a non-finite output.
-    The call must be safe to repeat up to the failure."""
+    """Decorate an inference call: run it ``graph_free``, and when a check in
+    it fails where no graph was recorded, run it again keeping every input,
+    so the ``NumericError`` names the first primitive with a non-finite
+    output. The call must be safe to repeat up to the failure."""
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _UnrecordedNumericError:
-            _recording.naming = True
+        with graph_free():
             try:
-                fn(*args, **kwargs)
-            finally:
-                _recording.naming = False
-            raise
+                return fn(*args, **kwargs)
+            except _UnrecordedNumericError:
+                _recording.naming = True
+                try:
+                    fn(*args, **kwargs)
+                finally:
+                    _recording.naming = False
+                raise
 
     return call
 
@@ -169,8 +171,8 @@ def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
-    out._parents = tuple(parents) if out.requires_grad or _recording.keep_inputs or _recording.naming else ()
+    out.requires_grad = _recording.grad and any(p.requires_grad for p in parents)
+    out._parents = tuple(parents) if _recording.grad or _recording.naming else ()
     out._backward = backward_fn if out.requires_grad else None
     out._op = op
     return out

@@ -119,11 +119,10 @@ def validation_nll(model: TransformerModel, val_batches) -> float:
     """Per-token NLL over a batch list, dropout off, no graph retained."""
     total = 0.0
     count = 0.0
-    with model.params.inference():
-        for batch in val_batches:
-            out = forward_batch(model, batch)
-            total += float(nll_sum(out.log_probs, batch.response_target, batch.target_mask).data)
-            count += batch.token_count
+    for batch in val_batches:
+        out = forward_batch(model, batch)
+        total += float(nll_sum(out.log_probs, batch.response_target, batch.target_mask).data)
+        count += batch.token_count
     return total / count if count else 0.0
 
 
@@ -304,13 +303,12 @@ class _TargetCache:
         and only the output head runs; the hidden states are the kept ones."""
         mask = batch.target_mask > 0
         rows = np.concatenate([np.arange(self.offsets[i], self.offsets[i + 1]) for i in batch.index])
-        with self.model.params.inference():
-            if self.layers and self.filled[batch.index].all():
-                hidden = [np.zeros(mask.shape + layer.shape[1:], layer.dtype) for layer in self.layers]
-                for h, layer in zip(hidden, self.layers):
-                    h[mask] = layer[rows]
-                return self.model._output_head(hidden[-1], hidden).probabilities.data, hidden
-            out = forward_batch(self.model, batch)
+        if self.layers and self.filled[batch.index].all():
+            hidden = [np.zeros(mask.shape + layer.shape[1:], layer.dtype) for layer in self.layers]
+            for h, layer in zip(hidden, self.layers):
+                h[mask] = layer[rows]
+            return self.model._output_head(hidden[-1], hidden).probabilities.data, hidden
+        out = forward_batch(self.model, batch)
         hidden = [h.data for h in out.hidden_states]
         for h, layer in zip(hidden[len(hidden) - len(self.layers):], self.layers):
             layer[rows] = h[mask]

@@ -6,7 +6,9 @@ place, ``training._train_loop``, so every trainer runs the same step. That
 loop is also the one place that builds ``Adam``, whose flat buffer holds
 every parameter gradient, and calls ``zero_grads``, which lets go of it.
 The allocator policy is set in one place too, when the package is
-imported, so no module can set a second one."""
+imported, so no module can set a second one. And inference has one way
+in: the package enters ``graph_free`` only through ``names_failures``,
+so a failed check in any inference pass is named by a recorded rerun."""
 
 import ast
 from pathlib import Path
@@ -60,6 +62,15 @@ def test_adam_is_built_and_let_go_of_only_in_the_training_loop():
 
 def test_the_allocator_policy_is_set_only_at_import():
     assert package_calls_to("mallopt") == ["__init__._keep_freed_memory"]
+
+
+def test_graph_free_is_entered_only_by_names_failures_and_inference():
+    assert package_calls_to("graph_free") == ["model.ParameterSet.inference", "tensor.names_failures.call"]
+
+
+def test_no_package_module_calls_inference():
+    # every package inference entry point is decorated with names_failures instead
+    assert package_calls_to("inference") == []
 
 
 def test_the_scan_finds_attention_calls():

@@ -35,7 +35,7 @@ def small_config(variant="scenario-based"):
 @pytest.fixture()
 def saved(tmp_path):
     model = TransformerModel.build(small_config(), seed=3)
-    model.params.frozen = {"encoder_embedding"}
+    model.params.freeze(["encoder_embedding"])
     path = tmp_path / "model.ckpt"
     save_model(model, path, extra_configs={"training": {"seed": 3}})
     return model, path
@@ -52,6 +52,13 @@ class TestRoundTrip:
         assert params.frozen == {"encoder_embedding"}
         assert configs["model"] == model.config.to_dict()
         assert configs["training"] == {"seed": 3}
+
+    def test_frozen_tensors_load_needing_no_gradient(self, saved):
+        params, _ = load_checkpoint(saved[1])
+        assert not params["encoder_embedding"].requires_grad
+        targets = [n for n, _ in params.update_targets()]
+        assert "encoder_embedding" not in targets and "decoder_embedding" in targets
+        assert all(params[n].requires_grad for n in targets)
 
     def test_payload_is_read_into_the_flat_values(self, saved):
         model, path = saved

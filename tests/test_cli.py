@@ -509,6 +509,19 @@ class TestAnalysisCommands:
         assert records[0]["std_ppl"] == 0.0
         assert all(np.isfinite(r["mean_ppl"]) for r in records)
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_reports_error(self, pipeline, tmp_path, sigma, capsys):
+        rc = main(
+            [
+                "analyze-robustness", "--checkpoint", str(pipeline["student"]),
+                "--data", str(pipeline["data"]), "--out", str(tmp_path / "robustness.jsonl"),
+                "--sigmas", f"0,{sigma}", "--samples", "1",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and sigma in err.splitlines()[0]
+        assert "Traceback" not in err
+
     def test_wordfreq_report(self, pipeline, tmp_path):
         out = tmp_path / "wordfreq.json"
         rc = main(

@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against ``src/``."""
+"""Smoke test: every demo script runs to completion against ``src/``,
+with a numpy RuntimeWarning an error, as it is for in-process tests."""
 
 import os
 import subprocess
@@ -17,7 +18,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning")
     run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr[-2000:]

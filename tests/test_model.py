@@ -1,5 +1,6 @@
 """Structural and behavioral checks on the transformer variants."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -690,6 +691,36 @@ class TestGraphFreeInference:
         assert peak < graph / 2, (peak, graph)
         kept = out.log_probs.data.nbytes + sum(h.data.nbytes for h in out.hidden_states)
         assert held < 1.1 * kept, (held, kept)
+
+    def test_inference_in_one_thread_leaves_another_recording(self):
+        # graph_free is a switch of its own thread: while a worker is inside
+        # inference(), a forward here records its graph, and no parameter's
+        # requires_grad is touched
+        model = TransformerModel.build(desk_config(50), seed=0)
+        history, response_in, _ = self.inputs(50)
+        before = {n: t.requires_grad for n, t in model.params.items()}
+        inside, leave = threading.Barrier(2, timeout=60), threading.Barrier(2, timeout=60)
+        worker_out = []
+
+        def infer():
+            with model.params.inference():
+                inside.wait()
+                worker_out.append(model.forward(history, response_in).log_probs)
+                leave.wait()
+
+        worker = threading.Thread(target=infer)
+        worker.start()
+        try:
+            inside.wait()
+            out = model.forward(history, response_in)
+            during = {n: t.requires_grad for n, t in model.params.items()}
+        finally:
+            leave.wait()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert out.log_probs.requires_grad and out.log_probs._parents
+        assert during == before and {n: t.requires_grad for n, t in model.params.items()} == before
+        assert not worker_out[0].requires_grad and worker_out[0]._parents == ()
 
     @pytest.mark.parametrize("reorder", [False, True])  # greedy steps, or beam steps that reorder rows
     def test_decode_state_holds_its_caches_alone(self, reorder):

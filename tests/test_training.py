@@ -534,6 +534,37 @@ class TestGradientLifetime:
             train_student(train, val, teacher, small_config("conventional"), tcfg(max_steps=6, lambda1=0.0))
         assert seen == [[]] * 6
 
+    def test_backward_stops_at_a_frozen_encoder(self, data, teacher, monkeypatch):
+        # an encoder-scope student's memory needs no gradient, so backward
+        # visits none of the encoder's nodes and writes nothing into the
+        # frozen tensors' slices of Adam's flat gradient
+        train, val, _ = data
+        memories, visited, written = [], [], []
+        real_encode, real_backward, real_step = TransformerModel.encode, T.backward, training.Adam.step
+
+        def encode(model, token_ids, train=False, rng=None):
+            memory = real_encode(model, token_ids, train, rng)
+            if train:
+                memories.append(memory)
+            return memory
+
+        def backward(loss):
+            encoder = {id(n) for n in T._topological_order(memories.pop(), grad_only=False)}
+            visited.append(sum(id(n) in encoder for n in T._topological_order(loss, grad_only=True)))
+            real_backward(loss)
+
+        def step(opt):
+            frozen = opt.params.frozen
+            written.append((len(frozen) > 0, [n for n in frozen if opt.grad[opt.params.span(n)].any()]))
+            return real_step(opt)
+
+        monkeypatch.setattr(TransformerModel, "encode", encode)
+        monkeypatch.setattr(T, "backward", backward)
+        monkeypatch.setattr(training.Adam, "step", step)
+        train_student(train, val, teacher, small_config("conventional"),
+                      tcfg(max_steps=3, hard_transfer_scope="encoder"))
+        assert visited == [0] * 3 and written == [(True, [])] * 3
+
     def test_two_passes_over_a_desk_student_loss_double_one_pass(self, data):
         train, _, vocab = data
         batch = batchify(train[:16], 16, seed=None)[0]
