@@ -13,9 +13,11 @@ __version__ = "0.1.0"
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-# arrays up to 32 MiB (glibc's 64-bit maximum) come from the heap, and the
-# heap's free top is returned to the kernel only beyond 1 GiB
-_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30))
+_M_ARENA_MAX = -8
+# arrays up to 32 MiB (glibc's 64-bit maximum) come from the heap, the
+# heap's free top is returned to the kernel only beyond 1 GiB, and every
+# thread allocates from the one heap, so what a worker frees serves the rest
+_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30), (_M_ARENA_MAX, 1))
 
 
 def _keep_freed_memory(libc) -> None:
@@ -23,9 +25,11 @@ def _keep_freed_memory(libc) -> None:
 
     By default glibc maps every large array afresh and returns a freed
     heap top to the kernel, so each step faults its activations back in.
-    Both values are set: any ``mallopt`` turns off glibc's dynamic mmap
+    Both thresholds are set: any ``mallopt`` turns off glibc's dynamic mmap
     threshold, so the trim threshold alone would map every array over
-    128 KiB. A libc without ``mallopt`` keeps its own policy."""
+    128 KiB. One arena keeps a worker thread's freed memory out of an
+    arena of its own that no other thread reuses. A libc without
+    ``mallopt`` keeps its own policy."""
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is None:
         return

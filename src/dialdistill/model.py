@@ -15,6 +15,7 @@ trained to imitate them layer by layer.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -424,6 +425,26 @@ class TransformerModel:
             x = self._residual(x, f, f"enc.{i}.ln_ffn", train, rng)
         return x
 
+    def _encode_both(self, history: np.ndarray, future: np.ndarray, train: bool, rng):
+        """The history's and the future's memories, encoded at once by
+        ``tensor.fork`` when a graph is recorded and the passes are large.
+        The future's dropout draws from a copy of ``rng`` advanced past the
+        history's draws, and ``rng`` then moves past both, so every mask is
+        the one that encoding the two in turn draws from ``rng``."""
+        cfg = self.config
+        future_rng = rng
+        # uniforms per token: the embedding's dropout, then two in each block
+        draws = (1 + 2 * cfg.num_blocks) * cfg.model_dim if train and cfg.dropout_rate > 0.0 else 0
+        if draws and rng is not None:
+            future_rng = copy.deepcopy(rng)
+            future_rng.bit_generator.advance(draws * history.size)
+        ffn_product = min(history.size, future.size) * cfg.model_dim * cfg.ffn_dim
+        memories = T.fork(lambda: self.encode(history, train, rng),
+                          lambda: self.encode(future, train, future_rng), ffn_product)
+        if draws:
+            rng.bit_generator.advance(draws * future.size)
+        return memories
+
     # ---- decoder -------------------------------------------------------
 
     def decode(
@@ -506,7 +527,8 @@ class TransformerModel:
     ) -> DecodeOutput:
         """End-to-end teacher-forced pass over the inputs the variant reads
         (``MEMORIES``). The language model reads the response alone: its
-        ``history`` must be empty."""
+        ``history`` must be empty. Dropout's ``rng`` is a numpy Generator
+        whose bit generator can ``advance`` (``default_rng``'s PCG64)."""
         cfg = self.config
         history = np.atleast_2d(np.asarray(history))
         given = (history.size > 0, future is not None)
@@ -514,11 +536,12 @@ class TransformerModel:
             raise ContractError(f"{cfg.variant} variant reads (history, future) inputs "
                                 f"{MEMORIES[cfg.variant]}, got {given}")
         memories = {}
-        if given[0]:
-            memories.update(history_memory=self.encode(history, train, rng),
-                            history_mask=key_padding_mask(history))
         if given[1]:
             future = np.atleast_2d(np.asarray(future))
-            memories.update(future_memory=self.encode(future, train, rng),
-                            future_mask=key_padding_mask(future))
+            memories["history_memory"], memories["future_memory"] = self._encode_both(history, future, train, rng)
+            memories["future_mask"] = key_padding_mask(future)
+        elif given[0]:
+            memories["history_memory"] = self.encode(history, train, rng)
+        if given[0]:
+            memories["history_mask"] = key_padding_mask(history)
         return self.decode(response_in, train=train, rng=rng, **memories)

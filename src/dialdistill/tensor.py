@@ -28,6 +28,11 @@ fails there cannot walk back to the first bad primitive; ``names_failures``
 runs its call graph-free and, only once a check fails, runs it again with
 the graph recorded. Outside it, a tensor needs a gradient when one of its
 inputs does, and a leaf's ``requires_grad`` says whether it is learned.
+
+Within ``helper(executor)``, also a switch of the calling thread, ``fork``
+runs two large independent passes at once, one on the executor's thread,
+and ``backward`` then runs their two graphs at once too. The arithmetic is
+that of the two passes in turn.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from concurrent import futures
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,6 +54,10 @@ _state = {"mode": "single"}
 # products per sequence, and a decode step's per row, so a desk decode row rounds
 # alike stepped alone or beside a few others, as release-gate criterion 12 needs
 _SMALL_GEMM = 100**3
+# `fork` runs two passes at once only when their largest products exceed this
+# many multiply-adds; smaller passes spend their time in Python, under the GIL,
+# and a forked desk teacher step is no faster
+_FORK_GEMM = 64 * _SMALL_GEMM
 LAYER_NORM_EPSILON = 1e-5
 
 
@@ -70,11 +80,13 @@ def precision(mode: str):
 
 class _Recording(threading.local):
     """Per thread: whether primitives record a graph for ``backward`` (not
-    within ``graph_free``), and whether a rerun of ``names_failures``
-    keeps every input regardless."""
+    within ``graph_free``), whether a rerun of ``names_failures`` keeps
+    every input regardless, and the executor that ``fork`` and ``backward``
+    may run a branch on."""
 
     grad = True
     naming = False
+    helper = None
 
 
 _recording = _Recording()
@@ -94,6 +106,43 @@ def graph_free():
         yield
     finally:
         _recording.grad = previous
+
+
+@contextmanager
+def helper(executor):
+    """Within this thread, ``fork`` and ``backward`` may run a branch on
+    ``executor``, a pool of one thread that the caller owns and shuts down.
+    The helper's own thread has none, so it never waits on itself."""
+    previous = _recording.helper
+    _recording.helper = executor
+    try:
+        yield
+    finally:
+        _recording.helper = previous
+
+
+def fork(first, second, multiply_adds: int):
+    """``(first(), second())``, with ``second`` run on this thread's helper
+    while ``first`` runs here, when a graph is recorded and the calls'
+    largest products exceed ``_FORK_GEMM`` multiply-adds (``multiply_adds``,
+    counted by the caller); else the two in turn, here. Both outputs of a
+    fork are marked, so ``backward`` runs their graphs at once as well.
+
+    The calls must build their graphs from leaves and constants alone and
+    draw from no shared random stream. Gradients then equal those of the
+    calls in turn if every leaf that both read takes one gradient from each,
+    into a ``grad`` that is zero or absent: two adds commute."""
+    pool = _recording.helper
+    if pool is None or not _recording.grad or multiply_adds <= _FORK_GEMM:
+        return first(), second()
+    pending = pool.submit(second)
+    try:
+        a = first()
+    finally:
+        futures.wait((pending,))
+    b = pending.result()
+    a._branch = b._branch = True
+    return a, b
 
 
 def names_failures(fn):
@@ -139,9 +188,10 @@ class Tensor:
     active precision mode at creation). ``grad`` stays ``None`` until a
     backward pass or an optimizer sets it, and then matches ``data``'s shape;
     on an interior node the pass sets it back to ``None`` once propagated.
+    ``_branch`` marks an output of ``fork``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_branch")
 
     def __init__(self, data, requires_grad: bool = False, *, check: bool = True):
         self.data = np.asarray(data, dtype=active_dtype())
@@ -150,6 +200,7 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._op = "leaf"
+        self._branch = False
         if check:
             check_finite(self)
 
@@ -175,6 +226,7 @@ def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
     out._parents = tuple(parents) if _recording.grad or _recording.naming else ()
     out._backward = backward_fn if out.requires_grad else None
     out._op = op
+    out._branch = False
     return out
 
 
@@ -220,27 +272,69 @@ def backward(loss: Tensor) -> None:
     interior ``grad`` is None. A second pass over the same graph therefore
     adds one more pass's gradients to the leaves, as a pass over a new
     graph would.
+
+    When the graph holds a ``fork``'s outputs and this thread has a helper,
+    everything downstream of them runs first; then the graph of one output
+    runs here while the other's runs on the helper, each node in the order
+    a pass on one thread gives it, and the adds into shared leaves take
+    turns. A helper's error is raised here, after both have stopped.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(_topological_order(loss, grad_only=True)):
+    order = _topological_order(loss, grad_only=True)[::-1]
+    branches = _branches(order) if _recording.helper is not None else []
+    inside = {id(n) for branch in branches for n in branch}
+    lock = threading.Lock()
+    _propagate([n for n in order if id(n) not in inside], lock)
+    if branches:
+        pending = [_recording.helper.submit(_propagate, branch, lock) for branch in branches[1:]]
+        try:
+            _propagate(branches[0], lock)
+        finally:
+            futures.wait(pending)
+        for p in pending:
+            p.result()
+
+
+def _branches(order) -> list:
+    """The interior nodes of each ``fork`` output's graph, in ``order``, when
+    two or more such graphs can run at once: they share no node, and nothing
+    outside them reads a node inside but their outputs. Else none."""
+    roots = [n for n in order if n._branch]
+    if len(roots) < 2:
+        return []
+    members = [{id(n) for n in _topological_order(root, grad_only=True) if n._parents} for root in roots]
+    inside = set().union(*members)
+    outputs = {id(root) for root in roots}
+    if len(inside) < sum(map(len, members)) or any(
+            id(p) in inside and id(p) not in outputs
+            for n in order if id(n) not in inside for p in n._parents):
+        return []
+    return [[n for n in order if id(n) in ids] for ids in members]
+
+
+def _propagate(nodes, lock) -> None:
+    """Hand each node's gradient to its inputs, node by node; an add into a
+    leaf holds ``lock``, as a branch on another thread may share the leaf."""
+    for node in nodes:
         if node._backward is None:
             continue
         grads = node._backward(node.grad)
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
-                # only a leaf's grad is written in place, and it outlives the
-                # pass, so a shared array is copied only for a leaf
-                shared = g.base is not None or g is node.grad
-                parent.grad = g.copy() if shared and not parent._parents else g
-            elif parent._parents:
-                parent.grad = parent.grad + g
-            else:
-                parent.grad += g
+            if parent._parents:
+                parent.grad = g if parent.grad is None else parent.grad + g
+                continue
+            with lock:
+                if parent.grad is None:
+                    # a leaf's grad is written in place and outlives the
+                    # pass, so a shared array is copied
+                    parent.grad = g.copy() if g.base is not None or g is node.grad else g
+                else:
+                    parent.grad += g
         if node._parents:
             node.grad = None
 
@@ -291,7 +385,9 @@ def affine(x, w, b) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gx = (g2 @ w.data.T).reshape(shape) if flat else g @ w.data.T
+        gx = None
+        if x.requires_grad:
+            gx = (g2 @ w.data.T).reshape(shape) if flat else g @ w.data.T
         return gx, x.data.reshape(-1, k).T @ g2, _unbroadcast(g2.sum(axis=0), b.data.shape)
 
     return _make(data, (x, w, b), bw, "affine")
@@ -422,11 +518,12 @@ def layer_norm(x, gain, bias) -> Tensor:
             f"layer_norm gain/bias must have shape ({d},), got {gain.data.shape} and {bias.data.shape}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
-    xhat = centered * inv_std
-    data = gain.data * xhat + bias.data
+    xhat *= inv_std  # the centered values, normalized in place
+    data = gain.data * xhat
+    data += bias.data
 
     def bw(g):
         dxhat = g * gain.data
@@ -531,8 +628,8 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
         return x
     if rate >= 1.0:
         raise ContractError(f"dropout rate must be < 1, got {rate}")
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    mask = keep * (1.0 / (1.0 - rate))
+    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
+    mask *= 1.0 / (1.0 - rate)  # the keep mask, scaled in place
     data = x.data * mask
 
     def bw(g):

@@ -22,7 +22,6 @@ step for step.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
@@ -152,11 +151,13 @@ def _train_loop(
     targets from their caches, when given, runs the model and the combined
     loss, then backward and Adam; with neither cache the loss is the NLL.
 
-    With a cache, one worker thread computes the next step's targets while
-    this step runs (numpy releases the GIL in its BLAS calls and large
-    loops), and never a target past the last step. A worker's error is
-    raised at the step whose targets failed, and the worker is joined on
-    every way out of the loop."""
+    The run has one worker thread, started on its first task (numpy
+    releases the GIL in its BLAS calls and large loops). With a cache, it
+    computes the next step's targets while this step runs, and never a
+    target past the last step. It is also the step's ``tensor.helper``, so
+    a large teacher step encodes the future on it, forward and backward.
+    A worker's error is raised at the step it failed in, and the worker is
+    joined on every way out of the loop."""
     if not train_examples:
         raise DataError("training example list is empty")
     opt = Adam(model.params, learning_rate=tcfg.learning_rate, clip_norm=tcfg.grad_clip_norm)
@@ -171,7 +172,7 @@ def _train_loop(
     schedule = _schedule(train_examples, tcfg)
     upcoming = next(schedule)
     prefetch = teacher_cache is not None or lm_cache is not None
-    with ThreadPoolExecutor(max_workers=1) if prefetch else contextlib.nullcontext() as worker:
+    with ThreadPoolExecutor(max_workers=1) as worker, T.helper(worker):
         pending = worker.submit(targets, upcoming[1]) if prefetch else None
         while upcoming:
             step, batch = upcoming

@@ -1,6 +1,7 @@
 """The allocator policy that ``import dialdistill`` sets: memory a step frees
 stays in the process for the next step, instead of going back to the
-kernel and being faulted in again."""
+kernel and being faulted in again, and memory one thread frees serves
+every other."""
 
 import json
 import os
@@ -29,6 +30,26 @@ for _ in range(4):
 print(json.dumps(faults))
 """
 
+# a worker thread allocates, touches and frees twenty 8 MiB arrays, then the
+# main thread does the same; prints the minor page faults of each
+_WORKER_THEN_MAIN = """
+import json, resource, threading
+import dialdistill
+import numpy as np
+
+def one_round():
+    arrays = [np.ones(2 << 20, dtype=np.float32) for _ in range(20)]
+    del arrays
+
+def faults(run):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+worker = threading.Thread(target=one_round)
+print(json.dumps([faults(lambda: (worker.start(), worker.join())), faults(one_round)]))
+"""
+
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                     reason="the policy is set through glibc's mallopt")
@@ -45,6 +66,21 @@ def test_freed_arrays_are_reused_without_faulting():
     assert max(faults[1:]) < faults[0] / 50, faults
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the policy is set through glibc's mallopt")
+def test_arrays_a_worker_freed_are_reused_by_the_main_thread():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", _WORKER_THEN_MAIN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    worker, main = json.loads(run.stdout)
+    # with an arena per thread, the main thread faults its arrays in afresh,
+    # as many faults as the worker took, while the worker's stay mapped
+    assert worker > 1000, (worker, main)
+    assert main < worker / 50, (worker, main)
+
+
 def test_both_thresholds_are_set():
     calls = []
 
@@ -55,8 +91,8 @@ def test_both_thresholds_are_set():
             return 1
 
     dialdistill._keep_freed_memory(Libc())
-    # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 1 GiB
-    assert sorted(calls) == [(-3, 32 << 20), (-1, 1 << 30)]
+    # M_ARENA_MAX (-8) at 1, M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 1 GiB
+    assert sorted(calls) == [(-8, 1), (-3, 32 << 20), (-1, 1 << 30)]
 
 
 def test_a_libc_without_mallopt_is_left_alone():

@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -480,6 +481,26 @@ class TestDecoder:
         m = TransformerModel.build(tiny(dropout_rate=0.2), seed=8)
         with pytest.raises(ContractError):
             m.forward(self.hist, self.resp_in, train=True)
+
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_teacher_draws_the_masks_of_its_passes_in_turn(self, monkeypatch, forked):
+        # the future's dropout draws from a copy of the generator advanced
+        # past the history's draws, on the helper or here: every mask, and
+        # the generator after the pass, are those of the passes in turn
+        m = TransformerModel.build(tiny("scenario-based", dropout_rate=0.2), seed=8)
+        hist, resp_in = np.repeat(self.hist, 2, axis=0), np.repeat(self.resp_in, 2, axis=0)
+        future = np.array([[9, 10, 11], [4, 9, PAD]])
+        in_turn = np.random.default_rng(42)
+        memories = [m.encode(x, True, in_turn) for x in (hist, future)]
+        want = m.decode(resp_in, *memories, key_padding_mask(hist), key_padding_mask(future),
+                        train=True, rng=in_turn)
+        monkeypatch.setattr(T, "_FORK_GEMM", 0 if forked else 10**18)
+        rng = np.random.default_rng(42)
+        with ThreadPoolExecutor(max_workers=1) as pool, T.helper(pool):
+            got = m.forward(hist, resp_in, future=future, train=True, rng=rng)
+        for a, b in zip(want.hidden_states + [want.log_probs], got.hidden_states + [got.log_probs]):
+            assert np.array_equal(a.data, b.data)
+        assert rng.random() == in_turn.random()
 
 
 GIVEN = [(False, False), (True, False), (False, True), (True, True)]

@@ -471,6 +471,107 @@ def _optimizers(monkeypatch) -> list:
     return built
 
 
+class TestForkedEncoders:
+    """A large teacher step encodes the history here and the future on the
+    run's worker, forward and backward; the gate is lowered so that a small
+    teacher forks."""
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """The name of every task the run's worker is given."""
+        names = []
+        real = training.ThreadPoolExecutor.submit
+
+        def submit(pool, fn, *args, **kwargs):
+            names.append(getattr(fn, "__name__", repr(fn)))
+            return real(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(training.ThreadPoolExecutor, "submit", submit)
+        return names
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        threads = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: threads.append(thread) or start(thread))
+        return threads
+
+    @staticmethod
+    def _run(data, monkeypatch, gate):
+        train, val, _ = data
+        monkeypatch.setattr(T, "_FORK_GEMM", gate)
+        optimizers = _optimizers(monkeypatch)
+        res = train_teacher(train, val, small_config("scenario-based"), tcfg(max_steps=4, val_every=2))
+        opt = optimizers[-1]
+        return res, [res.model.params.values.copy(), opt.m.copy(), opt.v.copy()]
+
+    def test_bitwise_equal_to_the_encoders_in_turn(self, data, monkeypatch, submitted):
+        assert small_config("scenario-based").dropout_rate > 0
+        sequential, arrays = self._run(data, monkeypatch, 10**18)
+        assert submitted == []
+        forked, forked_arrays = self._run(data, monkeypatch, 0)
+        # each of the 4 steps: the future's encoder forward, then its backward
+        assert submitted == ["<lambda>", "_propagate"] * 4
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, forked_arrays))
+        assert forked.log == sequential.log and len(forked.log) == 4
+
+    def test_a_nan_in_a_forked_encoder_names_its_primitive(self, data, monkeypatch, started):
+        train, _, _ = data
+        monkeypatch.setattr(T, "_FORK_GEMM", 0)
+        model = TransformerModel.build(small_config("scenario-based"), 4)
+        model.params["enc.0.ln_attn.gain"].data[0] = np.nan
+        with pytest.raises(NumericError, match="primitive 'layer_norm'"):
+            training._train_loop(model, train, [], tcfg(max_steps=3))
+        assert len(started) == 1 and not started[0].is_alive()
+
+    @pytest.mark.parametrize("where", ["forward", "backward"])
+    def test_an_error_on_the_helper_reaches_the_caller(self, data, monkeypatch, started, where):
+        train, _, _ = data
+        monkeypatch.setattr(T, "_FORK_GEMM", 0)
+
+        def on_helper():
+            return threading.current_thread() is not threading.main_thread()
+
+        if where == "forward":
+            real = TransformerModel.encode
+
+            def encode(model, token_ids, train=False, rng=None):
+                if on_helper():
+                    raise DataError("future encoder forward")
+                return real(model, token_ids, train, rng)
+
+            monkeypatch.setattr(TransformerModel, "encode", encode)
+        else:
+            real = T._propagate
+
+            def propagate(nodes, lock):
+                if on_helper():
+                    raise DataError("future encoder backward")
+                return real(nodes, lock)
+
+            monkeypatch.setattr(T, "_propagate", propagate)
+        with pytest.raises(DataError, match=f"future encoder {where}"):
+            train_teacher(train, [], small_config("scenario-based"), tcfg(max_steps=3))
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_graph_free_passes_never_submit(self, data, teacher, monkeypatch, submitted):
+        # validation and the frozen teacher's targets record no graph, so
+        # they encode in turn even above the gate; the worker computes only
+        # the targets of a student run
+        train, val, _ = data
+        monkeypatch.setattr(T, "_FORK_GEMM", 0)
+        forks = []
+        real = T.fork
+        monkeypatch.setattr(T, "fork", lambda *a: forks.append(T._recording.grad) or real(*a))
+        train_teacher(train, val, small_config("scenario-based"), tcfg(max_steps=2, val_every=1))
+        assert submitted == ["<lambda>", "_propagate"] * 2
+        assert forks == [True, False, True, False]  # each step, then its validation
+        submitted.clear()
+        forks.clear()
+        train_student(train, val, teacher, small_config("conventional"), tcfg(max_steps=2, val_every=1))
+        assert submitted == ["targets"] * 2 and forks == [False] * 2
+
+
 class TestGradientLifetime:
     def test_parameter_gradients_are_zeroed_slices_at_every_pass(
         self, data, teacher, lm_teacher, monkeypatch
@@ -564,6 +665,32 @@ class TestGradientLifetime:
         train_student(train, val, teacher, small_config("conventional"),
                       tcfg(max_steps=3, hard_transfer_scope="encoder"))
         assert visited == [0] * 3 and written == [(True, [])] * 3
+
+    def test_affine_skips_the_input_gradient_of_a_frozen_input(self, data, teacher):
+        # in an encoder-scope student step, the affine nodes that read an input
+        # needing no gradient (the frozen memory, the frozen embedding's
+        # output) hand it none, and the trainable tensors' gradients equal
+        # those of the same step with nothing frozen, where every affine does
+        train, _, _ = data
+        batch = batchify(train[:8], 8, seed=None)[0]
+        grads, skipping = [], []
+        for frozen in (True, False):
+            student = TransformerModel.build(small_config("conventional"), 3)
+            names = hard_transfer_init(student.params, teacher.params, "encoder")
+            if not frozen:
+                for n in names:
+                    student.params[n].requires_grad = True
+            out = forward_batch(student, batch, train=True, rng=np.random.default_rng(6))
+            loss = losses.nll_sum(out.log_probs, batch.response_target, batch.target_mask)
+            nodes = T._topological_order(loss, grad_only=True)
+            affines = [n for n in nodes if n._op == "affine" and not n._parents[0].requires_grad]
+            skipping.append([n._backward(np.ones_like(n.data))[0] is None for n in affines])
+            T.backward(loss)
+            grads.append({n: t.grad.copy() for n, t in student.params.update_targets() if n not in names})
+        # the decoder block's self-attention q, k, v and cross-attention k, v
+        assert skipping == [[True] * 5, []]
+        assert grads[0].keys() == grads[1].keys()
+        assert all(np.array_equal(grads[0][n], grads[1][n]) for n in grads[0])
 
     def test_two_passes_over_a_desk_student_loss_double_one_pass(self, data):
         train, _, vocab = data
