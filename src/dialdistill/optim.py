@@ -5,7 +5,10 @@ Adam owns the one flat gradient buffer: each tensor's ``grad`` is its slice,
 which ``backward`` adds into. A step reads the targets' slices where they lie
 and, if their L2 norm exceeds ``clip_norm``, scales them by ``clip_norm / norm``.
 The update then writes the flat moments and ``values`` in place, with bias
-correction and the fixed constants ``BETA1``, ``BETA2`` and ``EPSILON``.
+correction and the fixed constants ``BETA1``, ``BETA2`` and ``EPSILON``, and
+zeroes the gradient chunk by chunk. A step over more than ``SPLIT_SIZE``
+elements shares the norm and the update with the thread's ``tensor.helper``;
+each element's arithmetic is that of one thread.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ContractError, NumericError
 
 BETA1 = 0.9
@@ -21,6 +25,23 @@ BETA2 = 0.999
 EPSILON = 1e-8
 # elements per pass of the update: its dozen passes then stay in cache
 CHUNK = 1 << 16
+# a step over more targets' elements than this runs half of its work on the helper
+SPLIT_SIZE = 16 * CHUNK
+
+
+def _halves(slices) -> tuple:
+    """``slices`` cut where the two parts' elements come closest to equal, when
+    they total more than ``SPLIT_SIZE``; else all of them and none."""
+    ends = np.cumsum([s.stop - s.start for s in slices])
+    if not slices or ends[-1] <= SPLIT_SIZE:
+        return slices, []
+    cut = int(np.argmin(np.abs(ends - ends[-1] / 2))) + 1
+    return slices[:cut], slices[cut:]
+
+
+def _scratch(slices) -> np.ndarray:
+    """float64 room for the largest of ``slices`` squared, or the update's two chunks."""
+    return np.empty(max([s.stop - s.start for s in slices] + [2 * CHUNK]), dtype=np.float64)
 
 
 class Adam:
@@ -40,53 +61,69 @@ class Adam:
                 view[...] = t.grad
             t.grad = view
         self.targets = [(n, t, t.grad, params.span(n)) for n, t in params.update_targets()]
-        self._runs = []  # [start, stop) of adjacent targets
+        runs = []  # [start, stop) of adjacent targets
         for *_, span in self.targets:
-            if self._runs and self._runs[-1][1] == span.start:
-                self._runs[-1][1] = span.stop
+            if runs and runs[-1][1] == span.start:
+                runs[-1][1] = span.stop
             else:
-                self._runs.append([span.start, span.stop])
-        # float64: one target's squared gradient, or the update's two chunks
-        largest = max((span.stop - span.start for *_, span in self.targets), default=0)
-        self._scratch = np.empty(max(largest, 2 * CHUNK), dtype=np.float64)
+                runs.append([span.start, span.stop])
+        self._spans = _halves([span for *_, span in self.targets])
+        self._chunks = _halves([slice(lo, min(lo + CHUNK, b)) for a, b in runs for lo in range(a, b, CHUNK)])
+        self._scratch = _scratch(self._spans[0] + self._spans[1])
 
     def step(self) -> float:
-        """Apply one update and zero ``grad``; returns the pre-clip global
-        gradient norm. A non-finite gradient, or a target whose ``grad`` is no
-        longer its slice of ``grad``, aborts the step before any parameter or
-        moment changes."""
-        total = 0.0
-        for name, t, view, span in self.targets:
+        """Apply one update and zero the targets' ``grad``; returns the pre-clip
+        global gradient norm. A non-finite gradient, or a target whose ``grad``
+        is no longer its slice of ``grad``, aborts the step before any parameter
+        or moment changes."""
+        for name, t, view, _ in self.targets:
             if t.grad is not view:
                 raise ContractError(f"the gradient of {name!r} is no longer its slice of Adam.grad; step aborted")
-            # a float64 sum per target, equal to (grad.astype(np.float64) ** 2).sum()
-            wide = self._scratch[: span.stop - span.start]
-            total += float(np.square(self.grad[span], out=wide, dtype=np.float64).sum())
+        total = 0.0
+        for square_sum in self._on_both(self._square_sums, self._spans):
+            total += square_sum  # in target order
         norm = math.sqrt(total)
         if not math.isfinite(norm):
             # a non-finite entry stays so when clipped; finite squares can overflow
             for name, _, _, span in self.targets:
                 if not np.isfinite(self.grad[span]).all():
                     raise NumericError(f"non-finite gradient for {name!r}; step aborted")
-        if 0 < self.clip_norm < norm:
-            self.grad *= self.clip_norm / norm
-
+        scale = self.clip_norm / norm if 0 < self.clip_norm < norm else None
         self.step_count += 1
-        bc1, bc2 = 1.0 - BETA1**self.step_count, 1.0 - BETA2**self.step_count
-        chunks = self._scratch.view(self.m.dtype)
-        for a, b in self._runs:
-            for lo in range(a, b, CHUNK):
-                hi = min(lo + CHUNK, b)
-                m, v, g = self.m[lo:hi], self.v[lo:hi], self.grad[lo:hi]
-                s, u = chunks[: hi - lo], chunks[CHUNK : CHUNK + hi - lo]
-                m *= BETA1
-                m += np.multiply(g, 1.0 - BETA1, out=s)
-                v *= BETA2
-                v += np.multiply(np.multiply(g, g, out=s), 1.0 - BETA2, out=s)
-                # values -= lr * (m / bc1) / (sqrt(v / bc2) + EPSILON), in that order
-                np.sqrt(np.divide(v, bc2, out=s), out=s)
-                s += EPSILON
-                np.multiply(np.divide(m, bc1, out=u), self.learning_rate, out=u)
-                self.params.values[lo:hi] -= np.divide(u, s, out=u)
-        self.grad.fill(0)
+        self._on_both(lambda chunks, wide: self._update(chunks, wide, scale), self._chunks)
         return norm
+
+    def _on_both(self, work, halves) -> list:
+        """``work(half, scratch)`` over both halves, joined; the second half on
+        the helper, with a scratch of its own for this step only."""
+        first, second = halves
+        if not second:
+            return work(first, self._scratch)
+        a, b = T.both(lambda: work(first, self._scratch), lambda: work(second, _scratch(second)))
+        return a + b
+
+    def _square_sums(self, spans, wide) -> list:
+        """Each span's squared gradient summed in float64, equal to
+        ``(grad.astype(np.float64) ** 2).sum()``."""
+        return [float(np.square(self.grad[s], out=wide[: s.stop - s.start], dtype=np.float64).sum()) for s in spans]
+
+    def _update(self, chunks, wide, scale) -> list:
+        """Clip by ``scale``, update and zero each chunk in turn."""
+        buf = wide.view(self.m.dtype)
+        bc1, bc2 = 1.0 - BETA1**self.step_count, 1.0 - BETA2**self.step_count
+        for c in chunks:
+            m, v, g = self.m[c], self.v[c], self.grad[c]
+            s, u = buf[: c.stop - c.start], buf[CHUNK : CHUNK + c.stop - c.start]
+            if scale is not None:
+                g *= scale
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=s)
+            v *= BETA2
+            v += np.multiply(np.multiply(g, g, out=s), 1.0 - BETA2, out=s)
+            # values -= lr * (m / bc1) / (sqrt(v / bc2) + EPSILON), in that order
+            np.sqrt(np.divide(v, bc2, out=s), out=s)
+            s += EPSILON
+            np.multiply(np.divide(m, bc1, out=u), self.learning_rate, out=u)
+            self.params.values[c] -= np.divide(u, s, out=u)
+            g.fill(0)
+        return []

@@ -31,8 +31,9 @@ inputs does, and a leaf's ``requires_grad`` says whether it is learned.
 
 Within ``helper(executor)``, also a switch of the calling thread, ``fork``
 runs two large independent passes at once, one on the executor's thread,
-and ``backward`` then runs their two graphs at once too. The arithmetic is
-that of the two passes in turn.
+and ``backward`` then runs their two graphs at once too; ``backward`` also
+hands large parameter gradients to the executor while it goes on down the
+input gradients. The arithmetic is that of one thread.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ _SMALL_GEMM = 100**3
 # many multiply-adds; smaller passes spend their time in Python, under the GIL,
 # and a forked desk teacher step is no faster
 _FORK_GEMM = 64 * _SMALL_GEMM
+# `backward` computes a parameter gradient on the helper only when the node's
+# output gradient exceeds this many elements: every paper-width one, no desk one
+_DEFER_SIZE = 1 << 16
 LAYER_NORM_EPSILON = 1e-5
 
 
@@ -122,8 +126,7 @@ def helper(executor):
 
 
 def fork(first, second, multiply_adds: int):
-    """``(first(), second())``, with ``second`` run on this thread's helper
-    while ``first`` runs here, when a graph is recorded and the calls'
+    """``both(first, second)`` when a graph is recorded and the calls'
     largest products exceed ``_FORK_GEMM`` multiply-adds (``multiply_adds``,
     counted by the caller); else the two in turn, here. Both outputs of a
     fork are marked, so ``backward`` runs their graphs at once as well.
@@ -132,17 +135,27 @@ def fork(first, second, multiply_adds: int):
     draw from no shared random stream. Gradients then equal those of the
     calls in turn if every leaf that both read takes one gradient from each,
     into a ``grad`` that is zero or absent: two adds commute."""
+    if _recording.helper is None or not _recording.grad or multiply_adds <= _FORK_GEMM:
+        return first(), second()
+    a, b = both(first, second)
+    a._branch = b._branch = True
+    return a, b
+
+
+def both(first, second):
+    """``(first(), second())``, with ``second`` run on this thread's helper
+    while ``first`` runs here, or here after ``first`` if the helper has not
+    started it by then; without a helper, the two in turn."""
     pool = _recording.helper
-    if pool is None or not _recording.grad or multiply_adds <= _FORK_GEMM:
+    if pool is None:
         return first(), second()
     pending = pool.submit(second)
     try:
         a = first()
     finally:
-        futures.wait((pending,))
-    b = pending.result()
-    a._branch = b._branch = True
-    return a, b
+        if not pending.cancel():
+            futures.wait((pending,))
+    return a, second() if pending.cancelled() else pending.result()
 
 
 def names_failures(fn):
@@ -273,25 +286,36 @@ def backward(loss: Tensor) -> None:
     adds one more pass's gradients to the leaves, as a pass over a new
     graph would.
 
-    When the graph holds a ``fork``'s outputs and this thread has a helper,
-    everything downstream of them runs first; then the graph of one output
-    runs here while the other's runs on the helper, each node in the order
-    a pass on one thread gives it, and the adds into shared leaves take
-    turns. A helper's error is raised here, after both have stopped.
+    With a helper on this thread, a parameter's gradient from a node whose
+    gradient exceeds ``_DEFER_SIZE`` elements is computed and added on the
+    helper while this thread goes on (``_LeafAdds``); all such adds end before
+    the pass goes on to a ``fork``'s graphs, and before it returns. When the
+    graph holds a ``fork``'s outputs, everything downstream of them runs
+    first; then the graph of one output runs here while the other's runs on
+    the helper, each node in the order a pass on one thread gives it, and the
+    adds into shared leaves take turns. A helper's error is raised here,
+    after both have stopped.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
 
     loss.grad = np.ones_like(loss.data)
     order = _topological_order(loss, grad_only=True)[::-1]
-    branches = _branches(order) if _recording.helper is not None else []
+    pool = _recording.helper
+    branches = _branches(order) if pool is not None else []
     inside = {id(n) for branch in branches for n in branch}
     lock = threading.Lock()
-    _propagate([n for n in order if id(n) not in inside], lock)
+    adds = _LeafAdds(lock, pool)
+    try:
+        _propagate([n for n in order if id(n) not in inside], adds)
+    except BaseException:
+        adds.join(failed=True)
+        raise
+    adds.join()
     if branches:
-        pending = [_recording.helper.submit(_propagate, branch, lock) for branch in branches[1:]]
+        pending = [pool.submit(_propagate, branch, _LeafAdds(lock)) for branch in branches[1:]]
         try:
-            _propagate(branches[0], lock)
+            _propagate(branches[0], _LeafAdds(lock))
         finally:
             futures.wait(pending)
         for p in pending:
@@ -315,26 +339,79 @@ def _branches(order) -> list:
     return [[n for n in order if id(n) in ids] for ids in members]
 
 
-def _propagate(nodes, lock) -> None:
-    """Hand each node's gradient to its inputs, node by node; an add into a
-    leaf holds ``lock``, as a branch on another thread may share the leaf."""
+class _LeafAdds:
+    """The adds of one backward pass into leaves, each under ``lock``, as a
+    branch on another thread may share a leaf. Given a ``pool``, a deferred
+    gradient (a call that computes it) is computed and added there while
+    the pass goes on, unless an earlier one still waits unstarted: then it
+    is computed here, so a busy pool gets no backlog. An add into a leaf
+    whose add on the pool has not ended follows it there, so every leaf
+    takes its adds in the order of a pass on one thread."""
+
+    def __init__(self, lock, pool=None):
+        self.lock, self.pool = lock, pool
+        self.tasks = []  # (future, [leaf, gradient]) per add handed to the pool, in order
+        self.last = {}  # id(leaf) -> the future of its latest add on the pool
+
+    def __call__(self, leaf, g) -> None:
+        last = self.last.get(id(leaf))
+        idle = not self.tasks or self.tasks[-1][0].running() or self.tasks[-1][0].done()
+        if last is not None and not last.done() or callable(g) and self.pool is not None and idle:
+            item = [leaf, g]
+            self.tasks.append((self.pool.submit(self._run, item), item))
+            self.last[id(leaf)] = self.tasks[-1][0]
+        else:
+            self.add(leaf, g)
+
+    def _run(self, item) -> None:
+        leaf, g = item
+        item.clear()  # an add that ran keeps no gradient alive
+        self.add(leaf, g)
+
+    def add(self, leaf, g) -> None:
+        g = g() if callable(g) else g
+        with self.lock:
+            if leaf.grad is None:
+                # a leaf's grad is written in place and outlives the pass,
+                # so a shared array is copied
+                leaf.grad = g.copy() if g.base is not None else g
+            else:
+                leaf.grad += g
+
+    def join(self, failed: bool = False) -> None:
+        """Wait for the adds on the pool, those it has not started cancelled;
+        then, unless the pass ``failed``, raise a pool's error or run the
+        cancelled adds here, in order."""
+        rest = [item for task, item in reversed(self.tasks) if task.cancel()][::-1]
+        started = [task for task, _ in self.tasks if not task.cancelled()]
+        futures.wait(started)  # a cancelled task counts as done only once the pool reaches it
+        if failed:
+            return
+        for task in started:
+            task.result()
+        for leaf, g in rest:
+            self.add(leaf, g)
+
+
+def _propagate(nodes, adds) -> None:
+    """Hand each node's gradient to its inputs, node by node, and to a leaf
+    through ``adds``. A parameter gradient that a primitive returns as a
+    call is left to ``adds`` when the node's gradient exceeds
+    ``_DEFER_SIZE`` elements, else computed here."""
     for node in nodes:
         if node._backward is None:
             continue
         grads = node._backward(node.grad)
+        large = node.grad.size > _DEFER_SIZE
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
+            if callable(g) and (parent._parents or not large):
+                g = g()
             if parent._parents:
                 parent.grad = g if parent.grad is None else parent.grad + g
-                continue
-            with lock:
-                if parent.grad is None:
-                    # a leaf's grad is written in place and outlives the
-                    # pass, so a shared array is copied
-                    parent.grad = g.copy() if g.base is not None or g is node.grad else g
-                else:
-                    parent.grad += g
+            else:
+                adds(parent, g.copy() if g is node.grad else g)
         if node._parents:
             node.grad = None
 
@@ -383,12 +460,12 @@ def affine(x, w, b) -> Tensor:
         data = x.data @ w.data
     data += b.data  # in place: the same sums, without a second (rows, n) array
 
-    def bw(g):
+    def bw(g):  # the weight and bias gradients as calls, for `_propagate` to defer
         g2 = g.reshape(-1, g.shape[-1])
         gx = None
         if x.requires_grad:
             gx = (g2 @ w.data.T).reshape(shape) if flat else g @ w.data.T
-        return gx, x.data.reshape(-1, k).T @ g2, _unbroadcast(g2.sum(axis=0), b.data.shape)
+        return gx, lambda: x.data.reshape(-1, k).T @ g2, lambda: _unbroadcast(g2.sum(axis=0), b.data.shape)
 
     return _make(data, (x, w, b), bw, "affine")
 
@@ -525,14 +602,12 @@ def layer_norm(x, gain, bias) -> Tensor:
     data = gain.data * xhat
     data += bias.data
 
-    def bw(g):
+    def bw(g):  # the gain and bias gradients as calls, for `_propagate` to defer
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         gx = (dxhat - m1 - xhat * m2) * inv_std
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
-        gbias = g.reshape(-1, d).sum(axis=0)
-        return gx, ggain, gbias
+        return gx, lambda: (g * xhat).reshape(-1, d).sum(axis=0), lambda: g.reshape(-1, d).sum(axis=0)
 
     return _make(data, (x, gain, bias), bw, "layer_norm")
 
@@ -549,10 +624,13 @@ def embedding(table, ids) -> Tensor:
         )
     data = table.data[ids]
 
-    def bw(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return (gt,)
+    def bw(g):  # the table's gradient as a call, for `_propagate` to defer
+        def scatter():
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+            return gt
+
+        return (scatter,)
 
     return _make(data, (table,), bw, "embedding")
 

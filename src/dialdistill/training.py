@@ -22,6 +22,7 @@ step for step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -152,10 +153,11 @@ def _train_loop(
     loss, then backward and Adam; with neither cache the loss is the NLL.
 
     The run has one worker thread, started on its first task (numpy
-    releases the GIL in its BLAS calls and large loops). With a cache, it
-    computes the next step's targets while this step runs, and never a
-    target past the last step. It is also the step's ``tensor.helper``, so
-    a large teacher step encodes the future on it, forward and backward.
+    releases the GIL in its BLAS calls and large loops). When the frozen
+    teachers' work is large, as ``tensor.fork`` judges a pass, it computes
+    the next step's targets while this step runs, and never a target past
+    the last step. It is also the step's ``tensor.helper``, for a large
+    step's forked encoders, parameter gradients and half of Adam's work.
     A worker's error is raised at the step it failed in, and the worker is
     joined on every way out of the loop."""
     if not train_examples:
@@ -169,16 +171,23 @@ def _train_loop(
         teacher_probs, teacher_hiddens = teacher_cache.outputs(batch) if teacher_cache else (None, None)
         return teacher_probs, teacher_hiddens, lm_cache.outputs(batch)[0] if lm_cache else None
 
+    def prefetch(batch):
+        """A call that returns ``batch``'s targets, computed on the worker
+        from now on when the frozen teachers' work is large."""
+        cfg = model.config
+        if (teacher_cache or lm_cache) and batch.history.size * cfg.model_dim * cfg.ffn_dim > T._FORK_GEMM:
+            return worker.submit(targets, batch).result
+        return functools.partial(targets, batch)
+
     schedule = _schedule(train_examples, tcfg)
     upcoming = next(schedule)
-    prefetch = teacher_cache is not None or lm_cache is not None
     with ThreadPoolExecutor(max_workers=1) as worker, T.helper(worker):
-        pending = worker.submit(targets, upcoming[1]) if prefetch else None
+        pending = prefetch(upcoming[1])
         while upcoming:
             step, batch = upcoming
             upcoming = next(schedule, None)
-            teacher_probs, teacher_hiddens, lm_probs = pending.result() if prefetch else (None, None, None)
-            pending = worker.submit(targets, upcoming[1]) if prefetch and upcoming else None
+            teacher_probs, teacher_hiddens, lm_probs = pending()
+            pending = prefetch(upcoming[1]) if upcoming else None
             rng = np.random.default_rng([tcfg.seed, 11, step])
             out = forward_batch(model, batch, train=True, rng=rng)
             loss, breakdown = total_loss(

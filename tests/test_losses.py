@@ -1,13 +1,17 @@
 """Closed-form oracle checks for every loss component and the optimizer."""
 
+import contextlib
 import math
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from dialdistill import losses, tensor as T
-from dialdistill.errors import ContractError, NumericError, ShapeError
+from dialdistill import losses, optim, tensor as T
+from dialdistill.errors import ContractError, DataError, NumericError, ShapeError
 from dialdistill.model import ParameterSet
 from dialdistill.optim import BETA1, BETA2, EPSILON, Adam
 
@@ -493,7 +497,8 @@ class TestAdam:
             for _, t in ps.items():
                 t.grad[...] = 1.0
             opt.step()
-        assert not opt.grad.any()
+        # the step zeroes the targets' gradient; no pass writes the others'
+        assert not opt.grad[ps.span("a")].any()
         for name in ("table", "frozen"):
             span = ps.span(name)
             assert np.array_equal(ps.values[span], before[span]), name
@@ -534,3 +539,92 @@ class TestAdam:
             opt.step()
         assert np.array_equal(ps.values, [1.0, 2.0]) and opt.step_count == 0
         assert not opt.m.any() and not opt.v.any()
+
+
+class TestSplitAdam:
+    """A step over more than ``SPLIT_SIZE`` elements runs half of its norms
+    and of its update on the thread's helper; the gates are lowered so that
+    a small step splits. Every result is bitwise that of one thread."""
+
+    @pytest.fixture(autouse=True)
+    def split(self, monkeypatch):
+        monkeypatch.setattr(optim, "SPLIT_SIZE", 0)
+        monkeypatch.setattr(optim, "CHUNK", 64)
+
+    @staticmethod
+    def run(pool=None, steps=3, scale=1.0, spoil=None):
+        """``steps`` float32 steps over four targets in eight chunks; returns
+        the norms and the state, or the error a step raised and the state."""
+        rng = np.random.default_rng(8)
+        with T.precision("single"):
+            ps = ParameterSet([("a", (40, 7), True), ("b", (3,), True), ("c", (130,), True), ("d", (9, 9), True)])
+            ps.values[...] = rng.standard_normal(ps.values.shape)
+            opt = Adam(ps, learning_rate=0.01, clip_norm=2.0)
+        assert all(opt._spans) and all(opt._chunks)
+        norms = []
+        try:
+            for _ in range(steps):
+                for _, t in ps.items():
+                    t.grad[...] = rng.standard_normal(t.data.shape) * scale
+                if spoil:
+                    ps[spoil].grad[-1] = np.nan
+                with T.helper(pool) if pool else contextlib.nullcontext():
+                    norms.append(opt.step())
+        except NumericError as e:
+            norms.append(e)
+        return norms, [ps.values.copy(), opt.m.copy(), opt.v.copy(), opt.grad.copy(), opt.step_count]
+
+    @staticmethod
+    def same(a, b):
+        assert [str(x) for x in a[0]] == [str(x) for x in b[0]]
+        assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a[1], b[1]))
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """The helper, and the name of every task it is given."""
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.names = []
+            real = pool.submit
+            monkeypatch.setattr(pool, "submit", lambda fn, *a: pool.names.append(fn.__name__) or real(fn, *a))
+            yield pool
+
+    @pytest.mark.parametrize("scale", [0.01, 10.0], ids=["unclipped", "clipped"])
+    def test_bitwise_the_one_thread_step(self, pool, scale):
+        want = self.run(scale=scale)
+        assert (want[0][-1] > 2.0) == (scale > 1)
+        self.same(self.run(pool, scale=scale), want)
+        assert len(pool.names) == 2 * 3  # the norms' half and the update's, each step
+
+    @pytest.mark.parametrize("spoil", ["a", "d"], ids=["caller-half", "helper-half"])
+    def test_a_nan_gradient_aborts_before_any_change(self, pool, spoil):
+        want = self.run(steps=2, spoil=spoil)
+        got = self.run(pool, steps=2, spoil=spoil)
+        assert isinstance(got[0][0], NumericError) and got[1][4] == 0
+        assert not got[1][1].any() and not got[1][2].any()
+        self.same(got, want)
+
+    def test_a_busy_helper_leaves_both_halves_here(self, pool):
+        busy = threading.Event()
+        release = threading.Timer(30, busy.set)  # a step that waits for the helper fails, not hangs
+        release.start()
+        pool.submit(busy.wait)
+        try:
+            got = self.run(pool)
+            assert not busy.is_set()
+        finally:
+            busy.set()
+            release.cancel()
+        self.same(got, self.run())
+
+    def test_an_error_in_the_helpers_half_reaches_the_caller(self, pool, monkeypatch):
+        real = Adam._update
+
+        def update(opt, chunks, wide, scale):
+            if threading.current_thread() is not threading.main_thread():
+                raise DataError("the helper's half failed")
+            time.sleep(0.05)  # so the helper starts its half
+            return real(opt, chunks, wide, scale)
+
+        monkeypatch.setattr(Adam, "_update", update)
+        with pytest.raises(DataError, match="helper's half"):
+            self.run(pool)

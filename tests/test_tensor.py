@@ -1,14 +1,18 @@
 """Gradient checks for every autodiff primitive against finite differences."""
 
 import inspect
+import itertools
 import re
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from dialdistill import losses, tensor as T
-from dialdistill.errors import ContractError, NumericError, ShapeError, VocabularyError
+from dialdistill.errors import ContractError, DataError, NumericError, ShapeError, VocabularyError
 from dialdistill.model import ParameterSet, TransformerModel, desk_config, paper_config
 from dialdistill.optim import Adam
 
@@ -695,6 +699,7 @@ def backward_copying_views(loss):
         for parent, g in zip(node._parents, node._backward(node.grad)):
             if g is None or not parent.requires_grad:
                 continue
+            g = g() if callable(g) else g  # a parameter gradient a primitive left to be computed
             if parent.grad is None:
                 parent.grad = g.copy() if g.base is not None or g is node.grad else g
             else:
@@ -783,3 +788,133 @@ class TestRandomizedGradients:
                 return T.tsum(T.mul(p, xx))
 
             fd_check(build, [x, w, b, ln_g, ln_b], rtol=1e-5)
+
+
+class TestDeferredGradients:
+    """With a helper and the size gate lowered, ``backward`` computes and adds
+    parameter gradients on the helper while it goes on; every leaf's adds
+    keep the order of a pass on one thread."""
+
+    @pytest.fixture(autouse=True)
+    def deferred(self, monkeypatch):
+        monkeypatch.setattr(T, "_DEFER_SIZE", 0)
+
+    @staticmethod
+    def three_reads():
+        """A float32 weight read by three affine nodes, whose gradients differ
+        so in scale that adding them in another order rounds otherwise."""
+        rng = np.random.default_rng(11)
+        w = T.Tensor(rng.standard_normal((6, 5)).astype(np.float32), requires_grad=True)
+        b = T.Tensor(np.zeros(5, np.float32), requires_grad=True)
+        ys = [T.affine(T.Tensor(rng.standard_normal((7, 6)).astype(np.float32) * scale), w, b)
+              for scale in (1.0, 3e3, 1e-3)]
+        return [w, b], T.tsum(T.mul(T.concat(ys, axis=0), rng.standard_normal((21, 5)).astype(np.float32)))
+
+    @staticmethod
+    def desk_step():
+        """A desk model's training loss, and its parameters, each read once."""
+        model = TransformerModel.build(desk_config(30), seed=2)
+        rng = np.random.default_rng(2)
+        out = model.forward(rng.integers(4, 30, (16, 12)), rng.integers(4, 30, (16, 7)), train=True, rng=rng)
+        loss = losses.nll_sum(out.log_probs, rng.integers(4, 30, (16, 7)), np.ones((16, 7)))
+        return [t for _, t in model.params.update_targets()], loss
+
+    @staticmethod
+    def grads(build, pool=None):
+        leaves, loss = build()
+        if pool is None:
+            T.backward(loss)
+        else:
+            with T.helper(pool):
+                T.backward(loss)
+        return [leaf.grad for leaf in leaves]
+
+    @staticmethod
+    def record(monkeypatch, method, on_each):
+        """Call ``on_each(item or gradient)`` before each call of ``_LeafAdds.<method>``."""
+        real = getattr(T._LeafAdds, method)
+
+        def recorded(adds, *args):
+            on_each(*args)
+            return real(adds, *args)
+
+        monkeypatch.setattr(T._LeafAdds, method, recorded)
+
+    def test_a_leaf_read_three_times_takes_its_adds_in_one_thread_order(self, monkeypatch):
+        w = self.three_reads()[0][0]
+        added = []
+        with monkeypatch.context() as m:
+            self.record(m, "add", lambda leaf, g: added.append(g() if callable(g) else g))
+            want = self.grads(self.three_reads)
+        # the weight's three gradients, as the one-thread pass adds them
+        parts = [g for g in added if g.shape == w.data.shape]
+        assert len(parts) == 3
+        assert len({(a + b + c).tobytes() for a, b, c in itertools.permutations(parts)}) > 1
+        # the pool lags, so the pass runs ahead of it
+        self.record(monkeypatch, "_run", lambda item: time.sleep(0.01))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            handed = []
+            real = pool.submit
+            monkeypatch.setattr(pool, "submit", lambda fn, item: handed.append(item[0].data.shape) or real(fn, item))
+            got = self.grads(self.three_reads, pool)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        assert handed.count(w.data.shape) == 3
+
+    @pytest.mark.parametrize("build", ["three_reads", "desk_step"])
+    def test_a_busy_helper_holds_one_waiting_gradient_and_the_pass_ends(self, monkeypatch, build):
+        build = getattr(self, build)
+        want = self.grads(build)
+        leaves, loss = build()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            busy = threading.Event()
+            release = threading.Timer(30, busy.set)  # a pass that waits for the helper fails, not hangs
+            release.start()
+            pool.submit(busy.wait)
+            waiting = []
+            real = pool.submit
+
+            def submit(fn, *args):
+                waiting.append(real(fn, *args))
+                return waiting[-1]
+
+            monkeypatch.setattr(pool, "submit", submit)
+            try:
+                with T.helper(pool):
+                    T.backward(loss)
+                assert not busy.is_set()
+            finally:
+                busy.set()
+                release.cancel()
+        # one gradient waits, and the weight's later two queue behind it
+        assert len(waiting) == (3 if build == self.three_reads else 1)
+        assert all(task.cancelled() for task in waiting)
+        assert all(np.array_equal(a, leaf.grad) for a, leaf in zip(want, leaves))
+
+    def test_desk_step_is_bitwise_the_one_thread_pass(self):
+        want = self.grads(self.desk_step)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            got = self.grads(self.desk_step, pool)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_an_error_is_raised_here_once_the_helper_stopped(self, monkeypatch, where):
+        leaves, loss = self.desk_step()
+        if where == "helper":
+            def fail(item):
+                if threading.current_thread() is not threading.main_thread():
+                    raise DataError("a deferred gradient failed on the helper")
+
+            self.record(monkeypatch, "_run", fail)
+        else:  # the pass fails here, late, while the helper holds adds
+
+            def fail(g):
+                raise DataError("a node failed on the caller")
+
+            next(n for n in T._topological_order(loss, grad_only=True) if n._op == "embedding")._backward = fail
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            tasks = []
+            real = pool.submit
+            monkeypatch.setattr(pool, "submit", lambda fn, *args: tasks.append(real(fn, *args)) or tasks[-1])
+            with T.helper(pool), pytest.raises(DataError, match=f"on the {where}"):
+                T.backward(loss)
+            assert tasks and all(task.done() for task in tasks)

@@ -1,6 +1,8 @@
 """Trainer behavior: determinism, the lambda1=0 identity, frozen tensors,
 hard transfer, and logging."""
 
+import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -8,13 +10,14 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dialdistill import losses, tensor as T
+from dialdistill import losses, optim, tensor as T
 from dialdistill import training
 from dialdistill.corpus import EncodedExample, batchify, encode_example
 from dialdistill.errors import ContractError, DataError, NumericError
@@ -381,7 +384,12 @@ class TestTeacherTargetCache:
 
 class TestTargetWorker:
     """One worker thread computes the next step's frozen-teacher targets
-    while the student's step runs."""
+    while the student's step runs, when their work is large; the gate is
+    lowered so that desk-size targets go to the worker."""
+
+    @pytest.fixture(autouse=True)
+    def large(self, monkeypatch):
+        monkeypatch.setattr(T, "_FORK_GEMM", 0)
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -570,6 +578,85 @@ class TestForkedEncoders:
         forks.clear()
         train_student(train, val, teacher, small_config("conventional"), tcfg(max_steps=2, val_every=1))
         assert submitted == ["targets"] * 2 and forks == [False] * 2
+
+
+class TestHelperWork:
+    """A large step computes its parameter gradients and half of Adam's work
+    on the run's worker; the gates are lowered so that a desk-size step
+    does. Every run is bitwise the run with no helper at all."""
+
+    @pytest.fixture(autouse=True)
+    def lowered(self, monkeypatch):
+        monkeypatch.setattr(T, "_DEFER_SIZE", 0)
+        monkeypatch.setattr(optim, "SPLIT_SIZE", 0)
+        monkeypatch.setattr(optim, "CHUNK", 256)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        threads = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: threads.append(thread) or start(thread))
+        return threads
+
+    RUNS = {
+        "teacher": lambda data, teacher, lm: train_teacher(
+            data[0], data[1], small_config("scenario-based"), tcfg(max_steps=4, val_every=2)),
+        "lm": lambda data, teacher, lm: train_lm_teacher(
+            data[0], data[1], small_config("language-model"), tcfg(max_steps=4, val_every=2)),
+        "student": lambda data, teacher, lm: train_student(
+            data[0], data[1], teacher, small_config("conventional"), tcfg(max_steps=4, val_every=2), lm_teacher=lm),
+        "encoder-scope": lambda data, teacher, lm: train_student(
+            data[0], data[1], teacher, small_config("conventional"),
+            tcfg(max_steps=4, val_every=2, hard_transfer_scope="encoder")),
+    }
+
+    @staticmethod
+    def _state(monkeypatch, run):
+        optimizers = _optimizers(monkeypatch)
+        res = run()
+        return res.log, [res.model.params.values.copy(), optimizers[-1].m.copy(), optimizers[-1].v.copy()]
+
+    @pytest.mark.parametrize("kind", list(RUNS))
+    def test_bitwise_equal_to_a_run_without_a_helper(self, data, teacher, lm_teacher, monkeypatch, kind):
+        run = functools.partial(self.RUNS[kind], data, teacher, lm_teacher)
+        with monkeypatch.context() as m:
+            m.setattr(T, "helper", contextlib.nullcontext)
+            want_log, want = self._state(m, run)
+        names = []
+        real = training.ThreadPoolExecutor.submit
+        monkeypatch.setattr(training.ThreadPoolExecutor, "submit",
+                            lambda pool, fn, *a: names.append(fn.__name__) or real(pool, fn, *a))
+        log, got = self._state(monkeypatch, run)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        assert log == want_log and len(log) == 4 and "val_loss" in log[1]
+        # deferred gradients, and Adam's two halves per step
+        assert "_run" in names and names.count("<lambda>") == 2 * 4
+
+    @pytest.mark.parametrize("where", ["gradient", "adam"])
+    def test_an_error_on_the_helper_reaches_the_caller(self, data, monkeypatch, started, where):
+        train, _, _ = data
+        if where == "gradient":
+            real_join = T._LeafAdds.join
+
+            def run(adds, item):  # runs on the helper alone
+                raise DataError("deferred gradient failed")
+
+            monkeypatch.setattr(T._LeafAdds, "_run", run)
+            # the pass lets the helper start before it joins
+            monkeypatch.setattr(T._LeafAdds, "join", lambda adds, **kw: time.sleep(0.02) or real_join(adds, **kw))
+        else:
+            real_update = optim.Adam._update
+
+            def update(opt, chunks, wide, scale):
+                if threading.current_thread() is not threading.main_thread():
+                    raise DataError("adam half failed")
+                time.sleep(0.02)  # so the helper starts its half
+                return real_update(opt, chunks, wide, scale)
+
+            monkeypatch.setattr(optim.Adam, "_update", update)
+        with pytest.raises(DataError, match="failed"):
+            train_teacher(train, [], small_config("scenario-based"), tcfg(max_steps=3))
+        assert len(started) == 1 and not started[0].is_alive()
 
 
 class TestGradientLifetime:
