@@ -69,7 +69,7 @@ class Adam:
                 runs.append([span.start, span.stop])
         self._spans = _halves([span for *_, span in self.targets])
         self._chunks = _halves([slice(lo, min(lo + CHUNK, b)) for a, b in runs for lo in range(a, b, CHUNK)])
-        self._scratch = _scratch(self._spans[0] + self._spans[1])
+        self._scratch = _scratch(self._spans[0])  # the caller's float64 room
 
     def step(self) -> float:
         """Apply one update and zero the targets' ``grad``; returns the pre-clip
@@ -79,9 +79,12 @@ class Adam:
         for name, t, view, _ in self.targets:
             if t.grad is not view:
                 raise ContractError(f"the gradient of {name!r} is no longer its slice of Adam.grad; step aborted")
+        # the helper's float64 room lives only for the step, as the peak RSS counts it
+        theirs = _scratch(self._spans[1]) if self._spans[1] or self._chunks[1] else None
         total = 0.0
-        for square_sum in self._on_both(self._square_sums, self._spans):
-            total += square_sum  # in target order
+        for sums in self._on_both(self._square_sums, self._spans, theirs):
+            for square_sum in sums:
+                total += square_sum  # in target order
         norm = math.sqrt(total)
         if not math.isfinite(norm):
             # a non-finite entry stays so when clipped; finite squares can overflow
@@ -90,24 +93,23 @@ class Adam:
                     raise NumericError(f"non-finite gradient for {name!r}; step aborted")
         scale = self.clip_norm / norm if 0 < self.clip_norm < norm else None
         self.step_count += 1
-        self._on_both(lambda chunks, wide: self._update(chunks, wide, scale), self._chunks)
+        self._on_both(lambda chunks, wide: self._update(chunks, wide, scale), self._chunks, theirs)
         return norm
 
-    def _on_both(self, work, halves) -> list:
-        """``work(half, scratch)`` over both halves, joined; the second half on
-        the helper, with a scratch of its own for this step only."""
+    def _on_both(self, work, halves, theirs) -> tuple:
+        """``work(half, scratch)`` for each half that is not empty, the second
+        on the helper with the scratch ``theirs``; their results."""
         first, second = halves
         if not second:
-            return work(first, self._scratch)
-        a, b = T.both(lambda: work(first, self._scratch), lambda: work(second, _scratch(second)))
-        return a + b
+            return (work(first, self._scratch),)
+        return T.both(lambda: work(first, self._scratch), lambda: work(second, theirs))
 
     def _square_sums(self, spans, wide) -> list:
         """Each span's squared gradient summed in float64, equal to
         ``(grad.astype(np.float64) ** 2).sum()``."""
         return [float(np.square(self.grad[s], out=wide[: s.stop - s.start], dtype=np.float64).sum()) for s in spans]
 
-    def _update(self, chunks, wide, scale) -> list:
+    def _update(self, chunks, wide, scale) -> None:
         """Clip by ``scale``, update and zero each chunk in turn."""
         buf = wide.view(self.m.dtype)
         bc1, bc2 = 1.0 - BETA1**self.step_count, 1.0 - BETA2**self.step_count
@@ -126,4 +128,3 @@ class Adam:
             np.multiply(np.divide(m, bc1, out=u), self.learning_rate, out=u)
             self.params.values[c] -= np.divide(u, s, out=u)
             g.fill(0)
-        return []

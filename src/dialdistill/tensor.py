@@ -33,7 +33,8 @@ Within ``helper(executor)``, also a switch of the calling thread, ``fork``
 runs two large independent passes at once, one on the executor's thread,
 and ``backward`` then runs their two graphs at once too; ``backward`` also
 hands large parameter gradients to the executor while it goes on down the
-input gradients. The arithmetic is that of one thread.
+input gradients, unless the executor still holds work from ``submit``. The
+arithmetic is that of one thread.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import weakref
 from concurrent import futures
 from contextlib import contextmanager
 
@@ -59,9 +61,10 @@ _SMALL_GEMM = 100**3
 # many multiply-adds; smaller passes spend their time in Python, under the GIL,
 # and a forked desk teacher step is no faster
 _FORK_GEMM = 64 * _SMALL_GEMM
-# `backward` computes a parameter gradient on the helper only when the node's
-# output gradient exceeds this many elements: every paper-width one, no desk one
-_DEFER_SIZE = 1 << 16
+# `backward` may compute an `affine` node's weight and bias gradients on the
+# helper only when its product exceeds this many multiply-adds, as every
+# paper-width one does; a smaller one, such as a desk FFN's, is quicker here
+_DEFER_GEMM = 16 * _SMALL_GEMM
 LAYER_NORM_EPSILON = 1e-5
 
 
@@ -85,12 +88,14 @@ def precision(mode: str):
 class _Recording(threading.local):
     """Per thread: whether primitives record a graph for ``backward`` (not
     within ``graph_free``), whether a rerun of ``names_failures`` keeps
-    every input regardless, and the executor that ``fork`` and ``backward``
-    may run a branch on."""
+    every input regardless, the executor that ``fork`` and ``backward``
+    may run a branch on, and a weak reference to the latest future that
+    ``submit`` gave it."""
 
     grad = True
     naming = False
     helper = None
+    submitted = None
 
 
 _recording = _Recording()
@@ -123,6 +128,15 @@ def helper(executor):
         yield
     finally:
         _recording.helper = previous
+
+
+def submit(fn, *args):
+    """``fn(*args)`` on this thread's helper, as a future. Until it ends,
+    ``backward`` hands the helper no gradient, which would wait behind it
+    and keep its node's gradient alive."""
+    future = _recording.helper.submit(fn, *args)
+    _recording.submitted = weakref.ref(future)  # its result lives only as long as its caller keeps it
+    return future
 
 
 def fork(first, second, multiply_adds: int):
@@ -286,9 +300,10 @@ def backward(loss: Tensor) -> None:
     adds one more pass's gradients to the leaves, as a pass over a new
     graph would.
 
-    With a helper on this thread, a parameter's gradient from a node whose
-    gradient exceeds ``_DEFER_SIZE`` elements is computed and added on the
-    helper while this thread goes on (``_LeafAdds``); all such adds end before
+    With a helper on this thread, the weight and bias gradients of an
+    ``affine`` product over ``_DEFER_GEMM`` multiply-adds are computed and
+    added on the helper while this thread goes on (``_LeafAdds``), once the
+    helper has ended its work from ``submit``; all such adds end before
     the pass goes on to a ``fork``'s graphs, and before it returns. When the
     graph holds a ``fork``'s outputs, everything downstream of them runs
     first; then the graph of one output runs here while the other's runs on
@@ -308,10 +323,8 @@ def backward(loss: Tensor) -> None:
     adds = _LeafAdds(lock, pool)
     try:
         _propagate([n for n in order if id(n) not in inside], adds)
-    except BaseException:
-        adds.join(failed=True)
-        raise
-    adds.join()
+    finally:
+        adds.join()
     if branches:
         pending = [pool.submit(_propagate, branch, _LeafAdds(lock)) for branch in branches[1:]]
         try:
@@ -343,10 +356,11 @@ class _LeafAdds:
     """The adds of one backward pass into leaves, each under ``lock``, as a
     branch on another thread may share a leaf. Given a ``pool``, a deferred
     gradient (a call that computes it) is computed and added there while
-    the pass goes on, unless an earlier one still waits unstarted: then it
-    is computed here, so a busy pool gets no backlog. An add into a leaf
-    whose add on the pool has not ended follows it there, so every leaf
-    takes its adds in the order of a pass on one thread."""
+    the pass goes on, unless an earlier one still waits unstarted, or the
+    pool has not ended the work ``submit`` gave it: then it is computed
+    here, so a busy pool gets no backlog. An add into a leaf whose add on
+    the pool has not ended follows it there, so every leaf takes its adds
+    in the order of a pass on one thread."""
 
     def __init__(self, lock, pool=None):
         self.lock, self.pool = lock, pool
@@ -355,8 +369,10 @@ class _LeafAdds:
 
     def __call__(self, leaf, g) -> None:
         last = self.last.get(id(leaf))
-        idle = not self.tasks or self.tasks[-1][0].running() or self.tasks[-1][0].done()
-        if last is not None and not last.done() or callable(g) and self.pool is not None and idle:
+        # the pool is free once it started this pass's latest add, or ended `submit`'s work
+        ahead = self.tasks[-1][0] if self.tasks else _recording.submitted and _recording.submitted()
+        free = ahead is None or ahead.done() or self.tasks and ahead.running()
+        if last is not None and not last.done() or callable(g) and self.pool is not None and free:
             item = [leaf, g]
             self.tasks.append((self.pool.submit(self._run, item), item))
             self.last[id(leaf)] = self.tasks[-1][0]
@@ -378,15 +394,12 @@ class _LeafAdds:
             else:
                 leaf.grad += g
 
-    def join(self, failed: bool = False) -> None:
+    def join(self) -> None:
         """Wait for the adds on the pool, those it has not started cancelled;
-        then, unless the pass ``failed``, raise a pool's error or run the
-        cancelled adds here, in order."""
+        then raise a pool's error, or run the cancelled adds here, in order."""
         rest = [item for task, item in reversed(self.tasks) if task.cancel()][::-1]
         started = [task for task, _ in self.tasks if not task.cancelled()]
         futures.wait(started)  # a cancelled task counts as done only once the pool reaches it
-        if failed:
-            return
         for task in started:
             task.result()
         for leaf, g in rest:
@@ -395,18 +408,15 @@ class _LeafAdds:
 
 def _propagate(nodes, adds) -> None:
     """Hand each node's gradient to its inputs, node by node, and to a leaf
-    through ``adds``. A parameter gradient that a primitive returns as a
-    call is left to ``adds`` when the node's gradient exceeds
-    ``_DEFER_SIZE`` elements, else computed here."""
+    through ``adds``, which may compute there a gradient that a primitive
+    returned as a call."""
     for node in nodes:
         if node._backward is None:
             continue
-        grads = node._backward(node.grad)
-        large = node.grad.size > _DEFER_SIZE
-        for parent, g in zip(node._parents, grads):
+        for parent, g in zip(node._parents, node._backward(node.grad)):
             if g is None or not parent.requires_grad:
                 continue
-            if callable(g) and (parent._parents or not large):
+            if callable(g) and parent._parents:
                 g = g()
             if parent._parents:
                 parent.grad = g if parent.grad is None else parent.grad + g
@@ -460,12 +470,14 @@ def affine(x, w, b) -> Tensor:
         data = x.data @ w.data
     data += b.data  # in place: the same sums, without a second (rows, n) array
 
-    def bw(g):  # the weight and bias gradients as calls, for `_propagate` to defer
+    def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
         gx = None
         if x.requires_grad:
             gx = (g2 @ w.data.T).reshape(shape) if flat else g @ w.data.T
-        return gx, lambda: x.data.reshape(-1, k).T @ g2, lambda: _unbroadcast(g2.sum(axis=0), b.data.shape)
+        gw, gb = lambda: x.data.reshape(-1, k).T @ g2, lambda: _unbroadcast(g2.sum(axis=0), b.data.shape)
+        # a large product's as calls, which `backward` may run on the helper
+        return (gx, gw, gb) if x.data.size * g2.shape[1] > _DEFER_GEMM else (gx, gw(), gb())
 
     return _make(data, (x, w, b), bw, "affine")
 
@@ -602,12 +614,14 @@ def layer_norm(x, gain, bias) -> Tensor:
     data = gain.data * xhat
     data += bias.data
 
-    def bw(g):  # the gain and bias gradients as calls, for `_propagate` to defer
+    def bw(g):
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         gx = (dxhat - m1 - xhat * m2) * inv_std
-        return gx, lambda: (g * xhat).reshape(-1, d).sum(axis=0), lambda: g.reshape(-1, d).sum(axis=0)
+        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        gbias = g.reshape(-1, d).sum(axis=0)
+        return gx, ggain, gbias
 
     return _make(data, (x, gain, bias), bw, "layer_norm")
 
@@ -624,13 +638,10 @@ def embedding(table, ids) -> Tensor:
         )
     data = table.data[ids]
 
-    def bw(g):  # the table's gradient as a call, for `_propagate` to defer
-        def scatter():
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-            return gt
-
-        return (scatter,)
+    def bw(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        return (gt,)
 
     return _make(data, (table,), bw, "embedding")
 

@@ -22,7 +22,6 @@ step for step.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -176,8 +175,8 @@ def _train_loop(
         from now on when the frozen teachers' work is large."""
         cfg = model.config
         if (teacher_cache or lm_cache) and batch.history.size * cfg.model_dim * cfg.ffn_dim > T._FORK_GEMM:
-            return worker.submit(targets, batch).result
-        return functools.partial(targets, batch)
+            return T.submit(targets, batch).result
+        return lambda: targets(batch)
 
     schedule = _schedule(train_examples, tcfg)
     upcoming = next(schedule)

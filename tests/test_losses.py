@@ -492,15 +492,17 @@ class TestAdam:
             t.data[...] = np.arange(t.data.size) - 0.25
         ps.freeze(["frozen"])
         before = ps.values.copy()
-        opt = Adam(ps)
+        opt = Adam(ps, clip_norm=1.0)
         for _ in range(3):
             for _, t in ps.items():
                 t.grad[...] = 1.0
-            opt.step()
-        # the step zeroes the targets' gradient; no pass writes the others'
+            assert opt.step() > opt.clip_norm  # the step clips
+        # the step zeroes the targets' gradient and leaves the others' slices,
+        # which no pass writes, as they were: neither clipped nor zeroed
         assert not opt.grad[ps.span("a")].any()
         for name in ("table", "frozen"):
             span = ps.span(name)
+            assert np.array_equal(opt.grad[span], np.ones(span.stop - span.start)), name
             assert np.array_equal(ps.values[span], before[span]), name
             assert not opt.m[span].any() and not opt.v[span].any()
         assert not np.array_equal(ps["a"].data, before[ps.span("a")])

@@ -797,7 +797,7 @@ class TestDeferredGradients:
 
     @pytest.fixture(autouse=True)
     def deferred(self, monkeypatch):
-        monkeypatch.setattr(T, "_DEFER_SIZE", 0)
+        monkeypatch.setattr(T, "_DEFER_GEMM", 0)
 
     @staticmethod
     def three_reads():
@@ -889,6 +889,30 @@ class TestDeferredGradients:
         assert len(waiting) == (3 if build == self.three_reads else 1)
         assert all(task.cancelled() for task in waiting)
         assert all(np.array_equal(a, leaf.grad) for a, leaf in zip(want, leaves))
+
+    def test_no_gradient_waits_behind_submitted_work(self, monkeypatch):
+        want = self.grads(self.desk_step)
+        passes = [self.desk_step(), self.desk_step()]
+        with ThreadPoolExecutor(max_workers=1) as pool, T.helper(pool):
+            busy = threading.Event()
+            release = threading.Timer(30, busy.set)  # a pass that waits for the helper fails, not hangs
+            release.start()
+            work = T.submit(busy.wait)
+            handed = []
+            real = pool.submit
+            monkeypatch.setattr(pool, "submit", lambda fn, *args: handed.append(fn) or real(fn, *args))
+            try:
+                T.backward(passes[0][1])
+                assert not busy.is_set() and not handed
+            finally:
+                busy.set()
+                release.cancel()
+            work.result()
+            # once the submitted work ended, the helper takes gradients again
+            T.backward(passes[1][1])
+            assert handed
+        for leaves, _ in passes:
+            assert all(np.array_equal(a, leaf.grad) for a, leaf in zip(want, leaves))
 
     def test_desk_step_is_bitwise_the_one_thread_pass(self):
         want = self.grads(self.desk_step)

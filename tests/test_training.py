@@ -587,7 +587,7 @@ class TestHelperWork:
 
     @pytest.fixture(autouse=True)
     def lowered(self, monkeypatch):
-        monkeypatch.setattr(T, "_DEFER_SIZE", 0)
+        monkeypatch.setattr(T, "_DEFER_GEMM", 0)
         monkeypatch.setattr(optim, "SPLIT_SIZE", 0)
         monkeypatch.setattr(optim, "CHUNK", 256)
 
