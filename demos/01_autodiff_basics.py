@@ -23,7 +23,7 @@ def main():
         b = T.Tensor(np.zeros(5), requires_grad=True)
 
         def loss_value():
-            h = T.relu(T.affine(x, w, b))
+            h = T.affine(x, w, b, relu=True)  # relu applied in place on the product
             logp = T.log_softmax(h)  # log-probabilities, finite even where a probability underflows
             return T.mul(T.tsum(logp), -1.0 / logp.data.size)
 

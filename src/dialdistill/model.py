@@ -368,12 +368,15 @@ class TransformerModel:
 
     # ---- shared pieces -------------------------------------------------
 
-    def _maybe_dropout(self, x, train, rng):
+    def _dropout_rate(self, train, rng) -> float:
         if train and self.config.dropout_rate > 0.0:
             if rng is None:
                 raise ContractError("train=True requires an rng for dropout")
-            return T.dropout(x, self.config.dropout_rate, rng)
-        return x
+            return self.config.dropout_rate
+        return 0.0
+
+    def _maybe_dropout(self, x, train, rng):
+        return T.dropout(x, self._dropout_rate(train, rng), rng)
 
     def _embed(self, table_name: str, token_ids: np.ndarray, train, rng, position_offset: int = 0):
         cfg = self.config
@@ -389,14 +392,13 @@ class TransformerModel:
         return self._maybe_dropout(x, train, rng)
 
     def _residual(self, x, sublayer_out, ln_prefix: str, train, rng):
-        s = self._maybe_dropout(sublayer_out, train, rng)
-        return T.layer_norm(
-            T.add(x, s), self.params[f"{ln_prefix}.gain"], self.params[f"{ln_prefix}.bias"]
-        )
+        p = self.params
+        return T.layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], sublayer_out,
+                            self._dropout_rate(train, rng), rng)
 
     def _ffn(self, x, prefix: str):
         p = self.params
-        h = T.relu(T.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        h = T.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"], relu=True)
         return T.affine(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def _output_head(self, x, hidden) -> DecodeOutput:

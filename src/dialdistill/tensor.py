@@ -369,15 +369,18 @@ class _LeafAdds:
 
     def __call__(self, leaf, g) -> None:
         last = self.last.get(id(leaf))
-        # the pool is free once it started this pass's latest add, or ended `submit`'s work
-        ahead = self.tasks[-1][0] if self.tasks else _recording.submitted and _recording.submitted()
-        free = ahead is None or ahead.done() or self.tasks and ahead.running()
-        if last is not None and not last.done() or callable(g) and self.pool is not None and free:
+        # an array into a leaf with no add on the pool is added at once, unchecked
+        if last is not None and not last.done() or callable(g) and self.pool is not None and self._free():
             item = [leaf, g]
             self.tasks.append((self.pool.submit(self._run, item), item))
             self.last[id(leaf)] = self.tasks[-1][0]
         else:
             self.add(leaf, g)
+
+    def _free(self) -> bool:
+        """Whether the pool has started this pass's latest add, or ended `submit`'s work."""
+        ahead = self.tasks[-1][0] if self.tasks else _recording.submitted and _recording.submitted()
+        return ahead is None or ahead.done() or bool(self.tasks) and ahead.running()
 
     def _run(self, item) -> None:
         leaf, g = item
@@ -453,8 +456,9 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), bw, "mul")
 
 
-def affine(x, w, b) -> Tensor:
-    """x @ w + b over the last axis; b broadcasts over all leading axes."""
+def affine(x, w, b, relu: bool = False) -> Tensor:
+    """x @ w + b over the last axis; b broadcasts over all leading axes. With
+    ``relu``, max(0, ·) of that, in place, so no pre-activation is kept."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     shape, k = x.data.shape, w.data.shape[0]
     if shape[-1] != k:
@@ -469,8 +473,12 @@ def affine(x, w, b) -> Tensor:
     else:
         data = x.data @ w.data
     data += b.data  # in place: the same sums, without a second (rows, n) array
+    if relu:
+        np.maximum(data, 0.0, out=data)
 
     def bw(g):
+        if relu:
+            g = g * (data > 0.0)  # an output is positive where its input was
         g2 = g.reshape(-1, g.shape[-1])
         gx = None
         if x.requires_grad:
@@ -480,16 +488,6 @@ def affine(x, w, b) -> Tensor:
         return (gx, gw, gb) if x.data.size * g2.shape[1] > _DEFER_GEMM else (gx, gw(), gb())
 
     return _make(data, (x, w, b), bw, "affine")
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.maximum(x.data, 0.0)
-
-    def bw(g):
-        return (g * (x.data > 0.0),)
-
-    return _make(data, (x,), bw, "relu")
 
 
 def log_softmax(x) -> Tensor:
@@ -598,16 +596,22 @@ def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
     return _make(data, (q, k, v), bw, "attention")
 
 
-def layer_norm(x, gain, bias) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+def layer_norm(x, gain, bias, s, rate: float = 0.0, rng=None) -> Tensor:
+    """A residual and its norm as one node: ``x + dropout(s, rate, rng)``
+    normalized over the last axis to zero mean / unit variance, then scaled
+    and shifted. The node keeps the keep mask, the normalized values and
+    1/σ, but neither the dropout output nor the sum."""
+    x, gain, bias, s = as_tensor(x), as_tensor(gain), as_tensor(bias), as_tensor(s)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.data.shape} and {bias.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
+    if s.data.shape != x.data.shape:
+        raise ShapeError(f"layer_norm residual branch {s.data.shape} does not match {x.data.shape}")
+    keep = _keep_mask(s.data.shape, rate, rng) if rate > 0.0 else None
+    xhat = x.data + (s.data if keep is None else _dropped(s.data, keep, rate))
+    xhat -= xhat.mean(axis=-1, keepdims=True)  # centered in place
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
     xhat *= inv_std  # the centered values, normalized in place
@@ -621,9 +625,10 @@ def layer_norm(x, gain, bias) -> Tensor:
         gx = (dxhat - m1 - xhat * m2) * inv_std
         ggain = (g * xhat).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
-        return gx, ggain, gbias
+        # x and s take distinct arrays, as a leaf keeps its first add's array and adds into it
+        return gx, ggain, gbias, gx.view() if keep is None else _dropped(gx, keep, rate)
 
-    return _make(data, (x, gain, bias), bw, "layer_norm")
+    return _make(data, (x, gain, bias, s), bw, "layer_norm")
 
 
 def embedding(table, ids) -> Tensor:
@@ -709,29 +714,39 @@ def mean_square(a, b) -> Tensor:
     return _make(data, (a, b), bw, "mean_square")
 
 
+def _keep_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Dropout's keep mask, one byte an entry: True with probability 1 - rate."""
+    if rate >= 1.0:
+        raise ContractError(f"dropout rate must be < 1, got {rate}")
+    return rng.random(shape) >= rate
+
+
+def _dropped(a: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """``a`` masked by ``keep`` and scaled by 1/(1-rate), as a new array; for
+    a keep of 0 or 1, ``a·keep·s`` rounds exactly as ``a·(keep·s)``."""
+    out = a * keep
+    out *= 1.0 / (1.0 - rate)
+    return out
+
+
 def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate`` and rescale
     survivors by 1/(1-rate). Call only at train time."""
     x = as_tensor(x)
     if rate <= 0.0:
         return x
-    if rate >= 1.0:
-        raise ContractError(f"dropout rate must be < 1, got {rate}")
-    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    mask *= 1.0 / (1.0 - rate)  # the keep mask, scaled in place
-    data = x.data * mask
+    keep = _keep_mask(x.data.shape, rate, rng)
 
     def bw(g):
-        return (g * mask,)
+        return (_dropped(g, keep, rate),)
 
-    return _make(data, (x,), bw, "dropout")
+    return _make(_dropped(x.data, keep, rate), (x,), bw, "dropout")
 
 
 PRIMITIVES = (
     "add",
     "mul",
     "affine",
-    "relu",
     "log_softmax",
     "exp",
     "log",

@@ -8,7 +8,9 @@ every parameter gradient, and calls ``zero_grads``, which lets go of it.
 The allocator policy is set in one place too, when the package is
 imported, so no module can set a second one. And inference has one way
 in: the package enters ``graph_free`` only through ``names_failures``,
-so a failed check in any inference pass is named by a recorded rerun."""
+so a failed check in any inference pass is named by a recorded rerun.
+Each residual is normalized by one ``layer_norm`` node that takes the
+sublayer's branch, so no add-then-normalize chain can come back."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,13 @@ def package_calls_to(function: str) -> list:
 
 def test_attention_is_called_only_from_the_sublayer():
     assert package_calls_to("attention") == ["model.attention_sublayer"]
+
+
+def test_residuals_are_normalized_and_dropped_out_in_one_place_each():
+    assert package_calls_to("layer_norm") == ["model.TransformerModel._residual"]
+    assert package_calls_to("dropout") == ["model.TransformerModel._maybe_dropout"]
+    # one keep-mask draw serves both
+    assert package_calls_to("_keep_mask") == ["tensor.layer_norm", "tensor.dropout"]
 
 
 def test_total_loss_is_called_only_from_the_training_loop():

@@ -319,7 +319,45 @@ class TestAttentionEqualsTheChain:
         ops = [n._op for n in T._topological_order(out.log_probs, grad_only=False) if n._parents]
         # two encoder self-attentions, two decoder self- and two cross-attentions
         assert ops.count("attention") == 6
-        assert len(ops) == 80
+        assert len(ops) == 56
+
+
+def kept_arrays(root):
+    """(op, name, array) of every array that ``root``'s recorded graph keeps:
+    each interior node's output, and each array its backward closure holds."""
+    for node in T._topological_order(root, grad_only=False):
+        if node._parents:
+            yield node._op, "data", node.data
+            cells = zip(node._backward.__code__.co_freevars, node._backward.__closure__ or ())
+            yield from ((node._op, name, c.cell_contents) for name, c in cells
+                        if isinstance(c.cell_contents, np.ndarray))
+
+
+def buffer_bytes(arrays) -> int:
+    """The bytes of the buffers under ``arrays``, each buffer counted once."""
+    buffers = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
+
+
+class TestGraphMemory:
+    def test_a_desk_teacher_step_keeps_only_what_backward_reads(self):
+        # the keep masks at one byte an entry, and no dropout output, residual
+        # sum or pre-relu activation
+        model = TransformerModel.build(desk_config(30, "scenario-based"), seed=0)
+        rng = np.random.default_rng(0)
+        history, response, future = (rng.integers(4, 30, (16, n)) for n in (12, 7, 12))
+        out = model.forward(history, response[:, :-1], future=future, train=True, rng=rng)
+        loss = nll_sum(out.log_probs, response[:, 1:], np.ones((16, 6)))
+        kept = list(kept_arrays(loss))
+        masks = [a for op, name, a in kept if name == "keep"]
+        # the three embeddings' dropouts and the fourteen residuals'
+        assert len(masks) == 17 and all(m.dtype == np.bool_ for m in masks)
+        assert sum(1 for n in T._topological_order(loss, grad_only=False) if n._parents) == 91
+        assert buffer_bytes(a for _, _, a in kept) == 4475312
 
 
 class TestBatchedHeads:
@@ -479,8 +517,12 @@ class TestDecoder:
 
     def test_train_mode_requires_rng(self):
         m = TransformerModel.build(tiny(dropout_rate=0.2), seed=8)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="train=True requires an rng for dropout"):
             m.forward(self.hist, self.resp_in, train=True)
+        # a residual draws its mask inside its layer_norm, and asks for an rng too
+        x = T.Tensor(np.ones((1, 3, 8)))
+        with pytest.raises(ContractError, match="train=True requires an rng for dropout"):
+            m._residual(x, x, "dec.0.ln_self", True, None)
 
     @pytest.mark.parametrize("forked", [False, True])
     def test_teacher_draws_the_masks_of_its_passes_in_turn(self, monkeypatch, forked):

@@ -61,7 +61,7 @@ class TestGraphWalk:
         w = T.Tensor(np.ones((3, 4)), requires_grad=True)
         w.data[1, 2] = np.inf
         with np.errstate(invalid="ignore"):
-            out = T.tsum(T.log_softmax(T.relu(T.affine(T.mul(x, 2.0), w, np.zeros(4)))))
+            out = T.tsum(T.log_softmax(T.affine(T.mul(x, 2.0), w, np.zeros(4), relu=True)))
         with pytest.raises(NumericError, match="primitive 'affine'"):
             T.check_finite(out)
 
@@ -76,7 +76,7 @@ class TestGraphWalk:
     def test_first_of_a_shared_subgraph(self):
         a = T.Tensor([1.0, 2.0])
         bad = T.mul(a, np.array([1.0, np.nan]))
-        out = T.add(T.tsum(T.relu(bad)), T.tsum(T.add(bad, a)))
+        out = T.add(T.tsum(T.exp(bad)), T.tsum(T.add(bad, a)))
         with pytest.raises(NumericError, match="primitive 'mul'"):
             T.check_finite(out)
 

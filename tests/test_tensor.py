@@ -75,14 +75,6 @@ class TestElementwise:
             assert x.grad[0] == 5.0
             assert y.grad[0] == 3.0
 
-    def test_relu_gradients(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = leaf(rng, 5, 3)
-            # keep values away from the kink so FD is valid
-            a.data[np.abs(a.data) < 0.05] += 0.1
-            fd_check(lambda ls: T.tsum(T.mul(T.relu(ls[0]), ls[0])), [a])
-
 
 @pytest.fixture(params=["flat", "per-sequence"])
 def affine_path(request, monkeypatch):
@@ -115,6 +107,22 @@ class TestAffine:
         w, b = leaf(rng, 4, 3), leaf(rng, 3)
         assert not x.data.flags.c_contiguous
         fd_check(lambda ls: T.tsum(T.mul(T.affine(*ls), 0.5)), [x, w, b])
+
+    def test_relu_epilogue_gradients(self, affine_path):
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 3), leaf(rng, 3)
+            # keep every pre-activation away from the kink so FD is valid
+            assert np.abs(x.data @ w.data + b.data).min() > 1e-3
+            out = T.affine(x, w, b, relu=True)
+            assert (out.data == 0.0).any() and (out.data > 0.0).any()
+            weight = rng.standard_normal((2, 3, 3))
+            fd_check(lambda ls: T.tsum(T.mul(T.affine(*ls, relu=True), weight)), [x, w, b])
+
+    def test_relu_epilogue_equals_max_of_the_product(self, affine_path):
+        rng = np.random.default_rng(3)
+        x, w, b = (T.Tensor(rng.standard_normal(shape).astype(np.float32)) for shape in ((2, 5, 8), (8, 6), (6,)))
+        assert np.array_equal(T.affine(x, w, b, relu=True).data, np.maximum(T.affine(x, w, b).data, 0.0))
 
     def test_one_position_gradients(self):
         rng = np.random.default_rng(10)
@@ -420,25 +428,77 @@ class TestAttention:
 
 class TestLayerNorm:
     def test_hand_case(self):
-        # [1, 3]: mean 2, var 1 -> normalized [-1, 1] / sqrt(1 + epsilon)
+        # [0, 1] + [1, 2] = [1, 3]: mean 2, var 1 -> normalized [-1, 1] / sqrt(1 + epsilon)
         with T.precision("double"):
-            out = T.layer_norm(T.Tensor([[1.0, 3.0]]), T.Tensor([1.0, 1.0]), T.Tensor([0.0, 0.0]))
+            out = T.layer_norm(T.Tensor([[0.0, 1.0]]), T.Tensor([1.0, 1.0]), T.Tensor([0.0, 0.0]),
+                               T.Tensor([[1.0, 2.0]]))
             want = np.array([[-1.0, 1.0]]) / np.sqrt(1.0 + T.LAYER_NORM_EPSILON)
             assert np.allclose(out.data, want, atol=1e-12)
 
     def test_output_statistics(self):
         rng = np.random.default_rng(14)
         with T.precision("double"):
-            x = T.Tensor(rng.standard_normal((6, 16)) * 3 + 5)
-            out = T.layer_norm(x, T.Tensor(np.ones(16)), T.Tensor(np.zeros(16)))
+            x, s = (T.Tensor(rng.standard_normal((6, 16)) * 3 + 5) for _ in range(2))
+            out = T.layer_norm(x, T.Tensor(np.ones(16)), T.Tensor(np.zeros(16)), s, 0.5, rng)
             assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-10)
             assert np.allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
-    def test_gradients(self):
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_gradients(self, rate):
+        # x and s are leaves that take a second add after the node's, so a
+        # gradient array the node handed to both would be corrupted by it
         rng = np.random.default_rng(15)
         for _ in range(10):
-            x, g, b = leaf(rng, 3, 6), leaf(rng, 6), leaf(rng, 6)
-            fd_check(lambda ls: T.tsum(T.mul(T.layer_norm(*ls), ls[0])), [x, g, b])
+            x, g, b, s = leaf(rng, 3, 6), leaf(rng, 6), leaf(rng, 6), leaf(rng, 3, 6)
+            w = rng.standard_normal((3, 6))
+
+            def build(ls):
+                out = T.layer_norm(*ls, rate, np.random.default_rng(5))  # the same mask every evaluation
+                return T.add(T.tsum(T.mul(out, w)), T.tsum(T.mul(ls[0], ls[3])))
+
+            fd_check(build, [x, g, b, s])
+
+    @pytest.mark.parametrize("rate", [0.0, 0.25])
+    def test_residual_branch_takes_its_own_gradient_array(self, rate):
+        x, g, b, s = (T.Tensor(np.ones(shape), requires_grad=True) for shape in ((2, 4), (4,), (4,), (2, 4)))
+        out = T.layer_norm(x, g, b, s, rate, np.random.default_rng(0))
+        T.backward(T.tsum(T.mul(out, np.arange(8.0).reshape(2, 4))))
+        assert not np.shares_memory(x.grad, s.grad)
+
+    @pytest.mark.parametrize("shape", [(16, 12, 64), (32, 60, 256)])
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_residual_equals_the_chain_bitwise(self, shape, rate):
+        # the fused node against add(x, dropout(s)) normalized with no further residual
+        rng = np.random.default_rng(16)
+        d = shape[-1]
+        arrays = [rng.standard_normal(n).astype(np.float32) for n in (shape, (d,), (d,), shape)]
+        weight = rng.standard_normal(shape).astype(np.float32)
+        results = []
+        for fused in (True, False):
+            x, gain, bias, s = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+            draw = np.random.default_rng(17)
+            if fused:
+                out = T.layer_norm(x, gain, bias, s, rate, draw)
+            else:
+                out = T.layer_norm(T.add(x, T.dropout(s, rate, draw)), gain, bias, np.zeros(shape, np.float32))
+            T.backward(T.tsum(T.mul(out, weight)))
+            results.append([out.data, x.grad, s.grad, gain.grad, bias.grad])
+        for got, want in zip(*results):
+            assert got.dtype == np.float32 and np.array_equal(got, want)
+
+    def test_rejects_a_rate_of_one(self):
+        x = T.Tensor(np.ones((2, 4)))
+        with pytest.raises(ContractError, match="rate must be < 1"):
+            T.layer_norm(x, np.ones(4), np.zeros(4), x, 1.0, np.random.default_rng(0))
+        with pytest.raises(ContractError, match="rate must be < 1"):
+            T.dropout(x, 1.5, np.random.default_rng(0))
+
+    def test_rejects_a_residual_branch_of_another_shape(self):
+        # an `add` would broadcast (1, 4) over (2, 4); the node does not
+        x = T.Tensor(np.ones((2, 4)))
+        for s in (np.ones((1, 4)), np.ones(4), np.ones((2, 2, 4))):
+            with pytest.raises(ShapeError, match="residual branch"):
+                T.layer_norm(x, np.ones(4), np.zeros(4), s)
 
 
 class TestEmbedding:
@@ -752,7 +812,7 @@ class TestBackwardMemory:
                 w = T.Tensor(rng.standard_normal((64, 64)) / 8, requires_grad=True)
                 b = T.Tensor(rng.standard_normal(64), requires_grad=True)
                 leaves += [w, b]
-                h = T.relu(T.affine(h, w, b))
+                h = T.affine(h, w, b, relu=True)
             loss = T.tsum(h)
             interior = [n for n in T._topological_order(loss, grad_only=True) if n._parents]
             tracemalloc.start()
@@ -761,7 +821,7 @@ class TestBackwardMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert len(interior) == 49
+        assert len(interior) == 25
         assert all(n.grad is None for n in interior)
         assert all(leaf.grad is not None for leaf in leaves)
         assert peak < sum(leaf.data.nbytes for leaf in leaves) + 4 * h.data.nbytes
@@ -781,9 +841,8 @@ class TestRandomizedGradients:
 
             def build(ls):
                 xx, ww, bb, gg, nb = ls
-                h = T.affine(xx, ww, bb)
-                h = T.relu(h)
-                h = T.layer_norm(h, gg, nb)
+                h = T.affine(xx, ww, bb, relu=True)
+                h = T.layer_norm(h, gg, nb, xx)
                 p = T.exp(T.log_softmax(h))
                 return T.tsum(T.mul(p, xx))
 
@@ -942,3 +1001,13 @@ class TestDeferredGradients:
             with T.helper(pool), pytest.raises(DataError, match=f"on the {where}"):
                 T.backward(loss)
             assert tasks and all(task.done() for task in tasks)
+
+
+def test_array_leaf_adds_do_not_ask_whether_the_helper_is_free(monkeypatch):
+    # a desk step defers no gradient, so every leaf add is an array into a leaf
+    # with no add on the helper: it is added at once, unchecked, in the same order
+    want = TestDeferredGradients.grads(TestDeferredGradients.desk_step)
+    monkeypatch.setattr(T._LeafAdds, "_free", lambda adds: pytest.fail("asked whether the helper is free"))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        got = TestDeferredGradients.grads(TestDeferredGradients.desk_step, pool)
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
