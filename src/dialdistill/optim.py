@@ -2,13 +2,15 @@
 flat ``values``.
 
 Adam owns the one flat gradient buffer: each tensor's ``grad`` is its slice,
-which ``backward`` adds into. A step reads the targets' slices where they lie
-and, if their L2 norm exceeds ``clip_norm``, scales them by ``clip_norm / norm``.
-The update then writes the flat moments and ``values`` in place, with bias
-correction and the fixed constants ``BETA1``, ``BETA2`` and ``EPSILON``, and
-zeroes the gradient chunk by chunk. A step over more than ``SPLIT_SIZE``
-elements shares the norm and the update with the thread's ``tensor.helper``;
-each element's arithmetic is that of one thread.
+which ``backward`` adds into. A step reads the targets' slices where they lie,
+in chunks of ``CHUNK`` elements, and, if their L2 norm exceeds ``clip_norm``,
+scales them by ``clip_norm / norm``. The update then writes the flat moments
+and ``values`` in place, with bias correction and the fixed constants
+``BETA1``, ``BETA2`` and ``EPSILON``, and zeroes the gradient chunk by chunk.
+A step over more than ``SPLIT_SIZE`` elements shares the norm and the update
+with the thread's ``tensor.helper``, one half of the chunks each; each chunk's
+arithmetic is that of one thread, and the norm adds the chunks' sums in chunk
+order, as one thread does.
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ def _halves(slices) -> tuple:
     return slices[:cut], slices[cut:]
 
 
-def _scratch(slices) -> np.ndarray:
-    """float64 room for the largest of ``slices`` squared, or the update's two chunks."""
-    return np.empty(max([s.stop - s.start for s in slices] + [2 * CHUNK]), dtype=np.float64)
-
-
 class Adam:
     """Owns flat moments ``m``, ``v`` and gradient ``grad``, laid out like
     ``values``; the moments of tensors that are not update targets stay zero.
@@ -67,9 +64,9 @@ class Adam:
                 runs[-1][1] = span.stop
             else:
                 runs.append([span.start, span.stop])
-        self._spans = _halves([span for *_, span in self.targets])
         self._chunks = _halves([slice(lo, min(lo + CHUNK, b)) for a, b in runs for lo in range(a, b, CHUNK)])
-        self._scratch = _scratch(self._spans[0])  # the caller's float64 room
+        # float64 room per thread for a chunk squared, or the update's two chunks
+        self._scratch = [np.empty(2 * CHUNK, dtype=np.float64) for _ in range(1 + bool(self._chunks[1]))]
 
     def step(self) -> float:
         """Apply one update and zero the targets' ``grad``; returns the pre-clip
@@ -79,12 +76,10 @@ class Adam:
         for name, t, view, _ in self.targets:
             if t.grad is not view:
                 raise ContractError(f"the gradient of {name!r} is no longer its slice of Adam.grad; step aborted")
-        # the helper's float64 room lives only for the step, as the peak RSS counts it
-        theirs = _scratch(self._spans[1]) if self._spans[1] or self._chunks[1] else None
         total = 0.0
-        for sums in self._on_both(self._square_sums, self._spans, theirs):
+        for sums in self._on_both(self._square_sums):
             for square_sum in sums:
-                total += square_sum  # in target order
+                total += square_sum  # in chunk order
         norm = math.sqrt(total)
         if not math.isfinite(norm):
             # a non-finite entry stays so when clipped; finite squares can overflow
@@ -93,21 +88,21 @@ class Adam:
                     raise NumericError(f"non-finite gradient for {name!r}; step aborted")
         scale = self.clip_norm / norm if 0 < self.clip_norm < norm else None
         self.step_count += 1
-        self._on_both(lambda chunks, wide: self._update(chunks, wide, scale), self._chunks, theirs)
+        self._on_both(lambda chunks, wide: self._update(chunks, wide, scale))
         return norm
 
-    def _on_both(self, work, halves, theirs) -> tuple:
-        """``work(half, scratch)`` for each half that is not empty, the second
-        on the helper with the scratch ``theirs``; their results."""
-        first, second = halves
+    def _on_both(self, work) -> tuple:
+        """``work(half, scratch)`` for each half of the chunks that is not
+        empty, the second on the helper, each with its own scratch; their results."""
+        first, second = self._chunks
         if not second:
-            return (work(first, self._scratch),)
-        return T.both(lambda: work(first, self._scratch), lambda: work(second, theirs))
+            return (work(first, self._scratch[0]),)
+        return T.both(lambda: work(first, self._scratch[0]), lambda: work(second, self._scratch[1]))
 
-    def _square_sums(self, spans, wide) -> list:
-        """Each span's squared gradient summed in float64, equal to
+    def _square_sums(self, chunks, wide) -> list:
+        """Each chunk's squared gradient summed in float64, equal to
         ``(grad.astype(np.float64) ** 2).sum()``."""
-        return [float(np.square(self.grad[s], out=wide[: s.stop - s.start], dtype=np.float64).sum()) for s in spans]
+        return [float(np.square(self.grad[c], out=wide[: c.stop - c.start], dtype=np.float64).sum()) for c in chunks]
 
     def _update(self, chunks, wide, scale) -> None:
         """Clip by ``scale``, update and zero each chunk in turn."""

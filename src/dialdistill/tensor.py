@@ -306,10 +306,9 @@ def backward(loss: Tensor) -> None:
     helper has ended its work from ``submit``; all such adds end before
     the pass goes on to a ``fork``'s graphs, and before it returns. When the
     graph holds a ``fork``'s outputs, everything downstream of them runs
-    first; then the graph of one output runs here while the other's runs on
-    the helper, each node in the order a pass on one thread gives it, and the
-    adds into shared leaves take turns. A helper's error is raised here,
-    after both have stopped.
+    first; then their two graphs run through ``both``, each node in the order
+    a pass on one thread gives it, and the adds into shared leaves take
+    turns. A helper's error is raised here, after both have stopped.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -326,21 +325,16 @@ def backward(loss: Tensor) -> None:
     finally:
         adds.join()
     if branches:
-        pending = [pool.submit(_propagate, branch, _LeafAdds(lock)) for branch in branches[1:]]
-        try:
-            _propagate(branches[0], _LeafAdds(lock))
-        finally:
-            futures.wait(pending)
-        for p in pending:
-            p.result()
+        first, second = branches
+        both(lambda: _propagate(first, _LeafAdds(lock)), lambda: _propagate(second, _LeafAdds(lock)))
 
 
 def _branches(order) -> list:
-    """The interior nodes of each ``fork`` output's graph, in ``order``, when
-    two or more such graphs can run at once: they share no node, and nothing
+    """The interior nodes of each of a ``fork``'s two outputs' graphs, in
+    ``order``, when the two can run at once: they share no node, and nothing
     outside them reads a node inside but their outputs. Else none."""
     roots = [n for n in order if n._branch]
-    if len(roots) < 2:
+    if len(roots) != 2:
         return []
     members = [{id(n) for n in _topological_order(root, grad_only=True) if n._parents} for root in roots]
     inside = set().union(*members)
@@ -686,13 +680,11 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(data, tuple(tensors), bw, "concat")
 
 
-def tsum(x, axis=None) -> Tensor:
+def tsum(x) -> Tensor:
     x = as_tensor(x)
-    data = x.data.sum(axis=axis)
+    data = x.data.sum()
 
     def bw(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape),)
 
     return _make(np.asarray(data), (x,), bw, "sum")

@@ -10,7 +10,10 @@ imported, so no module can set a second one. And inference has one way
 in: the package enters ``graph_free`` only through ``names_failures``,
 so a failed check in any inference pass is named by a recorded rerun.
 Each residual is normalized by one ``layer_norm`` node that takes the
-sublayer's branch, so no add-then-normalize chain can come back."""
+sublayer's branch, so no add-then-normalize chain can come back. Work goes
+to the helper thread through ``tensor.submit``, ``tensor.both`` and the
+backward's leaf adds alone, so every split of work between the caller and
+the helper is one ``both`` over one partition."""
 
 import ast
 from pathlib import Path
@@ -75,6 +78,11 @@ def test_the_allocator_policy_is_set_only_at_import():
 
 def test_graph_free_is_entered_only_by_names_failures_and_inference():
     assert package_calls_to("graph_free") == ["model.ParameterSet.inference", "tensor.names_failures.call"]
+
+
+def test_work_is_submitted_to_a_pool_only_by_the_tensor_hand_offs():
+    assert package_calls_to("submit") == [
+        "tensor.submit", "tensor.both", "tensor._LeafAdds.__call__", "training._train_loop.prefetch"]
 
 
 def test_no_package_module_calls_inference():

@@ -465,12 +465,20 @@ class TestAdam:
         slices = [a.grad for _, a in got]
         rng = np.random.default_rng(22)
         for step in range(20):
+            squares = []
             for (_, a), (_, b) in zip(got, want):
                 g = (rng.standard_normal(a.data.shape) * rng.choice([0.1, 3.0])).astype(np.float32)
                 if step % 3 == 1 and a is got[1][1]:
                     g[...] = 0.0
                 a.grad[...], b.grad = g, g.copy()
-            assert opt.step() == ref.step()
+                squares += [float(x) ** 2 for x in g.ravel()]  # each exact in float64
+            # the norm against the correctly rounded sum of squares: n float64
+            # adds of non-negative terms err by less than (n - 1) * 2**-53 of
+            # the total, half that after the square root, which itself and
+            # the oracle's own each round once more, so a bound of n * 2**-53
+            norm, oracle = opt.step(), math.sqrt(math.fsum(squares))
+            assert abs(norm - oracle) <= len(squares) * 2.0**-53 * oracle, step
+            ref.step()  # clipped by its own norm, summed per target
             # the values and the moments are written in place, and every
             # gradient is its zeroed slice of the flat buffer again
             assert ps["p0"].data is p0 and np.shares_memory(p0, ps.values)
@@ -482,6 +490,33 @@ class TestAdam:
                 assert np.array_equal(a.data, b.data), (step, name)
                 assert np.array_equal(opt.m[span], ref._m[name].ravel()), (step, name)
                 assert np.array_equal(opt.v[span], ref._v[name].ravel()), (step, name)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-thread", "helper"])
+    def test_no_float64_scratch_beyond_two_chunks_a_thread(self, monkeypatch, split):
+        # one target of eight chunks: the norm and the update each walk the
+        # chunks, so no thread needs float64 room the size of the target
+        with T.precision("single"):
+            ps = ParameterSet([("w", (8 * optim.CHUNK,), True)])
+        g = np.random.default_rng(4).standard_normal(ps.values.shape).astype(np.float32) * 1e-3
+        if split:
+            monkeypatch.setattr(optim, "SPLIT_SIZE", optim.CHUNK)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                opt = Adam(ps)
+                for _ in range(2):
+                    opt.grad[...] = g
+                    with T.helper(pool) if split else contextlib.nullcontext():
+                        opt.step()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert all(opt._chunks) == split
+        # beyond m, v and grad: one scratch of 2 * CHUNK float64 per thread, and
+        # less than one more such scratch for everything else
+        scratch = 2 * optim.CHUNK * 8
+        assert peak - 3 * ps.values.nbytes < (1 + split) * scratch + scratch, peak
 
     def test_non_targets_never_move(self):
         # a frozen tensor and a non-trainable one keep their values bitwise,
@@ -544,9 +579,10 @@ class TestAdam:
 
 
 class TestSplitAdam:
-    """A step over more than ``SPLIT_SIZE`` elements runs half of its norms
-    and of its update on the thread's helper; the gates are lowered so that
-    a small step splits. Every result is bitwise that of one thread."""
+    """A step over more than ``SPLIT_SIZE`` elements runs half of its chunks,
+    for the norm and for the update, on the thread's helper; the gates are
+    lowered so that a small step splits. Every result is bitwise that of one
+    thread."""
 
     @pytest.fixture(autouse=True)
     def split(self, monkeypatch):
@@ -562,7 +598,7 @@ class TestSplitAdam:
             ps = ParameterSet([("a", (40, 7), True), ("b", (3,), True), ("c", (130,), True), ("d", (9, 9), True)])
             ps.values[...] = rng.standard_normal(ps.values.shape)
             opt = Adam(ps, learning_rate=0.01, clip_norm=2.0)
-        assert all(opt._spans) and all(opt._chunks)
+        assert all(opt._chunks)
         norms = []
         try:
             for _ in range(steps):
@@ -604,6 +640,17 @@ class TestSplitAdam:
         assert isinstance(got[0][0], NumericError) and got[1][4] == 0
         assert not got[1][1].any() and not got[1][2].any()
         self.same(got, want)
+
+    def test_the_norm_and_the_update_walk_the_same_halves(self, pool, monkeypatch):
+        seen = {"_square_sums": set(), "_update": set()}
+        for name, halves in seen.items():
+            def record(opt, chunks, wide, *rest, real=getattr(Adam, name), halves=halves):
+                halves.add((tuple((c.start, c.stop) for c in chunks), id(wide)))
+                return real(opt, chunks, wide, *rest)
+
+            monkeypatch.setattr(Adam, name, record)
+        self.run(pool, steps=1)
+        assert len(seen["_update"]) == 2 and seen["_square_sums"] == seen["_update"]
 
     def test_a_busy_helper_leaves_both_halves_here(self, pool):
         busy = threading.Event()

@@ -484,14 +484,17 @@ class TestForkedEncoders:
     run's worker, forward and backward; the gate is lowered so that a small
     teacher forks."""
 
+    # the two hand-offs of a forked step: the future's encoder forward, then its backward
+    FORWARD, BACKWARD = "TransformerModel._encode_both.<locals>.<lambda>", "backward.<locals>.<lambda>"
+
     @pytest.fixture
     def submitted(self, monkeypatch):
-        """The name of every task the run's worker is given."""
+        """The qualified name of every task the run's worker is given."""
         names = []
         real = training.ThreadPoolExecutor.submit
 
         def submit(pool, fn, *args, **kwargs):
-            names.append(getattr(fn, "__name__", repr(fn)))
+            names.append(fn.__qualname__)
             return real(pool, fn, *args, **kwargs)
 
         monkeypatch.setattr(training.ThreadPoolExecutor, "submit", submit)
@@ -518,8 +521,7 @@ class TestForkedEncoders:
         sequential, arrays = self._run(data, monkeypatch, 10**18)
         assert submitted == []
         forked, forked_arrays = self._run(data, monkeypatch, 0)
-        # each of the 4 steps: the future's encoder forward, then its backward
-        assert submitted == ["<lambda>", "_propagate"] * 4
+        assert submitted == [self.FORWARD, self.BACKWARD] * 4
         assert all(np.array_equal(a, b) for a, b in zip(arrays, forked_arrays))
         assert forked.log == sequential.log and len(forked.log) == 4
 
@@ -552,10 +554,11 @@ class TestForkedEncoders:
         else:
             real = T._propagate
 
-            def propagate(nodes, lock):
+            def propagate(nodes, adds):
                 if on_helper():
                     raise DataError("future encoder backward")
-                return real(nodes, lock)
+                time.sleep(0.02)  # so the helper starts its branch
+                return real(nodes, adds)
 
             monkeypatch.setattr(T, "_propagate", propagate)
         with pytest.raises(DataError, match=f"future encoder {where}"):
@@ -572,12 +575,12 @@ class TestForkedEncoders:
         real = T.fork
         monkeypatch.setattr(T, "fork", lambda *a: forks.append(T._recording.grad) or real(*a))
         train_teacher(train, val, small_config("scenario-based"), tcfg(max_steps=2, val_every=1))
-        assert submitted == ["<lambda>", "_propagate"] * 2
+        assert submitted == [self.FORWARD, self.BACKWARD] * 2
         assert forks == [True, False, True, False]  # each step, then its validation
         submitted.clear()
         forks.clear()
         train_student(train, val, teacher, small_config("conventional"), tcfg(max_steps=2, val_every=1))
-        assert submitted == ["targets"] * 2 and forks == [False] * 2
+        assert submitted == ["_train_loop.<locals>.targets"] * 2 and forks == [False] * 2
 
 
 class TestHelperWork:
@@ -832,12 +835,11 @@ _PAPER_STEPS = textwrap.dedent("""
     T.backward = counting_backward
     cfg = training.TrainingConfig(batch_size=32, max_steps=2, seed=0)
     res = training.train_student(train, [], teacher, paper_config(V), cfg, lm_teacher=lm)
-    largest = max(t.data.size for _, t in res.model.params.update_targets())
     print(json.dumps(dict(
         base=base, peak=peak(), steps=res.steps, activations=max(activations),
         frozen=teacher.params.values.nbytes + lm.params.values.nbytes,
         student=res.model.params.values.nbytes, cache=res.cache_bytes,
-        scratch=max(largest, 2 * optim.CHUNK) * 8, head=32 * 16 * V * 4,  # one (B, T, V) float32 array
+        scratch=2 * 2 * optim.CHUNK * 8, head=32 * 16 * V * 4,  # one (B, T, V) float32 array
     )))
 """)
 
@@ -859,7 +861,8 @@ class TestPaperWidthMemory:
         # the process before any model; the frozen teachers; four arrays laid
         # out like the student's values: the values and Adam's m, v and flat
         # gradient, which is also where backward writes every parameter
-        # gradient; Adam's float64 scratch; the kept teacher targets; the
+        # gradient; Adam's two float64 scratches of two chunks, one for each
+        # thread that runs half of its step; the kept teacher targets; the
         # next step's teacher and LM probabilities, two (B, T, V) arrays that
         # the worker thread computes during this step, so that how far its
         # work overlaps the backward depends on the scheduler; and the
