@@ -79,6 +79,8 @@ def _batch(model: TransformerModel, histories) -> np.ndarray:
     for row in rows:
         if row.size == 0 or row.shape[0] != 1:
             raise ContractError(f"a history must be one non-empty token sequence, got shape {row.shape}")
+        if not np.issubdtype(row.dtype, np.integer):
+            raise ContractError(f"a history must hold integer token ids, got dtype {row.dtype}")
     return _pad_rows([row[0] for row in rows])
 
 

@@ -375,9 +375,6 @@ class TransformerModel:
             return self.config.dropout_rate
         return 0.0
 
-    def _maybe_dropout(self, x, train, rng):
-        return T.dropout(x, self._dropout_rate(train, rng), rng)
-
     def _embed(self, table_name: str, token_ids: np.ndarray, train, rng, position_offset: int = 0):
         cfg = self.config
         t = token_ids.shape[-1]
@@ -386,10 +383,8 @@ class TransformerModel:
                 f"sequence length {position_offset + t} exceeds max_sequence_length "
                 f"{cfg.max_sequence_length}"
             )
-        x = T.embedding(self.params[table_name], token_ids)
-        pe = self.params["positional_encoding"].data[position_offset : position_offset + t]
-        x = T.add(x, pe)
-        return self._maybe_dropout(x, train, rng)
+        positions = self.params["positional_encoding"].data[position_offset : position_offset + t]
+        return T.embedding(self.params[table_name], token_ids, positions, self._dropout_rate(train, rng), rng)
 
     def _residual(self, x, sublayer_out, ln_prefix: str, train, rng):
         p = self.params

@@ -48,7 +48,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError, VocabularyError
 
 _MODES = {"single": np.float32, "double": np.float64}
 _state = {"mode": "single"}
@@ -625,21 +625,29 @@ def layer_norm(x, gain, bias, s, rate: float = 0.0, rng=None) -> Tensor:
     return _make(data, (x, gain, bias, s), bw, "layer_norm")
 
 
-def embedding(table, ids) -> Tensor:
-    """Gather rows of ``table`` (V, d) by an integer id array of any shape."""
-    from .errors import VocabularyError
-
+def embedding(table, ids, positions, rate: float = 0.0, rng=None) -> Tensor:
+    """The input end of a pass as one node: rows of ``table`` (V, d) gathered
+    by an integer id array (..., T), plus the constant ``positions`` (T, d),
+    then dropout at ``rate`` drawn from ``rng``. The node keeps the ids and
+    the keep mask, but neither the gathered rows nor their sum."""
     table = as_tensor(table)
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise VocabularyError(
-            f"token id out of range [0, {table.data.shape[0]}): min={ids.min()}, max={ids.max()}"
-        )
+    n, d = table.data.shape
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise VocabularyError(f"token ids must be integers, got dtype {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise VocabularyError(f"token id out of range [0, {n}): min={ids.min()}, max={ids.max()}")
+    if positions.shape != ids.shape[-1:] + (d,):
+        raise ShapeError(f"embedding positions {positions.shape} do not match ids {ids.shape} at width {d}")
     data = table.data[ids]
+    data += positions
+    keep = _keep_mask(data.shape, rate, rng) if rate > 0.0 else None
+    if keep is not None:
+        data = _dropped(data, keep, rate)
 
     def bw(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        np.add.at(gt, ids.reshape(-1), (g if keep is None else _dropped(g, keep, rate)).reshape(-1, d))
         return (gt,)
 
     return _make(data, (table,), bw, "embedding")
@@ -652,6 +660,8 @@ def pick(x, ids) -> Tensor:
     x = as_tensor(x)
     ids = np.asarray(ids)
     n = x.data.shape[-1]
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ContractError(f"pick ids must be integers, got dtype {ids.dtype}")
     if ids.shape != x.data.shape[:-1]:
         raise ShapeError(f"pick ids shape {ids.shape} does not match {x.data.shape[:-1]}")
     # take_along_axis would wrap negative ids silently
@@ -721,20 +731,6 @@ def _dropped(a: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
-def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero entries with probability ``rate`` and rescale
-    survivors by 1/(1-rate). Call only at train time."""
-    x = as_tensor(x)
-    if rate <= 0.0:
-        return x
-    keep = _keep_mask(x.data.shape, rate, rng)
-
-    def bw(g):
-        return (_dropped(g, keep, rate),)
-
-    return _make(_dropped(x.data, keep, rate), (x,), bw, "dropout")
-
-
 PRIMITIVES = (
     "add",
     "mul",
@@ -750,5 +746,4 @@ PRIMITIVES = (
     "concat",
     "sum",
     "mean_square",
-    "dropout",
 )

@@ -10,7 +10,9 @@ imported, so no module can set a second one. And inference has one way
 in: the package enters ``graph_free`` only through ``names_failures``,
 so a failed check in any inference pass is named by a recorded rerun.
 Each residual is normalized by one ``layer_norm`` node that takes the
-sublayer's branch, so no add-then-normalize chain can come back. Work goes
+sublayer's branch, and each embedding adds its positions and draws its
+dropout in one ``embedding`` node, so a training graph holds no chain of
+elementwise nodes between the model's inputs and its loss. Work goes
 to the helper thread through ``tensor.submit``, ``tensor.both`` and the
 backward's leaf adds alone, so every split of work between the caller and
 the helper is one ``both`` over one partition."""
@@ -18,7 +20,10 @@ the helper is one ``both`` over one partition."""
 import ast
 from pathlib import Path
 
-from dialdistill import tensor as T
+from dialdistill import tensor as T, training
+from dialdistill.corpus import encode_example
+from dialdistill.model import desk_config
+from dialdistill.synthetic import future_marker_corpus, marker_vocabulary
 
 PACKAGE = Path(T.__file__).parent
 
@@ -56,11 +61,41 @@ def test_attention_is_called_only_from_the_sublayer():
     assert package_calls_to("attention") == ["model.attention_sublayer"]
 
 
-def test_residuals_are_normalized_and_dropped_out_in_one_place_each():
+def test_residuals_and_embeddings_are_built_and_dropped_out_in_one_place_each():
     assert package_calls_to("layer_norm") == ["model.TransformerModel._residual"]
-    assert package_calls_to("dropout") == ["model.TransformerModel._maybe_dropout"]
-    # one keep-mask draw serves both
-    assert package_calls_to("_keep_mask") == ["tensor.layer_norm", "tensor.dropout"]
+    assert package_calls_to("embedding") == ["model.TransformerModel._embed"]
+    # one keep-mask draw serves both, and there is no dropout of its own
+    assert package_calls_to("_keep_mask") == ["tensor.layer_norm", "tensor.embedding"]
+    assert "dropout" not in T.PRIMITIVES
+
+
+# the ops a model's forward records: the teacher's merge alone adds `concat`
+MODEL_OPS = {"embedding", "affine", "attention", "layer_norm", "log_softmax"}
+LOSS_OPS = {"pick", "dot", "mean_square", "mul", "sum", "add"}
+
+
+def test_a_desk_training_graph_holds_only_the_fused_nodes(monkeypatch):
+    # each trainer's recorded graph, in topological order: the model's nodes,
+    # then the loss's
+    vocab = marker_vocabulary()
+    train = [encode_example(e, vocab) for e in future_marker_corpus(16, seed=3)]
+    graphs = []
+    backward = T.backward
+
+    def recording_backward(loss):
+        graphs.append([n._op for n in T._topological_order(loss, grad_only=False) if n._parents])
+        backward(loss)
+
+    monkeypatch.setattr(T, "backward", recording_backward)
+    one = training.TrainingConfig(batch_size=16, max_steps=1, seed=0)
+    teacher = training.train_teacher(train, [], desk_config(len(vocab), "scenario-based"), one).model
+    lm = training.train_lm_teacher(train, [], desk_config(len(vocab), "language-model"), one).model
+    training.train_student(train, [], teacher, desk_config(len(vocab)), one, lm_teacher=lm)
+    assert len(graphs) == 3
+    for ops, model_ops in zip(graphs, (MODEL_OPS | {"concat"}, MODEL_OPS, MODEL_OPS)):
+        n = next(i for i, op in enumerate(ops) if op not in model_ops)
+        assert set(ops[:n]) == model_ops
+        assert ops[n:] and set(ops[n:]) <= LOSS_OPS
 
 
 def test_total_loss_is_called_only_from_the_training_loop():

@@ -556,6 +556,12 @@ class TestContracts:
                 with pytest.raises(ContractError):
                     decode(real_model, empty, DecodeConfig(strategy=strategy))
 
+    @pytest.mark.parametrize("history", [[4.7, 5.2, 6.9], [True, False, True]], ids=["float", "bool"])
+    def test_histories_that_are_not_integers_rejected(self, real_model, history):
+        # a float history would be truncated to ids when padded, and decoded
+        with pytest.raises(ContractError, match="integer token ids"):
+            decode_many(real_model, [[4, 5], history], DecodeConfig())
+
     def test_decode_many_takes_one_sequence_per_history(self, real_model):
         assert decode_many(real_model, [], DecodeConfig()) == []
         with pytest.raises(ContractError):

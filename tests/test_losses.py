@@ -139,6 +139,12 @@ class TestNll:
             with pytest.raises(ContractError):
                 losses.nll_sum(dist(log_probs), np.array([[0, bad]]), np.ones((1, 2)))
 
+    @pytest.mark.parametrize("targets", [np.array([[0.0, 3.0]]), np.array([[True, False]])], ids=["float", "bool"])
+    def test_targets_that_are_not_integers_rejected(self, targets):
+        log_probs = np.full((1, 2, 4), math.log(0.25))
+        with pytest.raises(ContractError, match="must be integers"):
+            losses.nll_sum(dist(log_probs), targets, np.ones((1, 2)))
+
     def test_paper_vocabulary_without_dense_buffers(self):
         # reading one log-probability per position must not build a V x V
         # identity or (B, T, V) temporaries beyond the gradient itself

@@ -9,7 +9,7 @@ import pytest
 
 from dialdistill import tensor as T
 from dialdistill.corpus import EncodedExample, make_batch
-from dialdistill.errors import ContractError, ShapeError
+from dialdistill.errors import ContractError, ShapeError, VocabularyError
 from dialdistill.losses import nll_sum
 from dialdistill.model import (
     MEMORIES,
@@ -319,7 +319,7 @@ class TestAttentionEqualsTheChain:
         ops = [n._op for n in T._topological_order(out.log_probs, grad_only=False) if n._parents]
         # two encoder self-attentions, two decoder self- and two cross-attentions
         assert ops.count("attention") == 6
-        assert len(ops) == 56
+        assert len(ops) == 52
 
 
 def kept_arrays(root):
@@ -345,8 +345,8 @@ def buffer_bytes(arrays) -> int:
 
 class TestGraphMemory:
     def test_a_desk_teacher_step_keeps_only_what_backward_reads(self):
-        # the keep masks at one byte an entry, and no dropout output, residual
-        # sum or pre-relu activation
+        # the keep masks at one byte an entry, and no gathered rows, position
+        # sum, dropout output, residual sum or pre-relu activation
         model = TransformerModel.build(desk_config(30, "scenario-based"), seed=0)
         rng = np.random.default_rng(0)
         history, response, future = (rng.integers(4, 30, (16, n)) for n in (12, 7, 12))
@@ -356,8 +356,8 @@ class TestGraphMemory:
         masks = [a for op, name, a in kept if name == "keep"]
         # the three embeddings' dropouts and the fourteen residuals'
         assert len(masks) == 17 and all(m.dtype == np.bool_ for m in masks)
-        assert sum(1 for n in T._topological_order(loss, grad_only=False) if n._parents) == 91
-        assert buffer_bytes(a for _, _, a in kept) == 4475312
+        assert sum(1 for n in T._topological_order(loss, grad_only=False) if n._parents) == 85
+        assert buffer_bytes(a for _, _, a in kept) == 4229552
 
 
 class TestBatchedHeads:
@@ -499,6 +499,16 @@ class TestDecoder:
             self.m.decode(self.resp_in)
         with pytest.raises(ContractError):
             self.m.forward(self.hist, self.resp_in, future=np.array([[4, 5]]))
+
+    @pytest.mark.parametrize("variant", ["conventional", "scenario-based", "language-model"])
+    def test_ids_that_are_not_integers_rejected(self, variant):
+        m = TransformerModel.build(tiny(variant), seed=7)
+        floats = np.array([[4.0, 5.0]])
+        inputs = {"conventional": (floats, self.resp_in, None),
+                  "scenario-based": (floats, self.resp_in, np.array([[9, 10]])),
+                  "language-model": (np.zeros((1, 0), np.int64), floats, None)}[variant]
+        with pytest.raises(VocabularyError, match="must be integers"):
+            m.forward(*inputs)
 
     def test_scenario_requires_future(self):
         m = TransformerModel.build(tiny("scenario-based"), seed=7)

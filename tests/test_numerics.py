@@ -52,6 +52,7 @@ POISONS = [
     ("dec.0.ffn.w1", "affine"),
     ("dec.0.ln_self.gain", "layer_norm"),
     ("decoder_embedding", "embedding"),
+    ("positional_encoding", "embedding"),
 ]
 
 

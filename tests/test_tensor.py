@@ -480,7 +480,7 @@ class TestLayerNorm:
             if fused:
                 out = T.layer_norm(x, gain, bias, s, rate, draw)
             else:
-                out = T.layer_norm(T.add(x, T.dropout(s, rate, draw)), gain, bias, np.zeros(shape, np.float32))
+                out = T.layer_norm(T.add(x, chain_dropout(s, rate, draw)), gain, bias, np.zeros(shape, np.float32))
             T.backward(T.tsum(T.mul(out, weight)))
             results.append([out.data, x.grad, s.grad, gain.grad, bias.grad])
         for got, want in zip(*results):
@@ -491,7 +491,7 @@ class TestLayerNorm:
         with pytest.raises(ContractError, match="rate must be < 1"):
             T.layer_norm(x, np.ones(4), np.zeros(4), x, 1.0, np.random.default_rng(0))
         with pytest.raises(ContractError, match="rate must be < 1"):
-            T.dropout(x, 1.5, np.random.default_rng(0))
+            T.embedding(np.ones((4, 2)), np.array([0, 3]), np.zeros((2, 2)), 1.5, np.random.default_rng(0))
 
     def test_rejects_a_residual_branch_of_another_shape(self):
         # an `add` would broadcast (1, 4) over (2, 4); the node does not
@@ -501,33 +501,139 @@ class TestLayerNorm:
                 T.layer_norm(x, np.ones(4), np.zeros(4), s)
 
 
+def chain_gather(table, ids):
+    """The gather that ``embedding`` began with, as a node of its own."""
+    d = table.data.shape[-1]
+
+    def bw(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, d))
+        return (gt,)
+
+    return T._make(table.data[ids], (table,), bw, "gather")
+
+
+def chain_dropout(x, rate, rng):
+    """The deleted ``dropout`` primitive, as a node of its own: the keep mask
+    and scaling that ``embedding`` and ``layer_norm`` draw and apply."""
+    if rate <= 0.0:
+        return x
+    keep = T._keep_mask(x.data.shape, rate, rng)
+    return T._make(T._dropped(x.data, keep, rate), (x,), lambda g: (T._dropped(g, keep, rate),), "dropout")
+
+
+def sinusoids(t, d, dtype=np.float64):
+    return np.sin(np.arange(t)[:, None] / 10.0 ** (np.arange(d)[None, :] / d)).astype(dtype)
+
+
 class TestEmbedding:
     def test_gather_and_scatter(self):
         rng = np.random.default_rng(16)
         with T.precision("double"):
             table = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
             ids = np.array([[0, 2, 2], [4, 0, 1]])
-            out = T.embedding(table, ids)
+            positions = rng.standard_normal((3, 3))
+            out = T.embedding(table, ids, positions)
             assert out.data.shape == (2, 3, 3)
-            assert np.array_equal(out.data[0, 1], table.data[2])
+            assert np.array_equal(out.data[0, 1], table.data[2] + positions[1])
             T.backward(T.tsum(out))
             # row 2 used twice, row 0 twice, rows 1 and 4 once, row 3 never
             assert np.allclose(table.grad[2], 2.0)
             assert np.allclose(table.grad[0], 2.0)
             assert np.allclose(table.grad[3], 0.0)
 
-    def test_gradients(self):
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_gradients(self, rate):
         rng = np.random.default_rng(17)
         table = leaf(rng, 6, 4)
-        ids = np.array([1, 1, 5, 0])
-        fd_check(lambda ls: T.tsum(T.mul(T.embedding(ls[0], ids), T.embedding(ls[0], ids))), [table])
+        ids = np.array([[1, 1, 5], [0, 5, 2]])
+        positions = sinusoids(3, 4)
+
+        def build(ls):
+            # the same mask every evaluation
+            out = T.embedding(ls[0], ids, positions, rate, np.random.default_rng(5))
+            return T.tsum(T.mul(out, out))
+
+        fd_check(build, [table])
+
+    @pytest.mark.parametrize("v, b, t, d", [(30, 16, 12, 64), (5000, 32, 60, 256)], ids=["desk", "paper"])
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_equals_the_chain_bitwise(self, v, b, t, d, rate):
+        # the fused node against gather, add of the positions, then dropout
+        rng = np.random.default_rng(18)
+        values = rng.standard_normal((v, d)).astype(np.float32)
+        ids = rng.integers(0, v, (b, t))
+        positions = sinusoids(t, d, np.float32)
+        weight = rng.standard_normal((b, t, d)).astype(np.float32)
+        results = []
+        for fused in (True, False):
+            table = T.Tensor(values.copy(), requires_grad=True)
+            draw = np.random.default_rng(19)
+            if fused:
+                out = T.embedding(table, ids, positions, rate, draw)
+            else:
+                out = chain_dropout(T.add(chain_gather(table, ids), positions), rate, draw)
+            T.backward(T.tsum(T.mul(out, weight)))
+            results.append([out.data, table.grad, draw.random(2)])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert results[0][0].dtype == np.float32
+
+    def test_keeps_only_the_ids_and_the_keep_mask(self):
+        table = T.Tensor(np.ones((6, 4)), requires_grad=True)
+        out = T.embedding(table, np.array([[1, 2, 3]]), np.zeros((3, 4)), 0.5, np.random.default_rng(0))
+        kept = {n: c.cell_contents for n, c in zip(out._backward.__code__.co_freevars, out._backward.__closure__)
+                if isinstance(c.cell_contents, np.ndarray)}
+        assert kept.keys() == {"ids", "keep"} and kept["keep"].dtype == np.bool_
 
     def test_out_of_range(self):
         table = T.Tensor(np.ones((4, 2)))
         with pytest.raises(VocabularyError):
-            T.embedding(table, np.array([0, 4]))
+            T.embedding(table, np.array([0, 4]), np.zeros((2, 2)))
         with pytest.raises(VocabularyError):
-            T.embedding(table, np.array([-1]))
+            T.embedding(table, np.array([-1]), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("ids", [np.array([0.0, 1.0, 2.0]), np.array([True, False, True, True, False])],
+                             ids=["float", "bool"])
+    def test_ids_that_are_not_integers_rejected(self, ids):
+        # bool ids would select rows by mask, and float ids fail to index
+        with pytest.raises(VocabularyError, match="must be integers"):
+            T.embedding(T.Tensor(np.ones((4, 2))), ids, np.zeros((ids.size, 2)))
+
+    def test_positions_of_another_shape_rejected(self):
+        table = T.Tensor(np.ones((4, 2)))
+        for positions in (np.zeros((3, 2)), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+            with pytest.raises(ShapeError, match="positions"):
+                T.embedding(table, np.array([[0, 1]]), positions)
+
+
+class TestEmbeddingDropout:
+    def test_zero_rate_draws_no_mask(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        table = T.Tensor(np.arange(12.0).reshape(3, 4))
+        ids, positions = np.array([[2, 0]]), np.ones((2, 4))
+        out = T.embedding(table, ids, positions, 0.0, rng)
+        assert rng.bit_generator.state == before
+        assert np.array_equal(out.data, table.data[ids] + positions)
+
+    def test_inverted_scaling(self):
+        rng = np.random.default_rng(25)
+        out = T.embedding(T.Tensor(np.ones((200, 200))), np.arange(200), np.zeros((200, 200)), 0.25, rng)
+        kept = out.data[out.data != 0.0]
+        assert np.allclose(kept, 1.0 / 0.75)
+        # survivor fraction near 75%
+        frac = (out.data != 0.0).mean()
+        assert abs(frac - 0.75) < 0.02
+
+    def test_gradient_uses_same_mask(self):
+        with T.precision("double"):
+            rng = np.random.default_rng(26)
+            table = T.Tensor(np.ones((10, 10)), requires_grad=True)
+            # each row read once, so each gradient row is one position's
+            out = T.embedding(table, np.arange(10), np.zeros((10, 10)), 0.5, rng)
+            T.backward(T.tsum(out))
+            assert np.array_equal((table.grad != 0.0), (out.data != 0.0))
 
 
 class TestPick:
@@ -560,6 +666,11 @@ class TestPick:
             T.pick(x, np.array([-1, 0]))
         with pytest.raises(ShapeError):
             T.pick(x, np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("ids", [np.array([0.0, 3.0]), np.array([True, False])], ids=["float", "bool"])
+    def test_ids_that_are_not_integers_rejected(self, ids):
+        with pytest.raises(ContractError, match="must be integers"):
+            T.pick(T.Tensor(np.ones((2, 4))), ids)
 
 
 class TestShapeOps:
@@ -610,30 +721,6 @@ class TestReductions:
     def test_mean_square_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.mean_square(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 4))))
-
-
-class TestDropout:
-    def test_zero_rate_is_identity(self):
-        x = T.Tensor(np.ones((3, 3)))
-        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
-
-    def test_inverted_scaling(self):
-        rng = np.random.default_rng(25)
-        x = T.Tensor(np.ones((200, 200)))
-        out = T.dropout(x, 0.25, rng)
-        kept = out.data[out.data != 0.0]
-        assert np.allclose(kept, 1.0 / 0.75)
-        # survivor fraction near 75%
-        frac = (out.data != 0.0).mean()
-        assert abs(frac - 0.75) < 0.02
-
-    def test_gradient_uses_same_mask(self):
-        with T.precision("double"):
-            rng = np.random.default_rng(26)
-            x = T.Tensor(np.ones((10, 10)), requires_grad=True)
-            out = T.dropout(x, 0.5, rng)
-            T.backward(T.tsum(out))
-            assert np.array_equal((x.grad != 0.0), (out.data != 0.0))
 
 
 class TestGraphMechanics:
