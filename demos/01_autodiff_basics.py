@@ -21,10 +21,12 @@ def main():
         x = T.Tensor(rng.normal(size=(4, 3)))
         w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         b = T.Tensor(np.zeros(5), requires_grad=True)
+        w_out = T.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        b_out = T.Tensor(np.zeros(6), requires_grad=True)
 
         def loss_value():
             h = T.affine(x, w, b, relu=True)  # relu applied in place on the product
-            logp = T.log_softmax(h)  # log-probabilities, finite even where a probability underflows
+            logp = T.head(h, w_out, b_out)  # log-softmax of a product: finite even where a probability underflows
             return T.mul(T.tsum(logp), -1.0 / logp.data.size)
 
         loss = loss_value()

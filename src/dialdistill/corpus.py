@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError
+from .errors import DataError, VocabularyError
 
 PAD_ID = 0
 UNK_ID = 1
@@ -309,10 +309,16 @@ class Batch:
         return float(self.target_mask.sum())
 
 
-def _pad_rows(rows: list) -> np.ndarray:
+def _pad_rows(rows: list, field: str) -> np.ndarray:
+    """One field's id lists or integer arrays, padded; a float or bool id,
+    which the int64 array would truncate, raises ``VocabularyError``."""
     width = max(len(r) for r in rows)
     out = np.full((len(rows), width), PAD_ID, dtype=np.int64)
     for i, r in enumerate(rows):
+        if not isinstance(r, np.ndarray) or r.dtype.kind not in "iu":
+            bad = [t for t in r if type(t) is not int and not isinstance(t, np.integer)]  # a bool is no id
+            if bad:
+                raise VocabularyError(f"{field} token ids must be integers, got {bad[0]!r}")
         out[i, : len(r)] = r
     return out
 
@@ -321,12 +327,12 @@ def make_batch(examples: list, include_future: bool = True) -> Batch:
     """Pad a list of EncodedExamples to a single Batch."""
     if not examples:
         raise DataError("cannot build a batch from zero examples")
-    hist = _pad_rows([e.history for e in examples])
-    resp_in = _pad_rows([[BOS_ID] + e.response for e in examples])
-    resp_tgt = _pad_rows([e.response + [EOS_ID] for e in examples])
+    hist = _pad_rows([e.history for e in examples], "history")
+    resp_in = _pad_rows([[BOS_ID] + e.response for e in examples], "response")
+    resp_tgt = _pad_rows([e.response + [EOS_ID] for e in examples], "response")
     lengths = np.array([len(e.response) + 1 for e in examples], dtype=np.int64)
     mask = (np.arange(resp_tgt.shape[1])[None, :] < lengths[:, None]).astype(T.active_dtype())
-    future = _pad_rows([e.future for e in examples]) if include_future else None
+    future = _pad_rows([e.future for e in examples], "future") if include_future else None
     return Batch(history=hist, response_in=resp_in, response_target=resp_tgt,
                  target_mask=mask, future=future)
 

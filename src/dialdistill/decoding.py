@@ -81,7 +81,7 @@ def _batch(model: TransformerModel, histories) -> np.ndarray:
             raise ContractError(f"a history must be one non-empty token sequence, got shape {row.shape}")
         if not np.issubdtype(row.dtype, np.integer):
             raise ContractError(f"a history must hold integer token ids, got dtype {row.dtype}")
-    return _pad_rows([row[0] for row in rows])
+    return _pad_rows([row[0] for row in rows], "history")
 
 
 def _normalize(score: float, length: int, penalty: float) -> float:

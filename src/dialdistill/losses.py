@@ -14,6 +14,10 @@ total = nll + lambda1 * (prediction + representation) [+ lambda_lm * lm_term]
 All components are optimized as per-token means over the batch. With
 ``lambda1 == 0`` and no language-model teacher the total is the plain
 NLL through the identical code path.
+
+The NLL and the teacher's and language model's soft targets, mixed into
+one, are one ``T.cross_entropy`` node over the head's log-probabilities;
+each soft term's own value is logged off the graph.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
+from .model import DecodeOutput
+
+
+def _term(sums: T.Tensor, i: int) -> T.Tensor:
+    """Sum ``i`` of a ``T.cross_entropy`` node: 0 the NLL, 1 the soft target's."""
+    return T.pick(sums, np.asarray(i))
+
 
 def nll_sum(log_probs: T.Tensor, targets: np.ndarray, mask: np.ndarray) -> T.Tensor:
     """Sum over unmasked positions of -log p(gold token).
@@ -32,29 +43,28 @@ def nll_sum(log_probs: T.Tensor, targets: np.ndarray, mask: np.ndarray) -> T.Ten
     and ``mask`` are plain integer/float arrays of shape (B, T). A target
     id outside ``[0, |V|)`` raises :class:`ContractError`.
     """
-    b, t, _ = log_probs.data.shape
-    if targets.shape != (b, t) or mask.shape != (b, t):
-        raise ShapeError(
-            f"targets/mask shape {targets.shape}/{mask.shape} do not match distributions {(b, t)}"
-        )
-    return T.mul(T.tsum(T.mul(T.pick(log_probs, targets), mask)), -1.0)
-
-
-def soft_target_sum(targets: np.ndarray, log_probs: T.Tensor, mask: np.ndarray) -> T.Tensor:
-    """-sum_i sum_k q_i(k) log p_i(k) over unmasked positions, for constant
-    (B, T, |V|) soft targets ``q``: one ``dot`` node on the log-probabilities."""
-    return T.mul(T.tsum(T.mul(T.dot(log_probs, targets), mask)), -1.0)
+    return _term(T.cross_entropy(log_probs, targets, mask), 0)
 
 
 def prediction_imitation_sum(
     teacher_probs: np.ndarray, student_probs: T.Tensor, mask: np.ndarray
 ) -> T.Tensor:
     """-sum_i sum_k q_teacher(k) log p_student(k) over unmasked positions,
-    on ``T.log(student_probs)`` (see :func:`soft_target_sum`).
+    on ``T.log(student_probs)``: one ``cross_entropy`` node.
 
     The teacher distributions are constants: no gradient flows into them.
     """
-    return soft_target_sum(teacher_probs, T.log(student_probs), mask)
+    return _term(T.cross_entropy(T.log(student_probs), None, mask, teacher_probs), 1)
+
+
+def _mixed(parts: list) -> np.ndarray:
+    """``w1 * q1 + w2 * q2 + ...`` over (weight, soft target) ``parts`` as
+    one new array, each later part weighted and added a row chunk at a time."""
+    mixed = np.multiply(parts[0][1], parts[0][0])
+    for weight, q in parts[1:]:
+        for rows, q_rows in zip(T._row_chunks(mixed), T._row_chunks(np.asarray(q))):
+            rows += q_rows * weight
+    return mixed
 
 
 def representation_imitation_sum(
@@ -117,7 +127,7 @@ class LossBreakdown:
 
 
 def total_loss(
-    student_probs: T.Tensor,
+    student_probs,
     student_hiddens: list,
     targets: np.ndarray,
     mask: np.ndarray,
@@ -130,10 +140,10 @@ def total_loss(
 ):
     """Assemble the combined objective; returns (scalar graph node, LossBreakdown).
 
-    ``T.log(student_probs)`` of a ``DecodeOutput.probabilities`` is the
-    head's log-probabilities. The NLL picks from them; the weighted
-    teacher and language-model soft targets are one soft-target term
-    (Hinton et al. 2015), and each term's value is logged off the graph.
+    ``student_probs`` is the student's ``DecodeOutput``, read with no exp, or
+    its ``probabilities``, whose ``T.log`` is the same log-probabilities. The
+    weighted teacher and language-model soft targets are one mixed target
+    (Hinton et al. 2015); each soft term's value is logged off the graph.
 
     Imitation terms are included only when ``lambda1 > 0`` and teacher
     outputs are present, so a ``lambda1 == 0`` run is computationally
@@ -146,30 +156,29 @@ def total_loss(
         return T.Tensor(0.0), LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
     inv = 1.0 / count
 
-    log_probs = T.log(student_probs)  # the head's own log-probabilities
-    nll_mean = T.mul(nll_sum(log_probs, targets, mask), inv)
+    log_probs = student_probs.log_probs if isinstance(student_probs, DecodeOutput) else T.log(student_probs)
+    use_teacher = lambda1 > 0.0 and teacher_probs is not None
+    use_lm = lm_probs is not None and lambda_lm > 0.0
+    parts = [(lambda1, teacher_probs)] * use_teacher + [(lambda_lm, lm_probs)] * use_lm
+    sums = T.cross_entropy(log_probs, targets, mask, _mixed(parts) if parts else None)
+    nll_mean = T.mul(_term(sums, 0), inv)
     loss = nll_mean
     fpi_value = 0.0
     iri_value = 0.0
     lm_value = None
-    mixed = None  # the weighted sum of the soft targets
 
     def value(q):  # a soft-target term's mean, off the graph
-        return float(soft_target_sum(q, T.as_tensor(log_probs.data), mask).data) * inv
+        return float(T.cross_entropy(log_probs.data, None, mask, q).data[1]) * inv
 
-    if lambda1 > 0.0 and teacher_probs is not None:
+    if use_teacher:
         iri_mean = T.mul(representation_imitation_sum(teacher_hiddens, student_hiddens, alpha, mask), inv)
         loss = T.add(loss, T.mul(iri_mean, lambda1))
         iri_value = float(iri_mean.data)
         fpi_value = value(teacher_probs)
-        mixed = lambda1 * teacher_probs
-
-    if lm_probs is not None and lambda_lm > 0.0:
+    if use_lm:
         lm_value = value(lm_probs)
-        mixed = lambda_lm * lm_probs if mixed is None else mixed + lambda_lm * lm_probs
-
-    if mixed is not None:
-        loss = T.add(loss, T.mul(soft_target_sum(mixed, log_probs, mask), inv))
+    if parts:
+        loss = T.add(loss, T.mul(_term(sums, 1), inv))
 
     breakdown = LossBreakdown(nll=float(nll_mean.data), il_prediction=fpi_value, il_representation=iri_value,
                               total=float(loss.data), token_count=count, lm_prediction=lm_value)

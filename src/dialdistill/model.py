@@ -398,9 +398,9 @@ class TransformerModel:
 
     def _output_head(self, x, hidden) -> DecodeOutput:
         # the one finiteness check of a forward pass: a NaN/Inf anywhere
-        # upstream reaches the logits, and log_softmax keeps finite logits finite
-        logits = T.check_finite(T.affine(x, self.params["out_proj.w"], self.params["out_proj.b"]))
-        return DecodeOutput(log_probs=T.log_softmax(logits), hidden_states=hidden)
+        # upstream reaches the logits, and the head keeps finite logits finite
+        log_probs = T.check_finite(T.head(x, self.params["out_proj.w"], self.params["out_proj.b"]))
+        return DecodeOutput(log_probs=log_probs, hidden_states=hidden)
 
     # ---- encoder -------------------------------------------------------
 

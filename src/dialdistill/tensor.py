@@ -11,14 +11,16 @@ and ``double`` (float64, used to verify analytic gradients against
 finite differences). ``precision(...)`` switches the dtype used when
 tensors are created; a computation should stay in one mode throughout.
 
-Distributions are carried as log-probabilities from ``log_softmax``, so a
-probability that underflows to zero still has a finite log, and no log is
-clamped; ``log`` of an ``exp`` node gives its input back.
+Distributions are carried as log-probabilities from ``head``, the output
+head's product and log-softmax as one node, so a probability that
+underflows to zero still has a finite log, and no log is clamped; ``log``
+of an ``exp`` node gives its input back. With ``cross_entropy``, a step holds
+one (rows, V) array each way: the log-probabilities and one gradient.
 
 Primitives do not scan their outputs for NaN/Inf; ``check_finite`` runs
 at boundaries instead: on ``Tensor(...)`` leaves (not on the constants
-``as_tensor`` wraps) and where callers ask (the model's logits, the
-training loss). A failed check names the first primitive of the graph
+``as_tensor`` wraps) and where callers ask (the model's log-probabilities,
+the training loss). A failed check names the first primitive of the graph
 with a non-finite output.
 
 Within ``graph_free()``, a switch of the calling thread alone, no output
@@ -65,6 +67,7 @@ _FORK_GEMM = 64 * _SMALL_GEMM
 # helper only when its product exceeds this many multiply-adds, as every
 # paper-width one does; a smaller one, such as a desk FFN's, is quicker here
 _DEFER_GEMM = 16 * _SMALL_GEMM
+_CHUNK = 1 << 16  # entries in a row chunk that `head` walks
 LAYER_NORM_EPSILON = 1e-5
 
 
@@ -484,22 +487,37 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
     return _make(data, (x, w, b), bw, "affine")
 
 
-def log_softmax(x) -> Tensor:
-    """Log of the softmax over the last axis, ``x - max - log(sum(exp(x - max)))``:
-    no exp overflows, and it is finite wherever ``x`` is."""
-    x = as_tensor(x)
-    if x.ndim == 0 or x.data.shape[-1] == 0:
-        raise ShapeError(f"log_softmax needs a non-empty last axis, got shape {x.data.shape}")
-    y = x.data - x.data.max(axis=-1, keepdims=True)
-    y -= np.log(np.exp(y).sum(axis=-1, keepdims=True))
+def head(x, w, b) -> Tensor:
+    """The output head as one node: ``z - max - log(sum(exp(z - max)))`` over
+    the last axis of the logits ``z = affine(x, w, b)``, written over them in
+    row chunks, finite wherever ``z`` is; no logits are kept. Backward
+    recomputes each chunk's softmax and writes the logits' gradient over the
+    one it is given, unless that is a view, which another node may share."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    logits = affine(x, w, b)
+    data, product_bw = logits.data, logits._backward
+    if data.shape[-1] == 0:
+        raise ShapeError(f"head needs a non-empty output axis, got shape {data.shape}")
+    for y in _row_chunks(data):
+        y -= y.max(axis=-1, keepdims=True)
+        y -= np.log(np.exp(y).sum(axis=-1, keepdims=True))
 
     def bw(g):
-        gx = np.exp(y)  # g - softmax * sum(g), the softmax recomputed rather than kept
-        gx *= -g.sum(axis=-1, keepdims=True)
-        gx += g
-        return (gx,)
+        if g.base is not None or not (g.flags.writeable and g.flags.c_contiguous):
+            g = g.copy()
+        for y, gy in zip(_row_chunks(data), _row_chunks(g)):
+            e = np.exp(y)  # g - softmax * sum(g), the softmax recomputed rather than kept
+            e *= -gy.sum(axis=-1, keepdims=True)
+            gy += e
+        return product_bw(g.astype(data.dtype, copy=False))  # in the logits' dtype
 
-    return _make(y, (x,), bw, "log_softmax")
+    return _make(data, (x, w, b), bw, "head")
+
+
+def _row_chunks(a: np.ndarray) -> list:
+    """Views of a C-contiguous array's rows, in chunks of about ``_CHUNK`` entries."""
+    rows, step = a.reshape(-1, a.shape[-1]), max(1, _CHUNK // a.shape[-1])
+    return [rows[i:i + step] for i in range(0, len(rows), step)]
 
 
 def exp(x) -> Tensor:
@@ -527,19 +545,34 @@ def log(x) -> Tensor:
     return _make(np.log(x.data), (x,), bw, "log")
 
 
-def dot(a, b) -> Tensor:
-    """Per-slice dot product over the last axis of two equal-shaped tensors,
-    ``(a * b).sum(-1)``, without their product as a stored array."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"dot shape mismatch: {a.data.shape} vs {b.data.shape}")
-    data = np.einsum("...k,...k->...", a.data, b.data)
+def cross_entropy(log_probs, ids, mask, soft=None) -> Tensor:
+    """A loss's two sums over (..., V) log-probabilities as one (2,) node, 0
+    for ids or a constant soft target of None: ``-sum(mask * log_probs[ids])``
+    and ``-sum(mask * (soft * log_probs).sum(-1))``, each rounding as ``pick``
+    or a per-slice dot, then ``mul``, ``sum`` and ``mul``. The node keeps
+    ``soft``; backward makes one (..., V) gradient and adds the NLL's into it."""
+    x = as_tensor(log_probs)
+    weights, neg = (np.asarray(a, dtype=active_dtype()) for a in (mask, -1.0))  # as `as_tensor` reads them
+    if weights.shape != x.data.shape[:-1]:
+        raise ShapeError(f"mask shape {weights.shape} does not match distributions {x.data.shape[:-1]}")
+    sums = [np.zeros((), np.result_type(x.data, weights))] * 2
+    if ids is not None:
+        index = _index(x, ids)
+        sums[0] = (np.take_along_axis(x.data, index, axis=-1)[..., 0] * weights).sum() * neg
+    if soft is not None:
+        soft = np.asarray(soft, dtype=active_dtype())
+        if soft.shape != x.data.shape:
+            raise ShapeError(f"soft target shape {soft.shape} does not match {x.data.shape}")
+        sums[1] = (np.einsum("...k,...k->...", x.data, soft) * weights).sum() * neg
 
     def bw(g):
-        g = g[..., None]
-        return g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None
+        g_nll, g_soft = (g[i] * neg * weights for i in (0, 1))  # as `mul`, `sum` and `mul` hand it on
+        gx = np.zeros_like(x.data) if soft is None else soft * g_soft[..., None]
+        if ids is not None:
+            np.put_along_axis(gx, index, np.take_along_axis(gx, index, axis=-1) + g_nll[..., None], axis=-1)
+        return (gx,)
 
-    return _make(np.asarray(data), (a, b), bw, "dot")
+    return _make(np.array(sums, dtype=np.result_type(*sums)), (x,), bw, "cross_entropy")
 
 
 def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
@@ -568,18 +601,23 @@ def attention(q, k, v, additive_mask, num_heads: int) -> Tensor:
     qh, kh, vh = heads(q.data, b, t), heads(k.data, b_kv, s), heads(v.data, b_kv, s)
     kt = np.transpose(kh, (0, 1, 3, 2))
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=active_dtype())
-    scores = (qh @ kt) * scale
+    p = (qh @ kt).astype(np.result_type(q.data, k.data, scale), copy=False)
+    p *= scale
     if mask is not None:
-        scores = scores + mask[..., None, :, :]
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+        p += mask[..., None, :, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     data = np.transpose(p @ vh, (0, 2, 1, 3)).reshape(b, t, d)
 
     def bw(g):
         gctx = np.transpose(g.reshape(b, t, h, dh), (0, 2, 1, 3))
-        gp = gctx @ np.swapaxes(vh, -1, -2)
+        # the gradient of p, then of the scores, in place
+        gs = (gctx @ np.swapaxes(vh, -1, -2)).astype(np.result_type(g, v.data, p), copy=False)
         gvh = _unbroadcast(np.swapaxes(p, -1, -2) @ gctx, vh.shape)
-        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
         gqh = gs @ kh
         gkh = _unbroadcast(np.swapaxes(gs, -1, -2) @ qh, kh.shape)
         gq = np.transpose(gqh, (0, 2, 1, 3)).reshape(b, t, d)
@@ -619,8 +657,9 @@ def layer_norm(x, gain, bias, s, rate: float = 0.0, rng=None) -> Tensor:
         gx = (dxhat - m1 - xhat * m2) * inv_std
         ggain = (g * xhat).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
-        # x and s take distinct arrays, as a leaf keeps its first add's array and adds into it
-        return gx, ggain, gbias, gx.view() if keep is None else _dropped(gx, keep, rate)
+        # x and s take distinct arrays, as a leaf keeps its first add's array and
+        # adds into it; two views of one, which `head` does not write over
+        return (gx.view(), ggain, gbias, gx.view()) if keep is None else (gx, ggain, gbias, _dropped(gx, keep, rate))
 
     return _make(data, (x, gain, bias, s), bw, "layer_norm")
 
@@ -658,16 +697,7 @@ def pick(x, ids) -> Tensor:
     all leading indices ``i``. ``ids`` must have ``x``'s shape minus its
     last axis."""
     x = as_tensor(x)
-    ids = np.asarray(ids)
-    n = x.data.shape[-1]
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ContractError(f"pick ids must be integers, got dtype {ids.dtype}")
-    if ids.shape != x.data.shape[:-1]:
-        raise ShapeError(f"pick ids shape {ids.shape} does not match {x.data.shape[:-1]}")
-    # take_along_axis would wrap negative ids silently
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ContractError(f"pick id outside [0, {n}): min={ids.min()}, max={ids.max()}")
-    index = ids[..., None]
+    index = _index(x, ids)
     data = np.take_along_axis(x.data, index, axis=-1)[..., 0]
 
     def bw(g):
@@ -676,6 +706,19 @@ def pick(x, ids) -> Tensor:
         return (gx,)
 
     return _make(data, (x,), bw, "pick")
+
+
+def _index(x: Tensor, ids) -> np.ndarray:
+    """``ids[..., None]`` for ``take_along_axis`` over ``x``'s last axis, once
+    checked: integers in range (it would wrap a negative id), shaped as x less that axis."""
+    ids, n = np.asarray(ids), x.data.shape[-1]
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ContractError(f"ids must be integers, got dtype {ids.dtype}")
+    if ids.shape != x.data.shape[:-1]:
+        raise ShapeError(f"ids shape {ids.shape} does not match {x.data.shape[:-1]}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ContractError(f"id outside [0, {n}): min={ids.min()}, max={ids.max()}")
+    return ids[..., None]
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -735,10 +778,10 @@ PRIMITIVES = (
     "add",
     "mul",
     "affine",
-    "log_softmax",
+    "head",
     "exp",
     "log",
-    "dot",
+    "cross_entropy",
     "attention",
     "layer_norm",
     "embedding",

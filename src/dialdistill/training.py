@@ -190,7 +190,7 @@ def _train_loop(
             rng = np.random.default_rng([tcfg.seed, 11, step])
             out = forward_batch(model, batch, train=True, rng=rng)
             loss, breakdown = total_loss(
-                out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
+                out, out.hidden_states, batch.response_target, batch.target_mask,
                 teacher_probs=teacher_probs, teacher_hiddens=teacher_hiddens,
                 lambda1=tcfg.lambda1, alpha=tcfg.alpha, lm_probs=lm_probs, lambda_lm=tcfg.lambda_lm,
             )
@@ -307,22 +307,24 @@ class _TargetCache:
 
     @T.names_failures
     def outputs(self, batch):
-        """(probabilities, hidden states) on ``batch``, dropout off. A batch
-        of kept examples is rebuilt from the rows, zeros at pad positions,
-        and only the output head runs; the hidden states are the kept ones."""
+        """(probabilities, hidden states) on ``batch``, dropout off, the exp
+        taken over the head's log-probabilities in place. A batch of kept
+        examples is rebuilt from the rows, zeros at pad positions, and only
+        the output head runs; the hidden states are the kept ones."""
         mask = batch.target_mask > 0
         rows = np.concatenate([np.arange(self.offsets[i], self.offsets[i + 1]) for i in batch.index])
         if self.layers and self.filled[batch.index].all():
             hidden = [np.zeros(mask.shape + layer.shape[1:], layer.dtype) for layer in self.layers]
             for h, layer in zip(hidden, self.layers):
                 h[mask] = layer[rows]
-            return self.model._output_head(hidden[-1], hidden).probabilities.data, hidden
-        out = forward_batch(self.model, batch)
-        hidden = [h.data for h in out.hidden_states]
-        for h, layer in zip(hidden[len(hidden) - len(self.layers):], self.layers):
-            layer[rows] = h[mask]
-        self.filled[batch.index] = True
-        return out.probabilities.data, hidden
+            out = self.model._output_head(hidden[-1], hidden)
+        else:
+            out = forward_batch(self.model, batch)
+            hidden = [h.data for h in out.hidden_states]
+            for h, layer in zip(hidden[len(hidden) - len(self.layers):], self.layers):
+                layer[rows] = h[mask]
+            self.filled[batch.index] = True
+        return np.exp(out.log_probs.data, out=out.log_probs.data), hidden
 
 
 def train_student(

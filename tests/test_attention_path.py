@@ -70,8 +70,8 @@ def test_residuals_and_embeddings_are_built_and_dropped_out_in_one_place_each():
 
 
 # the ops a model's forward records: the teacher's merge alone adds `concat`
-MODEL_OPS = {"embedding", "affine", "attention", "layer_norm", "log_softmax"}
-LOSS_OPS = {"pick", "dot", "mean_square", "mul", "sum", "add"}
+MODEL_OPS = {"embedding", "affine", "attention", "layer_norm", "head"}
+LOSS_OPS = {"cross_entropy", "pick", "mean_square", "mul", "sum", "add"}
 
 
 def test_a_desk_training_graph_holds_only_the_fused_nodes(monkeypatch):

@@ -3,6 +3,7 @@ length bounds at their edges, vocabulary order and batch padding."""
 
 import json
 
+import numpy as np
 import pytest
 
 from dialdistill.corpus import (
@@ -21,7 +22,7 @@ from dialdistill.corpus import (
     window_dialogue,
     window_dialogues,
 )
-from dialdistill.errors import DataError
+from dialdistill.errors import DataError, VocabularyError
 
 
 def tokens(n, word="w"):
@@ -144,6 +145,17 @@ class TestMakeBatch:
     def test_zero_examples_rejected(self):
         with pytest.raises(DataError):
             make_batch([])
+
+    def test_ids_that_are_not_integers_rejected_naming_the_field(self):
+        # the int64 batch would truncate 4.7 to 4 and turn True into 1
+        with pytest.raises(VocabularyError, match="history token ids must be integers, got 4.7"):
+            make_batch([EncodedExample(history=[4.7, 5.2, 6.9], response=[7.9, 8.1], future=[True, 9])])
+        with pytest.raises(VocabularyError, match="response .* got 7.9"):
+            make_batch([EncodedExample(history=[4, 5, 6], response=[7.9, 8.1], future=[True, 9])])
+        with pytest.raises(VocabularyError, match="future .* got True"):
+            make_batch([EncodedExample(history=[4, 5, 6], response=[7, 8], future=[True, 9])])
+        batch = make_batch([EncodedExample(history=[4, 5, 6], response=list(np.array([7, 8])), future=[9])])
+        assert batch.response_target.tolist() == [[7, 8, EOS_ID]]
 
 
 class TestSplitExamples:

@@ -49,7 +49,7 @@ class TestNoFloor:
 
     def test_no_floor_or_softmax_in_the_tensor_module(self):
         assert not any(hasattr(T, name) for name in ("LOG_FLOOR", "floored_log", "softmax"))
-        assert "softmax" not in T.PRIMITIVES and "log_softmax" in T.PRIMITIVES
+        assert "softmax" not in T.PRIMITIVES and "head" in T.PRIMITIVES
 
 
 def model(variant, seed):
@@ -170,8 +170,9 @@ def targets(teacher, lm, batch):
 
 
 def student_loss(student, batch, t_probs, hiddens, lm_probs):
+    """The loss as a training step takes it, from the forward's output."""
     out = forward_batch(student, batch, train=True, rng=np.random.default_rng(1))
-    loss, breakdown = total_loss(out.probabilities, out.hidden_states, batch.response_target, batch.target_mask,
+    loss, breakdown = total_loss(out, out.hidden_states, batch.response_target, batch.target_mask,
                                  teacher_probs=t_probs, teacher_hiddens=hiddens, lambda1=2.0, alpha=0.01,
                                  lm_probs=lm_probs, lambda_lm=0.5)
     return loss, breakdown
@@ -185,9 +186,10 @@ class TestOneSoftTargetTerm:
         full = (batch.size, batch.response_target.shape[1], V)
         nodes = T._topological_order(loss, grad_only=False)
         wide = sorted(n._op for n in nodes if n.data.shape == full)
-        # the logits, their log-probabilities, and the one mixed soft target
-        assert wide == ["affine", "leaf", "log_softmax"]
-        assert sum(n._op == "dot" for n in nodes) == 1
+        # the log-probabilities alone: no logits, and the one mixed soft
+        # target is kept by the loss node, not as a node of its own
+        assert wide == ["head"]
+        assert sum(n._op == "cross_entropy" for n in nodes) == 1
         assert not any(n._op in ("log", "exp") for n in nodes)
         assert breakdown.il_prediction > 0.0 and breakdown.lm_prediction > 0.0
 
@@ -210,12 +212,13 @@ class TestOneSoftTargetTerm:
             finally:
                 tracemalloc.stop()
             student.params.zero_grads()
-        # the logits, the log-probabilities and the mixed target; with a log
-        # and a product per term, the graph held six such arrays and the step
-        # peaked at ten
-        assert held["both"] < 3.5 * one_array, held["both"] / one_array
+        # the log-probabilities and the mixed target, and through the backward
+        # the one gradient of the log-probabilities; with logits, a log and a
+        # product per term, the graph held six such arrays and the step peaked
+        # at ten, and with logits and one soft-target term, three and six
+        assert held["both"] < 2.5 * one_array, held["both"] / one_array
         assert held["both"] - held["teacher"] < 0.25 * one_array, (held, one_array)
-        assert peak["both"] < 6.5 * one_array, peak["both"] / one_array
+        assert peak["both"] < 3.5 * one_array, peak["both"] / one_array
 
     def test_matches_separate_terms_through_probabilities(self):
         # the one term equals the weighted sum of the per-term soft

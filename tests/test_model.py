@@ -319,7 +319,7 @@ class TestAttentionEqualsTheChain:
         ops = [n._op for n in T._topological_order(out.log_probs, grad_only=False) if n._parents]
         # two encoder self-attentions, two decoder self- and two cross-attentions
         assert ops.count("attention") == 6
-        assert len(ops) == 52
+        assert len(ops) == 51
 
 
 def kept_arrays(root):
@@ -356,8 +356,8 @@ class TestGraphMemory:
         masks = [a for op, name, a in kept if name == "keep"]
         # the three embeddings' dropouts and the fourteen residuals'
         assert len(masks) == 17 and all(m.dtype == np.bool_ for m in masks)
-        assert sum(1 for n in T._topological_order(loss, grad_only=False) if n._parents) == 85
-        assert buffer_bytes(a for _, _, a in kept) == 4229552
+        assert sum(1 for n in T._topological_order(loss, grad_only=False) if n._parents) == 82
+        assert buffer_bytes(a for _, _, a in kept) == 4217664
 
 
 class TestBatchedHeads:
@@ -832,8 +832,7 @@ def lm_block_loop(m, response_in, train=False, rng=None):
         f = m._ffn(x, f"dec.{i}.ffn")
         x = m._residual(x, f, f"dec.{i}.ln_ffn", train, rng)
         hidden.append(x)
-    logits = T.affine(x, p["out_proj.w"], p["out_proj.b"])
-    return DecodeOutput(log_probs=T.log_softmax(logits), hidden_states=hidden)
+    return DecodeOutput(log_probs=T.head(x, p["out_proj.w"], p["out_proj.b"]), hidden_states=hidden)
 
 
 def no_history(rows):

@@ -198,68 +198,160 @@ class TestAffine:
         assert np.array_equal(T.affine(x, w, b).data, flat_gemm if flat else per_row)
 
 
-class TestLogSoftmax:
+def log_softmax(z):
+    """The head over the logits ``z`` (rows, V) themselves: an identity
+    product, which rounds nothing."""
+    z = T.as_tensor(z)
+    return T.head(np.eye(z.data.shape[0]), z, np.zeros(z.data.shape[-1]))
+
+
+class TestHead:
     def test_hand_case(self):
         # log softmax([0, ln 3]) = [ln 1/4, ln 3/4]
         with T.precision("double"):
-            out = T.log_softmax(T.Tensor([0.0, np.log(3.0)]))
-            assert np.allclose(out.data, np.log([0.25, 0.75]), atol=1e-12)
+            out = log_softmax([[0.0, np.log(3.0)]])
+            assert np.allclose(out.data, np.log([[0.25, 0.75]]), atol=1e-12)
 
     def test_rows_are_log_distributions(self):
         rng = np.random.default_rng(9)
         with T.precision("double"):
-            x = T.Tensor(rng.standard_normal((4, 7)) * 10)
-            out = T.log_softmax(x)
+            x, w, b = (T.Tensor(rng.standard_normal(shape) * 3) for shape in ((2, 4, 5), (5, 7), (7,)))
+            out = T.head(x, w, b)
+            assert out.data.shape == (2, 4, 7)
             assert np.allclose(np.exp(out.data).sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(out.data < 0)
+            logits = x.data @ w.data + b.data
+            expected = logits - logits.max(-1, keepdims=True)
+            expected -= np.log(np.exp(expected).sum(-1, keepdims=True))
+            assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(10)
         with T.precision("double"):
             x = rng.standard_normal((3, 5))
-            a = T.log_softmax(T.Tensor(x)).data
-            b = T.log_softmax(T.Tensor(x + 123.456)).data
+            a = log_softmax(x).data
+            b = log_softmax(x + 123.456).data
             assert np.allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["single", "double"])
     def test_extreme_logits_give_finite_exact_log_probs(self, mode):
         # the last two probabilities underflow to exactly 0; their logs do not
         with T.precision(mode):
-            out = T.log_softmax(T.Tensor([[1000.0, 0.0, -1000.0]]))
+            out = log_softmax([[1000.0, 0.0, -1000.0]])
             assert np.array_equal(out.data, np.array([[0.0, -1000.0, -2000.0]], dtype=T.active_dtype()))
             assert np.array_equal(T.exp(out).data, np.array([[1.0, 0.0, 0.0]], dtype=T.active_dtype()))
 
-    @pytest.mark.parametrize("shape", [(), (2, 0)])
-    def test_empty_last_axis_rejected(self, shape):
-        with pytest.raises(ShapeError, match="non-empty last axis"):
-            T.log_softmax(T.Tensor(np.zeros(shape)))
+    def test_empty_output_axis_rejected(self):
+        with pytest.raises(ShapeError, match="non-empty output axis"):
+            T.head(T.Tensor(np.ones((2, 3))), T.Tensor(np.zeros((3, 0))), T.Tensor(np.zeros(0)))
+        with pytest.raises(ShapeError, match="dimension mismatch"):
+            T.head(T.Tensor(np.ones((2, 3))), T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(2)))
 
-    def test_gradients(self):
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    def test_gradients(self, shape):
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            x = leaf(rng, 3, 5)
-            w = leaf(rng, 3, 5)
-            fd_check(lambda ls: T.tsum(T.mul(T.log_softmax(ls[0]), ls[1])), [x, w])
+        for _ in range(5):
+            x, w, b, c = leaf(rng, *shape), leaf(rng, 4, 5), leaf(rng, 5), leaf(rng, *shape[:-1], 5)
+            fd_check(lambda ls: T.tsum(T.mul(T.head(*ls[:3]), ls[3])), [x, w, b, c])
 
     def test_gradients_at_wide_logits(self):
         # one entry's probability near the float64 underflow, one dominant
         rng = np.random.default_rng(16)
-        x = leaf(rng, 2, 6)
-        x.data[:, 0] -= 600.0
-        x.data[:, 1] += 40.0
-        w = leaf(rng, 2, 6)
-        fd_check(lambda ls: T.tsum(T.mul(T.log_softmax(ls[0]), ls[1])), [x, w])
+        z = leaf(rng, 2, 6)
+        z.data[:, 0] -= 600.0
+        z.data[:, 1] += 40.0
+        c = leaf(rng, 2, 6)
+        fd_check(lambda ls: T.tsum(T.mul(log_softmax(ls[0]), ls[1])), [z, c])
 
     def test_cross_entropy_gradient_is_p_minus_q(self):
         # d/dz [-sum q log softmax(z)] = softmax(z) - q
         rng = np.random.default_rng(12)
         with T.precision("double"):
-            z = T.Tensor(rng.standard_normal(6), requires_grad=True)
-            q = rng.random(6)
+            z = T.Tensor(rng.standard_normal((1, 6)), requires_grad=True)
+            q = rng.random((1, 6))
             q /= q.sum()
-            logp = T.log_softmax(z)
-            T.backward(T.mul(T.dot(logp, q), -1.0))
+            logp = log_softmax(z)
+            T.backward(T.pick(T.cross_entropy(logp, None, np.ones(1), q), np.asarray(1)))
             assert np.allclose(z.grad, np.exp(logp.data) - q, atol=1e-10)
+
+    def test_a_gradient_another_node_shares_is_not_overwritten(self):
+        # the sum hands the head and the exp two views of one array; the
+        # head writes the logits' gradient over no array but its own
+        rng = np.random.default_rng(13)
+        x, w, b = leaf(rng, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+        fd_check(lambda ls: T.tsum(T.mul(T.add(T.head(*ls), T.exp(T.head(*ls))), T.head(*ls))), [x, w, b])
+
+    def test_a_layer_norm_input_gradient_its_branch_shares_is_not_overwritten(self):
+        # the layer norm hands its input and its residual branch one gradient;
+        # the branch takes it bitwise as beside an input that is no head
+        rng = np.random.default_rng(14)
+        x, w, b, s, gain, bias, c = (rng.standard_normal(shape).astype(np.float32)
+                                     for shape in ((6, 4), (4, 5), (5,), (6, 5), (5,), (5,), (6, 5)))
+        grads = []
+        for fused in (True, False):
+            branch = T.Tensor(s, requires_grad=True)
+            head = T.head(T.Tensor(x, requires_grad=True), w, b)
+            norm_in = head if fused else T.Tensor(head.data)
+            T.backward(T.tsum(T.mul(T.layer_norm(norm_in, gain, bias, T.mul(branch, 1.0)), c)))
+            grads.append(branch.grad.tobytes())
+        assert grads[0] == grads[1]
+
+    def test_keeps_the_log_probabilities_and_no_logits(self):
+        rng = np.random.default_rng(14)
+        x = T.Tensor(rng.standard_normal((64, 32)).astype(np.float32), requires_grad=True)
+        w, b = T.Tensor(rng.standard_normal((32, 4096)) * 0.1), T.Tensor(np.zeros(4096))
+        tracemalloc.start()
+        try:
+            out = T.head(x, w, b)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1.1 * out.data.nbytes and peak < 1.5 * out.data.nbytes, (held, peak)
+
+
+class TestHeadRowChunks:
+    """The head's products over a row chunk of its input equal those rows
+    of the product over the whole input, bitwise, so a head that runs over
+    the target rows alone would round as the whole head does."""
+
+    @staticmethod
+    def inputs(batch, t, d, v, seed=0):
+        rng = np.random.default_rng(seed)
+        x, w, b = rng.standard_normal((batch, t, d)), rng.standard_normal((d, v)) * 0.05, rng.standard_normal(v) * 0.1
+        return x.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
+
+    @pytest.mark.parametrize("width,shape", [("desk", (16, 7, 64, 30)), ("paper", (32, 16, 256, 5000))])
+    def test_chunks_of_sequences_equal_the_whole(self, width, shape):
+        x, w, b = self.inputs(*shape)
+        batch, t, d, v = shape
+        # the desk head runs one product per sequence, the paper head one over all rows
+        assert (t * d * v > T._SMALL_GEMM) == (width == "paper")
+        whole = T.head(x, w, b).data
+        for rows in (1, 3, 5):
+            parts = [T.head(x[i:i + rows], w, b).data for i in range(0, batch, rows)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), rows
+
+    def test_chunks_of_rows_over_the_small_gemm_bound_equal_the_whole(self):
+        x, w, b = self.inputs(8, 16, 256, 5000, seed=1)
+        rows = x.reshape(-1, 256)
+        whole = T.head(rows, w, b).data
+        for size in (13, 52, 100):
+            assert size * 256 * 5000 > T._SMALL_GEMM
+            parts = [T.head(rows[i:i + size], w, b).data for i in range(0, len(rows), size)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), size
+
+    @pytest.mark.parametrize("shape", [(16, 7, 64, 30), (4, 16, 32, 5000)])
+    def test_the_chunk_size_moves_no_bit(self, monkeypatch, shape):
+        x, w, b = self.inputs(*shape, seed=2)
+        g = np.random.default_rng(3).standard_normal(shape[:2] + (shape[-1],)).astype(np.float32)
+        runs = []
+        for chunk in (T._CHUNK, 1, 3 * shape[-1]):
+            monkeypatch.setattr(T, "_CHUNK", chunk)
+            xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
+            out = T.head(xt, wt, bt)
+            T.backward(T.tsum(T.mul(out, g)))
+            runs.append([a.tobytes() for a in (out.data, xt.grad, wt.grad, bt.grad)])
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestExp:
@@ -313,28 +405,68 @@ class TestLog:
         assert held < 1.1 * out.data.nbytes
 
 
-class TestDot:
-    def test_equals_the_summed_product(self):
+class TestCrossEntropy:
+    @staticmethod
+    def case(rng, shape=(2, 3, 5)):
+        ids = rng.integers(0, shape[-1], size=shape[:-1])
+        mask = (rng.random(shape[:-1]) > 0.3).astype(float)
+        q = rng.random(shape)
+        return ids, mask, q / q.sum(-1, keepdims=True)
+
+    def test_equals_the_masked_pick_and_dot(self):
         rng = np.random.default_rng(20)
         with T.precision("double"):
-            a, b = rng.standard_normal((2, 3, 7)), rng.standard_normal((2, 3, 7))
-            assert np.allclose(T.dot(T.Tensor(a), T.Tensor(b)).data, (a * b).sum(axis=-1), atol=1e-12)
+            x = rng.standard_normal((2, 3, 5))
+            ids, mask, q = self.case(rng)
+            out = T.cross_entropy(T.Tensor(x), ids, mask, q)
+            picked = np.take_along_axis(x, ids[..., None], axis=-1)[..., 0]
+            assert np.allclose(out.data, [-(picked * mask).sum(), -((x * q).sum(-1) * mask).sum()], atol=1e-12)
+            assert np.array_equal(T.cross_entropy(T.Tensor(x), None, mask).data, [0.0, 0.0])
 
-    def test_gradients(self):
+    @pytest.mark.parametrize("terms", ["both", "nll", "soft"])
+    def test_gradients(self, terms):
         rng = np.random.default_rng(21)
         for _ in range(5):
-            a, b, w = leaf(rng, 2, 3, 4), leaf(rng, 2, 3, 4), leaf(rng, 2, 3)
-            fd_check(lambda ls: T.tsum(T.mul(T.dot(ls[0], ls[1]), ls[2])), [a, b, w])
+            x, w = leaf(rng, 2, 3, 5), leaf(rng, 2)
+            ids, mask, q = self.case(rng)
+            ids, q = (ids if terms != "soft" else None), (q if terms != "nll" else None)
+            fd_check(lambda ls: T.tsum(T.mul(T.cross_entropy(ls[0], ids, mask, q), ls[1])), [x, w])
 
-    def test_no_gradient_into_a_constant(self):
+    def test_a_second_pass_adds_the_same_gradient_and_keeps_the_soft_target(self):
+        rng = np.random.default_rng(23)
+        with T.precision("double"):
+            x = T.Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+            ids, mask, q = self.case(rng)
+            kept = q.copy()
+            loss = T.tsum(T.cross_entropy(x, ids, mask, q))
+            T.backward(loss)
+            once = x.grad.copy()
+            T.backward(loss)
+            assert np.array_equal(x.grad, 2 * once) and np.array_equal(q, kept)
+
+    def test_no_gradient_into_constants(self):
         with T.precision("double"):
             a = T.Tensor(np.ones((2, 3)), requires_grad=True)
-            T.backward(T.tsum(T.dot(a, np.arange(6.0).reshape(2, 3))))
-            assert np.array_equal(a.grad, np.arange(6.0).reshape(2, 3))
+            q = np.arange(6.0).reshape(2, 3)
+            T.backward(T.tsum(T.cross_entropy(a, np.array([2, 0]), np.ones(2), q)))
+            expected = -q
+            expected[[0, 1], [2, 0]] -= 1.0
+            assert np.array_equal(a.grad, expected)
 
-    def test_shape_mismatch(self):
+    def test_bad_inputs(self):
+        x = T.Tensor(np.ones((2, 3, 4)))
         with pytest.raises(ShapeError):
-            T.dot(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((1, 3))))
+            T.cross_entropy(x, np.zeros((2, 3), int), np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            T.cross_entropy(x, np.zeros((2, 4), int), np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            T.cross_entropy(x, None, np.ones((2, 3)), np.ones((2, 3, 5)))
+        with pytest.raises(ContractError):
+            T.cross_entropy(x, np.full((2, 3), 4), np.ones((2, 3)))
+        with pytest.raises(ContractError):
+            T.cross_entropy(x, np.full((2, 3), -1), np.ones((2, 3)))
+        with pytest.raises(ContractError, match="must be integers"):
+            T.cross_entropy(x, np.zeros((2, 3)), np.ones((2, 3)))
 
 
 class TestAttention:
@@ -656,7 +788,7 @@ class TestPick:
         for _ in range(10):
             x = leaf(rng, 2, 3, 5)
             ids = rng.integers(0, 5, size=(2, 3))
-            fd_check(lambda ls: T.tsum(T.mul(T.pick(T.log_softmax(ls[0]), ids), T.pick(ls[0], ids))), [x])
+            fd_check(lambda ls: T.tsum(T.mul(T.pick(T.exp(ls[0]), ids), T.pick(ls[0], ids))), [x])
 
     def test_out_of_range_and_shape(self):
         x = T.Tensor(np.ones((2, 4)))
@@ -781,7 +913,7 @@ class TestGraphMechanics:
         for _ in range(2):
             with T.precision("double"):
                 x = T.Tensor(data, requires_grad=True)
-                out = T.tsum(T.log_softmax(T.affine(x, x, T.Tensor(np.zeros(4)))))
+                out = T.tsum(T.head(x, x, T.Tensor(np.zeros(4))))
                 T.backward(out)
                 results.append((out.data.copy(), x.grad.copy()))
         assert np.array_equal(results[0][0], results[1][0])
@@ -924,7 +1056,7 @@ class TestRandomizedGradients:
                 xx, ww, bb, gg, nb = ls
                 h = T.affine(xx, ww, bb, relu=True)
                 h = T.layer_norm(h, gg, nb, xx)
-                p = T.exp(T.log_softmax(h))
+                p = T.exp(T.head(h, ww, bb))
                 return T.tsum(T.mul(p, xx))
 
             fd_check(build, [x, w, b, ln_g, ln_b], rtol=1e-5)

@@ -872,11 +872,12 @@ class TestPaperWidthMemory:
         # masks, layer-norm statistics; about a quarter) and its frontier of
         # gradients still to be handed on. A pass that kept every interior
         # gradient to its end would hold about the forward's arrays again.
-        # The output head's frontier is counted on its own: its backward
-        # holds three (B, T, V) gradients at once (the NLL's and the
-        # soft-target term's gradients of the log-probabilities, and their
-        # sum) beside the three such arrays of the graph (logits,
-        # log-probabilities, mixed soft target).
+        # The graph's one (B, T, V) array is the head's log-probabilities
+        # (no logits); the output head's other such arrays are counted on
+        # their own, three at most at once: while the loss is built, this
+        # step's teacher and LM probabilities and their mixed soft target,
+        # which the loss node keeps; through the backward, that target and
+        # the one gradient of the log-probabilities.
         budget = (m["base"] + m["frozen"] + 4 * m["student"] + m["scratch"] + m["cache"]
                   + 2 * m["head"] + 1.75 * m["activations"] + 3 * m["head"])
         assert m["peak"] < budget, (m["peak"] / 2**20, budget / 2**20)
