@@ -217,7 +217,8 @@ class Vocabulary:
         return [self._token_to_id.get(t, UNK_ID) for t in tokens]
 
     def decode(self, ids) -> list:
-        """The tokens of ``ids`` up to the first EOS, without pad and bos."""
+        """The tokens of ``ids`` up to the first EOS, without pad and bos; an
+        id outside ``[0, len(self))`` is a ``VocabularyError``."""
         out = []
         for i in ids:
             i = int(i)
@@ -225,6 +226,8 @@ class Vocabulary:
                 break
             if i in (PAD_ID, BOS_ID):
                 continue
+            if not 0 <= i < len(self._id_to_token):
+                raise VocabularyError(f"token id {i} outside [0, {len(self._id_to_token)})")
             out.append(self._id_to_token[i])
         return out
 

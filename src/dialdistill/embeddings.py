@@ -77,6 +77,8 @@ class WordEmbeddings:
                 vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
             except ValueError as exc:
                 raise DataError(f"{path}: non-numeric value in row {parts[0]!r}") from exc
+            if not np.isfinite(vectors[parts[0]]).all():
+                raise DataError(f"{path}: non-finite value in row {parts[0]!r}")
         return cls(vectors)
 
 

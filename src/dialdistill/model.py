@@ -424,7 +424,7 @@ class TransformerModel:
 
     def _encode_both(self, history: np.ndarray, future: np.ndarray, train: bool, rng):
         """The history's and the future's memories, encoded at once by
-        ``tensor.fork`` when a graph is recorded and the passes are large.
+        ``tensor.fork`` when a graph is recorded and the thread has a helper.
         The future's dropout draws from a copy of ``rng`` advanced past the
         history's draws, and ``rng`` then moves past both, so every mask is
         the one that encoding the two in turn draws from ``rng``."""
@@ -435,9 +435,7 @@ class TransformerModel:
         if draws and rng is not None:
             future_rng = copy.deepcopy(rng)
             future_rng.bit_generator.advance(draws * history.size)
-        ffn_product = min(history.size, future.size) * cfg.model_dim * cfg.ffn_dim
-        memories = T.fork(lambda: self.encode(history, train, rng),
-                          lambda: self.encode(future, train, future_rng), ffn_product)
+        memories = T.fork(lambda: self.encode(history, train, rng), lambda: self.encode(future, train, future_rng))
         if draws:
             rng.bit_generator.advance(draws * future.size)
         return memories

@@ -7,15 +7,16 @@ in chunks of ``CHUNK`` elements, and, if their L2 norm exceeds ``clip_norm``,
 scales them by ``clip_norm / norm``. The update then writes the flat moments
 and ``values`` in place, with bias correction and the fixed constants
 ``BETA1``, ``BETA2`` and ``EPSILON``, and zeroes the gradient chunk by chunk.
-A step over more than ``SPLIT_SIZE`` elements shares the norm and the update
-with the thread's ``tensor.helper``, one half of the chunks each; each chunk's
-arithmetic is that of one thread, and the norm adds the chunks' sums in chunk
-order, as one thread does.
+A step shares the norm and the update with the thread's ``tensor.helper``,
+when it has one, one half of the chunks each; each chunk's arithmetic is that
+of one thread, and the norm adds the chunks' sums in chunk order, as one
+thread does.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -27,18 +28,6 @@ BETA2 = 0.999
 EPSILON = 1e-8
 # elements per pass of the update: its dozen passes then stay in cache
 CHUNK = 1 << 16
-# a step over more targets' elements than this runs half of its work on the helper
-SPLIT_SIZE = 16 * CHUNK
-
-
-def _halves(slices) -> tuple:
-    """``slices`` cut where the two parts' elements come closest to equal, when
-    they total more than ``SPLIT_SIZE``; else all of them and none."""
-    ends = np.cumsum([s.stop - s.start for s in slices])
-    if not slices or ends[-1] <= SPLIT_SIZE:
-        return slices, []
-    cut = int(np.argmin(np.abs(ends - ends[-1] / 2))) + 1
-    return slices[:cut], slices[cut:]
 
 
 class Adam:
@@ -64,9 +53,12 @@ class Adam:
                 runs[-1][1] = span.stop
             else:
                 runs.append([span.start, span.stop])
-        self._chunks = _halves([slice(lo, min(lo + CHUNK, b)) for a, b in runs for lo in range(a, b, CHUNK)])
-        # float64 room per thread for a chunk squared, or the update's two chunks
-        self._scratch = [np.empty(2 * CHUNK, dtype=np.float64) for _ in range(1 + bool(self._chunks[1]))]
+        chunks = [slice(lo, min(lo + CHUNK, b)) for a, b in runs for lo in range(a, b, CHUNK)]
+        # cut in two where the halves' elements come closest to equal
+        ends = np.cumsum([c.stop - c.start for c in chunks])
+        cut = int(np.argmin(np.abs(ends - ends[-1] / 2))) + 1 if chunks else 0
+        self._chunks = chunks[:cut], chunks[cut:]
+        self._rooms = threading.local()
 
     def step(self) -> float:
         """Apply one update and zero the targets' ``grad``; returns the pre-clip
@@ -92,12 +84,16 @@ class Adam:
         return norm
 
     def _on_both(self, work) -> tuple:
-        """``work(half, scratch)`` for each half of the chunks that is not
-        empty, the second on the helper, each with its own scratch; their results."""
+        """``work(half, scratch)`` for each half of the chunks, the second on the
+        helper if there is one, each with its thread's scratch; their results."""
         first, second = self._chunks
-        if not second:
-            return (work(first, self._scratch[0]),)
-        return T.both(lambda: work(first, self._scratch[0]), lambda: work(second, self._scratch[1]))
+        return T.both(lambda: work(first, self._scratch()), lambda: work(second, self._scratch()))
+
+    def _scratch(self) -> np.ndarray:
+        """This thread's float64 room for a chunk squared, or the update's two chunks, made at first use."""
+        if not hasattr(self._rooms, "wide"):
+            self._rooms.wide = np.empty(2 * CHUNK, dtype=np.float64)
+        return self._rooms.wide
 
     def _square_sums(self, chunks, wide) -> list:
         """Each chunk's squared gradient summed in float64, equal to

@@ -32,11 +32,12 @@ the graph recorded. Outside it, a tensor needs a gradient when one of its
 inputs does, and a leaf's ``requires_grad`` says whether it is learned.
 
 Within ``helper(executor)``, also a switch of the calling thread, ``fork``
-runs two large independent passes at once, one on the executor's thread,
-and ``backward`` then runs their two graphs at once too; ``backward`` also
-hands large parameter gradients to the executor while it goes on down the
-input gradients, unless the executor still holds work from ``submit``. The
-arithmetic is that of one thread.
+runs two independent passes at once, one on the executor's thread, and
+``backward`` then runs their two graphs at once too; ``backward`` also
+hands parameter gradients to the executor while it goes on down the input
+gradients, unless the executor still holds work from ``submit``. No route
+tests a size: the caller gives a thread a helper only when its work is large
+enough to gain from one. The arithmetic is that of one thread.
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ _state = {"mode": "single"}
 # products per sequence, and a decode step's per row, so a desk decode row rounds
 # alike stepped alone or beside a few others, as release-gate criterion 12 needs
 _SMALL_GEMM = 100**3
-# `fork` runs two passes at once only when their largest products exceed this
-# many multiply-adds; smaller passes spend their time in Python, under the GIL,
-# and a forked desk teacher step is no faster
-_FORK_GEMM = 64 * _SMALL_GEMM
-# `backward` may compute an `affine` node's weight and bias gradients on the
-# helper only when its product exceeds this many multiply-adds, as every
-# paper-width one does; a smaller one, such as a desk FFN's, is quicker here
-_DEFER_GEMM = 16 * _SMALL_GEMM
 _CHUNK = 1 << 16  # entries in a row chunk that `head` walks
 LAYER_NORM_EPSILON = 1e-5
 
@@ -122,9 +115,10 @@ def graph_free():
 
 @contextmanager
 def helper(executor):
-    """Within this thread, ``fork`` and ``backward`` may run a branch on
-    ``executor``, a pool of one thread that the caller owns and shuts down.
-    The helper's own thread has none, so it never waits on itself."""
+    """Within this thread, ``fork``, ``both`` and ``backward`` run a branch on
+    ``executor``, a pool of one thread that the caller owns and shuts down, or
+    on none with ``None``. The helper's own thread has none, so it never
+    waits on itself."""
     previous = _recording.helper
     _recording.helper = executor
     try:
@@ -142,17 +136,16 @@ def submit(fn, *args):
     return future
 
 
-def fork(first, second, multiply_adds: int):
-    """``both(first, second)`` when a graph is recorded and the calls'
-    largest products exceed ``_FORK_GEMM`` multiply-adds (``multiply_adds``,
-    counted by the caller); else the two in turn, here. Both outputs of a
-    fork are marked, so ``backward`` runs their graphs at once as well.
+def fork(first, second):
+    """``both(first, second)`` when a graph is recorded and this thread has a
+    helper; else the two in turn, here. Both outputs of a fork are marked, so
+    ``backward`` runs their graphs at once as well.
 
     The calls must build their graphs from leaves and constants alone and
     draw from no shared random stream. Gradients then equal those of the
     calls in turn if every leaf that both read takes one gradient from each,
     into a ``grad`` that is zero or absent: two adds commute."""
-    if _recording.helper is None or not _recording.grad or multiply_adds <= _FORK_GEMM:
+    if _recording.helper is None or not _recording.grad:
         return first(), second()
     a, b = both(first, second)
     a._branch = b._branch = True
@@ -303,15 +296,15 @@ def backward(loss: Tensor) -> None:
     adds one more pass's gradients to the leaves, as a pass over a new
     graph would.
 
-    With a helper on this thread, the weight and bias gradients of an
-    ``affine`` product over ``_DEFER_GEMM`` multiply-adds are computed and
-    added on the helper while this thread goes on (``_LeafAdds``), once the
-    helper has ended its work from ``submit``; all such adds end before
-    the pass goes on to a ``fork``'s graphs, and before it returns. When the
-    graph holds a ``fork``'s outputs, everything downstream of them runs
-    first; then their two graphs run through ``both``, each node in the order
-    a pass on one thread gives it, and the adds into shared leaves take
-    turns. A helper's error is raised here, after both have stopped.
+    With a helper on this thread, the weight and bias gradients of every
+    ``affine`` node are computed and added on the helper while this thread
+    goes on (``_LeafAdds``), once the helper has ended its work from
+    ``submit``; all such adds end before the pass goes on to a ``fork``'s
+    graphs, and before it returns. When the graph holds a ``fork``'s
+    outputs, everything downstream of them runs first; then their two graphs
+    run through ``both``, each node in the order a pass on one thread gives
+    it, and the adds into shared leaves take turns. A helper's error is
+    raised here, after both have stopped.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -480,9 +473,8 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
         gx = None
         if x.requires_grad:
             gx = (g2 @ w.data.T).reshape(shape) if flat else g @ w.data.T
-        gw, gb = lambda: x.data.reshape(-1, k).T @ g2, lambda: _unbroadcast(g2.sum(axis=0), b.data.shape)
-        # a large product's as calls, which `backward` may run on the helper
-        return (gx, gw, gb) if x.data.size * g2.shape[1] > _DEFER_GEMM else (gx, gw(), gb())
+        # the parameters' as calls, which `backward` may run on the helper
+        return gx, lambda: x.data.reshape(-1, k).T @ g2, lambda: _unbroadcast(g2.sum(axis=0), b.data.shape)
 
     return _make(data, (x, w, b), bw, "affine")
 

@@ -40,6 +40,9 @@ from .optim import Adam
 TRANSFER_SCOPES = ("none", "word-emb", "encoder")
 WORD_EMB_TENSORS = ("encoder_embedding", "decoder_embedding")
 TARGET_CACHE_BYTES = 256 << 20  # the most a student run keeps of its frozen teachers' targets
+# a run whose largest product exceeds this many multiply-adds gets a helper thread;
+# a smaller step spends its time in Python, under the GIL, and is no faster with one
+HELPER_GEMM = 64 * 100**3
 
 
 @dataclass
@@ -125,6 +128,14 @@ def validation_nll(model: TransformerModel, val_batches) -> float:
     return total / count if count else 0.0
 
 
+def _gets_helper(config: ModelConfig, batch) -> bool:
+    """Whether a run of ``config`` over batches like ``batch`` gets a helper
+    thread: when its largest product, the output head's or an FFN's over the
+    longest of the batch's inputs, exceeds ``HELPER_GEMM`` multiply-adds."""
+    tokens = max(batch.history.size, batch.response_in.size, batch.future.size)
+    return max(batch.response_in.size * config.vocab_size, tokens * config.ffn_dim) * config.model_dim > HELPER_GEMM
+
+
 def _schedule(train_examples: list, tcfg: TrainingConfig):
     """The run's (step, batch) pairs, numbered from 1: ``tcfg.epochs``
     epochs of shuffled batches, or with ``max_steps`` that many steps over
@@ -151,14 +162,14 @@ def _train_loop(
     targets from their caches, when given, runs the model and the combined
     loss, then backward and Adam; with neither cache the loss is the NLL.
 
-    The run has one worker thread, started on its first task (numpy
-    releases the GIL in its BLAS calls and large loops). When the frozen
-    teachers' work is large, as ``tensor.fork`` judges a pass, it computes
-    the next step's targets while this step runs, and never a target past
-    the last step. It is also the step's ``tensor.helper``, for a large
-    step's forked encoders, parameter gradients and half of Adam's work.
-    A worker's error is raised at the step it failed in, and the worker is
-    joined on every way out of the loop."""
+    A run whose first batch's work is large (``_gets_helper``) has one
+    worker thread, started on its first task (numpy releases the GIL in its
+    BLAS calls and large loops), and no other run starts one. The worker
+    computes the frozen teachers' targets for the next step while this step
+    runs, and never a target past the last step. It is also the step's
+    ``tensor.helper``, for the forked encoders, parameter gradients and half
+    of Adam's work. A worker's error is raised at the step it failed in, and
+    the worker is joined on every way out of the loop."""
     if not train_examples:
         raise DataError("training example list is empty")
     opt = Adam(model.params, learning_rate=tcfg.learning_rate, clip_norm=tcfg.grad_clip_norm)
@@ -171,16 +182,13 @@ def _train_loop(
         return teacher_probs, teacher_hiddens, lm_cache.outputs(batch)[0] if lm_cache else None
 
     def prefetch(batch):
-        """A call that returns ``batch``'s targets, computed on the worker
-        from now on when the frozen teachers' work is large."""
-        cfg = model.config
-        if (teacher_cache or lm_cache) and batch.history.size * cfg.model_dim * cfg.ffn_dim > T._FORK_GEMM:
-            return T.submit(targets, batch).result
-        return lambda: targets(batch)
+        """A call that returns ``batch``'s targets, computed on the worker from now on if the run has one."""
+        return T.submit(targets, batch).result if helped and (teacher_cache or lm_cache) else lambda: targets(batch)
 
     schedule = _schedule(train_examples, tcfg)
     upcoming = next(schedule)
-    with ThreadPoolExecutor(max_workers=1) as worker, T.helper(worker):
+    helped = _gets_helper(model.config, upcoming[1])
+    with ThreadPoolExecutor(max_workers=1) as worker, T.helper(worker if helped else None):
         pending = prefetch(upcoming[1])
         while upcoming:
             step, batch = upcoming

@@ -897,6 +897,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
 
+    def test_non_finite_embedding_file_reports_error(self, pipeline, tmp_path, capsys):
+        emb, out = tmp_path / "emb.txt", tmp_path / "report.json"
+        emb.write_text("1 2\nx nan 1\n", encoding="utf-8")
+        rc = main(["evaluate", "--checkpoint", str(pipeline["student"]), "--data", str(pipeline["data"]),
+                   "--split", "test", "--out", str(out), "--embeddings", str(emb), "--max-length", "5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{emb}: non-finite value in row 'x'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command, flag, field", [
         ("train-student", "--lambda1", "lambda1"),

@@ -14,6 +14,7 @@ from dialdistill.corpus import (
     UNK_ID,
     DialogueExample,
     EncodedExample,
+    Vocabulary,
     build_vocabulary,
     length_filter,
     make_batch,
@@ -122,6 +123,15 @@ class TestVocabulary:
     def test_reserved_ids_come_first(self):
         vocab = build_vocabulary([["z"]], max_size=10)
         assert vocab.encode(["z", "unseen"]) == [len(RESERVED), UNK_ID]
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_decode_rejects_an_id_outside_the_vocabulary(self, bad):
+        # a negative id would wrap to the last token, and one past the end
+        # would be a bare IndexError
+        vocab = Vocabulary(["a", "b"])
+        assert vocab.decode([len(RESERVED) + 1]) == ["b"]
+        with pytest.raises(VocabularyError, match=f"token id {bad} outside"):
+            vocab.decode([len(RESERVED), bad])
 
 
 class TestMakeBatch:

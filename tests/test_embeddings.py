@@ -233,6 +233,13 @@ class TestFileFormat:
         with pytest.raises(DataError):
             WordEmbeddings.load(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2\na 1.0 2.0\nx {value} 1\n")
+        with pytest.raises(DataError, match=f"{path}: non-finite value in row 'x'"):
+            WordEmbeddings.load(path)
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2\na 1.0 2.0\nb 3.0 4.0\n")

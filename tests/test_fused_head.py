@@ -163,7 +163,6 @@ class TestOnTheHelper:
     def test_deferred_head_gradients_equal_the_chain(self, monkeypatch, width):
         inputs = step_inputs(SHAPES[width], seed=2)
         want = step(inputs, False, TERMS["both"])
-        monkeypatch.setattr(T, "_DEFER_GEMM", 0)  # the desk head defers too
         handed = []
         run = T._LeafAdds._run
 

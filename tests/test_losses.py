@@ -497,14 +497,13 @@ class TestAdam:
                 assert np.array_equal(opt.v[span], ref._v[name].ravel()), (step, name)
 
     @pytest.mark.parametrize("split", [False, True], ids=["one-thread", "helper"])
-    def test_no_float64_scratch_beyond_two_chunks_a_thread(self, monkeypatch, split):
+    def test_no_float64_scratch_beyond_two_chunks_a_thread(self, split):
         # one target of eight chunks: the norm and the update each walk the
-        # chunks, so no thread needs float64 room the size of the target
+        # chunks, so no thread needs float64 room the size of the target, and
+        # without a helper the caller's one room serves both halves
         with T.precision("single"):
             ps = ParameterSet([("w", (8 * optim.CHUNK,), True)])
         g = np.random.default_rng(4).standard_normal(ps.values.shape).astype(np.float32) * 1e-3
-        if split:
-            monkeypatch.setattr(optim, "SPLIT_SIZE", optim.CHUNK)
         with ThreadPoolExecutor(max_workers=1) as pool:
             tracemalloc.start()
             try:
@@ -517,7 +516,7 @@ class TestAdam:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-        assert all(opt._chunks) == split
+        assert all(opt._chunks)
         # beyond m, v and grad: one scratch of 2 * CHUNK float64 per thread, and
         # less than one more such scratch for everything else
         scratch = 2 * optim.CHUNK * 8
@@ -584,14 +583,12 @@ class TestAdam:
 
 
 class TestSplitAdam:
-    """A step over more than ``SPLIT_SIZE`` elements runs half of its chunks,
-    for the norm and for the update, on the thread's helper; the gates are
-    lowered so that a small step splits. Every result is bitwise that of one
-    thread."""
+    """A step with a helper runs half of its chunks, for the norm and for the
+    update, on the thread's helper; the chunks are made small so that a small
+    step has several. Every result is bitwise that of one thread."""
 
     @pytest.fixture(autouse=True)
     def split(self, monkeypatch):
-        monkeypatch.setattr(optim, "SPLIT_SIZE", 0)
         monkeypatch.setattr(optim, "CHUNK", 64)
 
     @staticmethod
@@ -646,16 +643,22 @@ class TestSplitAdam:
         assert not got[1][1].any() and not got[1][2].any()
         self.same(got, want)
 
-    def test_the_norm_and_the_update_walk_the_same_halves(self, pool, monkeypatch):
+    @pytest.mark.parametrize("helped", [False, True], ids=["one-thread", "helper"])
+    def test_the_norm_and_the_update_walk_the_same_halves(self, pool, monkeypatch, helped):
         seen = {"_square_sums": set(), "_update": set()}
+        rooms = {}  # the scratch of each thread that ran a half
         for name, halves in seen.items():
             def record(opt, chunks, wide, *rest, real=getattr(Adam, name), halves=halves):
-                halves.add((tuple((c.start, c.stop) for c in chunks), id(wide)))
+                halves.add(tuple((c.start, c.stop) for c in chunks))
+                rooms.setdefault(threading.get_ident(), set()).add(id(wide))
                 return real(opt, chunks, wide, *rest)
 
             monkeypatch.setattr(Adam, name, record)
-        self.run(pool, steps=1)
+        self.run(pool if helped else None, steps=2)
         assert len(seen["_update"]) == 2 and seen["_square_sums"] == seen["_update"]
+        # one room a thread, kept from step to step; no two threads share one
+        assert all(len(ids) == 1 for ids in rooms.values()) and len(set().union(*rooms.values())) == len(rooms)
+        assert len(rooms) == 1 or helped
 
     def test_a_busy_helper_leaves_both_halves_here(self, pool):
         busy = threading.Event()

@@ -546,10 +546,12 @@ class TestDecoder:
         memories = [m.encode(x, True, in_turn) for x in (hist, future)]
         want = m.decode(resp_in, *memories, key_padding_mask(hist), key_padding_mask(future),
                         train=True, rng=in_turn)
-        monkeypatch.setattr(T, "_FORK_GEMM", 0 if forked else 10**18)
         rng = np.random.default_rng(42)
-        with ThreadPoolExecutor(max_workers=1) as pool, T.helper(pool):
+        with ThreadPoolExecutor(max_workers=1) as pool, T.helper(pool if forked else None):
+            submitted, real = [], pool.submit
+            monkeypatch.setattr(pool, "submit", lambda fn, *a: submitted.append(fn) or real(fn, *a))
             got = m.forward(hist, resp_in, future=future, train=True, rng=rng)
+        assert len(submitted) == forked
         for a, b in zip(want.hidden_states + [want.log_probs], got.hidden_states + [got.log_probs]):
             assert np.array_equal(a.data, b.data)
         assert rng.random() == in_turn.random()

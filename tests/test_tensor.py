@@ -1063,13 +1063,9 @@ class TestRandomizedGradients:
 
 
 class TestDeferredGradients:
-    """With a helper and the size gate lowered, ``backward`` computes and adds
+    """With a helper, ``backward`` computes and adds every ``affine`` node's
     parameter gradients on the helper while it goes on; every leaf's adds
     keep the order of a pass on one thread."""
-
-    @pytest.fixture(autouse=True)
-    def deferred(self, monkeypatch):
-        monkeypatch.setattr(T, "_DEFER_GEMM", 0)
 
     @staticmethod
     def three_reads():
@@ -1217,10 +1213,18 @@ class TestDeferredGradients:
 
 
 def test_array_leaf_adds_do_not_ask_whether_the_helper_is_free(monkeypatch):
-    # a desk step defers no gradient, so every leaf add is an array into a leaf
-    # with no add on the helper: it is added at once, unchecked, in the same order
-    want = TestDeferredGradients.grads(TestDeferredGradients.desk_step)
+    # an embedding's and a norm's parameter gradients are arrays, each into a
+    # leaf with no add on the helper: added at once, unchecked, in the same order
+    def norm_step():
+        rng = np.random.default_rng(3)
+        table, gain, bias = (T.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                             for shape in ((30, 8), (8,), (8,)))
+        x = T.embedding(table, rng.integers(0, 30, (4, 5)), rng.standard_normal((5, 8)).astype(np.float32))
+        y = T.layer_norm(x, gain, bias, x)
+        return [table, gain, bias], T.tsum(T.mul(y, rng.standard_normal((4, 5, 8)).astype(np.float32)))
+
+    want = TestDeferredGradients.grads(norm_step)
     monkeypatch.setattr(T._LeafAdds, "_free", lambda adds: pytest.fail("asked whether the helper is free"))
     with ThreadPoolExecutor(max_workers=1) as pool:
-        got = TestDeferredGradients.grads(TestDeferredGradients.desk_step, pool)
+        got = TestDeferredGradients.grads(norm_step, pool)
     assert all(np.array_equal(a, b) for a, b in zip(want, got))

@@ -1,7 +1,6 @@
 """Trainer behavior: determinism, the lambda1=0 identity, frozen tensors,
 hard transfer, and logging."""
 
-import contextlib
 import functools
 import hashlib
 import json
@@ -19,7 +18,7 @@ import pytest
 
 from dialdistill import losses, optim, tensor as T
 from dialdistill import training
-from dialdistill.corpus import EncodedExample, batchify, encode_example
+from dialdistill.corpus import EncodedExample, batchify, encode_example, make_batch
 from dialdistill.errors import ContractError, DataError, NumericError
 from dialdistill.model import ModelConfig, TransformerModel, desk_config, paper_config
 from dialdistill.synthetic import future_marker_corpus, marker_vocabulary
@@ -382,14 +381,71 @@ class TestTeacherTargetCache:
         assert np.array_equal(lm_probs, _fresh(lm, batch).probabilities.data)
 
 
+def _submitted(monkeypatch) -> list:
+    """The qualified name of every task the run's worker is given."""
+    names = []
+    real = training.ThreadPoolExecutor.submit
+
+    def submit(pool, fn, *args, **kwargs):
+        names.append(fn.__qualname__)
+        return real(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(training.ThreadPoolExecutor, "submit", submit)
+    return names
+
+
+TARGETS = "_train_loop.<locals>.targets"
+
+
+class TestHelperDecision:
+    """A run gets a helper thread when its largest product exceeds
+    ``HELPER_GEMM``, decided once; else it starts no thread."""
+
+    def test_desk_shape_gets_no_helper(self):
+        vocab = marker_vocabulary()
+        batch = batchify([encode_example(e, vocab) for e in future_marker_corpus(64, seed=0)], 16)[0]
+        for variant in ("scenario-based", "language-model", "conventional"):
+            assert not training._gets_helper(desk_config(len(vocab), variant), batch)
+
+    def test_paper_width_gets_a_helper(self):
+        # 60/15/60-token history, response and future
+        rng = np.random.default_rng(0)
+        examples = [EncodedExample(*(rng.integers(4, 5000, n).tolist() for n in (60, 15, 60))) for _ in range(32)]
+        batch = batchify(examples, 32)[0]
+        for variant in ("scenario-based", "language-model", "conventional"):
+            assert training._gets_helper(paper_config(5000, variant), batch)
+
+    @pytest.mark.parametrize("vocab, largest", [(7, 18 * 6 * 10), (20, 8 * 20 * 10)], ids=["ffn", "head"])
+    def test_the_largest_product_decides(self, monkeypatch, vocab, largest):
+        # two rows of 9 history, 3 + 1 response and 5 future tokens at width 10
+        # and FFN 6: the FFN's product is over the history's 18 tokens, and the
+        # output head's over the response's 8
+        batch = make_batch([EncodedExample(history=[4] * 9, response=[4] * 3, future=[4] * 5)] * 2)
+        config = ModelConfig(vocab_size=vocab, model_dim=10, ffn_dim=6)
+        for gate, gets in ((largest - 1, True), (largest, False)):
+            monkeypatch.setattr(training, "HELPER_GEMM", gate)
+            assert training._gets_helper(config, batch) == gets
+
+    def test_a_desk_run_starts_no_thread(self, data, teacher, lm_teacher, monkeypatch):
+        train, val, _ = data
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        submitted = _submitted(monkeypatch)
+        train_teacher(train, val, small_config("scenario-based"), tcfg(max_steps=3, val_every=2))
+        train_student(train, val, teacher, small_config("conventional"), tcfg(max_steps=3, val_every=2),
+                      lm_teacher=lm_teacher)
+        assert started == [] and submitted == []
+
+
 class TestTargetWorker:
     """One worker thread computes the next step's frozen-teacher targets
-    while the student's step runs, when their work is large; the gate is
-    lowered so that desk-size targets go to the worker."""
+    while the student's step runs, when the run has a helper; the size rule
+    is lowered so that a desk run has one."""
 
     @pytest.fixture(autouse=True)
     def large(self, monkeypatch):
-        monkeypatch.setattr(T, "_FORK_GEMM", 0)
+        monkeypatch.setattr(training, "HELPER_GEMM", 0)
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -408,11 +464,12 @@ class TestTargetWorker:
         train_student(train, val, teacher, small_config("conventional"), tcfg(max_steps=7), lm_teacher=lm_teacher)
         assert len(started) == 1 and not started[0].is_alive()
 
-    def test_no_thread_without_frozen_teachers(self, data, started):
+    def test_no_targets_on_the_worker_without_frozen_teachers(self, data, monkeypatch):
         train, val, _ = data
+        submitted = _submitted(monkeypatch)
         train_student(train, val, None, small_config("conventional"), tcfg(max_steps=3, lambda1=0.0))
         train_conventional(train, val, small_config("conventional"), tcfg(max_steps=3))
-        assert started == []
+        assert submitted and TARGETS not in submitted  # the helper's other work goes on
 
     def test_no_thread_outlives_a_poisoned_teacher(self, data, started):
         train, _, _ = data
@@ -480,25 +537,21 @@ def _optimizers(monkeypatch) -> list:
 
 
 class TestForkedEncoders:
-    """A large teacher step encodes the history here and the future on the
-    run's worker, forward and backward; the gate is lowered so that a small
-    teacher forks."""
+    """A teacher step with a helper encodes the history here and the future
+    on the run's worker, forward and backward; the size rule is lowered so
+    that a small teacher has a helper."""
 
     # the two hand-offs of a forked step: the future's encoder forward, then its backward
     FORWARD, BACKWARD = "TransformerModel._encode_both.<locals>.<lambda>", "backward.<locals>.<lambda>"
 
     @pytest.fixture
     def submitted(self, monkeypatch):
-        """The qualified name of every task the run's worker is given."""
-        names = []
-        real = training.ThreadPoolExecutor.submit
+        return _submitted(monkeypatch)
 
-        def submit(pool, fn, *args, **kwargs):
-            names.append(fn.__qualname__)
-            return real(pool, fn, *args, **kwargs)
-
-        monkeypatch.setattr(training.ThreadPoolExecutor, "submit", submit)
-        return names
+    @classmethod
+    def forks(cls, submitted) -> list:
+        """The fork's hand-offs among the worker's tasks."""
+        return [name for name in submitted if name in (cls.FORWARD, cls.BACKWARD)]
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -510,7 +563,7 @@ class TestForkedEncoders:
     @staticmethod
     def _run(data, monkeypatch, gate):
         train, val, _ = data
-        monkeypatch.setattr(T, "_FORK_GEMM", gate)
+        monkeypatch.setattr(training, "HELPER_GEMM", gate)
         optimizers = _optimizers(monkeypatch)
         res = train_teacher(train, val, small_config("scenario-based"), tcfg(max_steps=4, val_every=2))
         opt = optimizers[-1]
@@ -521,13 +574,13 @@ class TestForkedEncoders:
         sequential, arrays = self._run(data, monkeypatch, 10**18)
         assert submitted == []
         forked, forked_arrays = self._run(data, monkeypatch, 0)
-        assert submitted == [self.FORWARD, self.BACKWARD] * 4
+        assert self.forks(submitted) == [self.FORWARD, self.BACKWARD] * 4
         assert all(np.array_equal(a, b) for a, b in zip(arrays, forked_arrays))
         assert forked.log == sequential.log and len(forked.log) == 4
 
     def test_a_nan_in_a_forked_encoder_names_its_primitive(self, data, monkeypatch, started):
         train, _, _ = data
-        monkeypatch.setattr(T, "_FORK_GEMM", 0)
+        monkeypatch.setattr(training, "HELPER_GEMM", 0)
         model = TransformerModel.build(small_config("scenario-based"), 4)
         model.params["enc.0.ln_attn.gain"].data[0] = np.nan
         with pytest.raises(NumericError, match="primitive 'layer_norm'"):
@@ -537,7 +590,7 @@ class TestForkedEncoders:
     @pytest.mark.parametrize("where", ["forward", "backward"])
     def test_an_error_on_the_helper_reaches_the_caller(self, data, monkeypatch, started, where):
         train, _, _ = data
-        monkeypatch.setattr(T, "_FORK_GEMM", 0)
+        monkeypatch.setattr(training, "HELPER_GEMM", 0)
 
         def on_helper():
             return threading.current_thread() is not threading.main_thread()
@@ -567,31 +620,31 @@ class TestForkedEncoders:
 
     def test_graph_free_passes_never_submit(self, data, teacher, monkeypatch, submitted):
         # validation and the frozen teacher's targets record no graph, so
-        # they encode in turn even above the gate; the worker computes only
-        # the targets of a student run
+        # they encode in turn even with a helper; of the passes, the worker
+        # computes only the targets of a student run
         train, val, _ = data
-        monkeypatch.setattr(T, "_FORK_GEMM", 0)
+        monkeypatch.setattr(training, "HELPER_GEMM", 0)
         forks = []
         real = T.fork
         monkeypatch.setattr(T, "fork", lambda *a: forks.append(T._recording.grad) or real(*a))
         train_teacher(train, val, small_config("scenario-based"), tcfg(max_steps=2, val_every=1))
-        assert submitted == [self.FORWARD, self.BACKWARD] * 2
+        assert self.forks(submitted) == [self.FORWARD, self.BACKWARD] * 2 and TARGETS not in submitted
         assert forks == [True, False, True, False]  # each step, then its validation
         submitted.clear()
         forks.clear()
         train_student(train, val, teacher, small_config("conventional"), tcfg(max_steps=2, val_every=1))
-        assert submitted == ["_train_loop.<locals>.targets"] * 2 and forks == [False] * 2
+        assert self.forks(submitted) == [] and submitted.count(TARGETS) == 2 and forks == [False] * 2
 
 
 class TestHelperWork:
-    """A large step computes its parameter gradients and half of Adam's work
-    on the run's worker; the gates are lowered so that a desk-size step
-    does. Every run is bitwise the run with no helper at all."""
+    """A step with a helper computes its parameter gradients and half of
+    Adam's work on the run's worker; the size rule is lowered so that a
+    desk-size run has a helper. Every run is bitwise the run with no helper
+    at all."""
 
     @pytest.fixture(autouse=True)
     def lowered(self, monkeypatch):
-        monkeypatch.setattr(T, "_DEFER_GEMM", 0)
-        monkeypatch.setattr(optim, "SPLIT_SIZE", 0)
+        monkeypatch.setattr(training, "HELPER_GEMM", 0)
         monkeypatch.setattr(optim, "CHUNK", 256)
 
     @pytest.fixture
@@ -623,17 +676,16 @@ class TestHelperWork:
     def test_bitwise_equal_to_a_run_without_a_helper(self, data, teacher, lm_teacher, monkeypatch, kind):
         run = functools.partial(self.RUNS[kind], data, teacher, lm_teacher)
         with monkeypatch.context() as m:
-            m.setattr(T, "helper", contextlib.nullcontext)
+            m.setattr(training, "HELPER_GEMM", 10**18)
+            names = _submitted(m)
             want_log, want = self._state(m, run)
-        names = []
-        real = training.ThreadPoolExecutor.submit
-        monkeypatch.setattr(training.ThreadPoolExecutor, "submit",
-                            lambda pool, fn, *a: names.append(fn.__name__) or real(pool, fn, *a))
+        assert names == []
+        names = _submitted(monkeypatch)
         log, got = self._state(monkeypatch, run)
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
         assert log == want_log and len(log) == 4 and "val_loss" in log[1]
         # deferred gradients, and Adam's two halves per step
-        assert "_run" in names and names.count("<lambda>") == 2 * 4
+        assert "_LeafAdds._run" in names and names.count("Adam._on_both.<locals>.<lambda>") == 2 * 4
 
     @pytest.mark.parametrize("where", ["gradient", "adam"])
     def test_an_error_on_the_helper_reaches_the_caller(self, data, monkeypatch, started, where):
