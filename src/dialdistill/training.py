@@ -40,8 +40,8 @@ from .optim import Adam
 TRANSFER_SCOPES = ("none", "word-emb", "encoder")
 WORD_EMB_TENSORS = ("encoder_embedding", "decoder_embedding")
 TARGET_CACHE_BYTES = 256 << 20  # the most a student run keeps of its frozen teachers' targets
-# a run whose largest product exceeds this many multiply-adds gets a helper thread;
-# a smaller step spends its time in Python, under the GIL, and is no faster with one
+# a run whose FFN product exceeds this many multiply-adds gets a helper thread; a desk-width
+# step, at any vocabulary, spends its time in Python, under the GIL, and is no faster with one
 HELPER_GEMM = 64 * 100**3
 
 
@@ -129,11 +129,11 @@ def validation_nll(model: TransformerModel, val_batches) -> float:
 
 
 def _gets_helper(config: ModelConfig, batch) -> bool:
-    """Whether a run of ``config`` over batches like ``batch`` gets a helper
-    thread: when its largest product, the output head's or an FFN's over the
-    longest of the batch's inputs, exceeds ``HELPER_GEMM`` multiply-adds."""
-    tokens = max(batch.history.size, batch.response_in.size, batch.future.size)
-    return max(batch.response_in.size * config.vocab_size, tokens * config.ffn_dim) * config.model_dim > HELPER_GEMM
+    """Whether a run of ``config`` over batches like ``batch`` gets a helper thread: when an FFN's
+    product over the longest input the variant reads (``MEMORIES``) exceeds ``HELPER_GEMM``."""
+    reads = MEMORIES[config.variant]
+    tokens = max(batch.response_in.size, batch.history.size * reads[0], batch.future.size * reads[1])
+    return tokens * config.model_dim * config.ffn_dim > HELPER_GEMM
 
 
 def _schedule(train_examples: list, tcfg: TrainingConfig):

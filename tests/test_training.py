@@ -398,14 +398,17 @@ TARGETS = "_train_loop.<locals>.targets"
 
 
 class TestHelperDecision:
-    """A run gets a helper thread when its largest product exceeds
-    ``HELPER_GEMM``, decided once; else it starts no thread."""
+    """A run gets a helper thread when an FFN's product over its longest
+    read input exceeds ``HELPER_GEMM``, decided once; else it starts no
+    thread. The vocabulary never decides."""
 
     def test_desk_shape_gets_no_helper(self):
         vocab = marker_vocabulary()
         batch = batchify([encode_example(e, vocab) for e in future_marker_corpus(64, seed=0)], 16)[0]
         for variant in ("scenario-based", "language-model", "conventional"):
-            assert not training._gets_helper(desk_config(len(vocab), variant), batch)
+            # the marker corpus's 30 words, and a real corpus's default 20000
+            for size in (len(vocab), 20000):
+                assert not training._gets_helper(desk_config(size, variant), batch)
 
     def test_paper_width_gets_a_helper(self):
         # 60/15/60-token history, response and future
@@ -415,14 +418,14 @@ class TestHelperDecision:
         for variant in ("scenario-based", "language-model", "conventional"):
             assert training._gets_helper(paper_config(5000, variant), batch)
 
-    @pytest.mark.parametrize("vocab, largest", [(7, 18 * 6 * 10), (20, 8 * 20 * 10)], ids=["ffn", "head"])
-    def test_the_largest_product_decides(self, monkeypatch, vocab, largest):
-        # two rows of 9 history, 3 + 1 response and 5 future tokens at width 10
-        # and FFN 6: the FFN's product is over the history's 18 tokens, and the
-        # output head's over the response's 8
-        batch = make_batch([EncodedExample(history=[4] * 9, response=[4] * 3, future=[4] * 5)] * 2)
-        config = ModelConfig(vocab_size=vocab, model_dim=10, ffn_dim=6)
-        for gate, gets in ((largest - 1, True), (largest, False)):
+    @pytest.mark.parametrize("variant, tokens", [("scenario-based", 18), ("conventional", 10), ("language-model", 8)])
+    def test_the_longest_read_input_decides(self, monkeypatch, variant, tokens):
+        # two rows of 5 history, 3 + 1 response and 9 future tokens at width
+        # 10 and FFN 6: the teacher's longest input is the future's 18 tokens,
+        # the baseline's the history's 10, and the LM's the response's 8
+        batch = make_batch([EncodedExample(history=[4] * 5, response=[4] * 3, future=[4] * 9)] * 2)
+        config = ModelConfig(vocab_size=10**6, model_dim=10, ffn_dim=6, variant=variant)
+        for gate, gets in ((tokens * 60 - 1, True), (tokens * 60, False)):
             monkeypatch.setattr(training, "HELPER_GEMM", gate)
             assert training._gets_helper(config, batch) == gets
 
